@@ -35,6 +35,7 @@ from .errors import (
 from .sequences import (
     FinSeq,
     PeriodicSeq,
+    _cyclic_convolve,
     convolve,
     delta,
     downsample2,
@@ -203,15 +204,27 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     return filt
 
 
+def _decimate_block(filt: DecimationFilter, values: np.ndarray) -> np.ndarray:
+    """Periodic decimation of an ``(N,)`` or ``(N, D)`` block along axis 0.
+
+    The filter ``zeta`` runs cyclically over ``values[0::2]``; N must be
+    even.
+    """
+    if values.shape[0] % 2 != 0:
+        raise OddPeriodError(
+            f"decimation needs an even period, got {values.shape[0]}")
+    return _cyclic_convolve(filt.zeta.coeffs, filt.zeta.offset, values[0::2])
+
+
 def decimate(filt: DecimationFilter, c):
     """Apply the decimation ``D(c)_j = sum_i zeta_{j-i} c_{2i}``.
 
     Equivalent to ``zeta * downsample2(c)``; a periodic input must have
-    an even period and comes back with period N/2.
+    an even period and comes back with period N/2.  Periodic data is
+    filtered directly on its even samples, with no intermediate sequence.
     """
-    if isinstance(c, PeriodicSeq) and c.period % 2 != 0:
-        raise OddPeriodError(
-            f"decimation needs an even period, got {c.period}")
+    if isinstance(c, PeriodicSeq):
+        return PeriodicSeq(_decimate_block(filt, c.values))
     return convolve(filt.zeta, downsample2(c))
 
 

@@ -11,10 +11,12 @@ is interpolating).  Synthesis inverts exactly by construction:
 
     c^(l) = S_l c^(l-1) + d^(l),   l = 1..J.
 
-Planar (or any vector-valued) data is processed component-wise with the
-same filters; reported coefficient norms are then Euclidean across
-components.  Executable forms of the decay and stability estimates for
-these transforms are provided as bound evaluators and checkers.
+Planar (or any vector-valued) data uses the same filters for every
+component: periodic data runs through each level as one ``(N, D)`` block,
+finite data component by component.  Reported coefficient norms are
+Euclidean across components.  Executable forms of the decay and stability
+estimates for these transforms are provided as bound evaluators and
+checkers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import DecimationFilter, decimate, solve_gamma
+from .decimation import (
+    DecimationFilter,
+    _decimate_block,
+    decimate,
+    solve_gamma,
+)
 from .errors import (
     BadParamsError,
+    DomainError,
     PeriodNotDivisibleError,
     ShapeMismatchError,
 )
@@ -41,6 +49,7 @@ from .sequences import (
 from .subdivision import (
     Mask,
     SchemeFamily,
+    _refine_block,
     family_from_description,
     operator_norm_inf,
     refine,
@@ -58,27 +67,47 @@ class LevelParams:
     filt: DecimationFilter
 
 
-def _as_components(data, boundary: str):
-    """Normalize input into a tuple of scalar sequence components."""
+def _input_array(data, boundary: str):
+    """Validate input data; returns it as an ``(N, D)`` array plus offset.
+
+    The offset is the index of the first row: a :class:`FinSeq` input
+    keeps its own, an array starts at 0.
+    """
     if isinstance(data, (FinSeq, PeriodicSeq)):
         kind = "periodic" if isinstance(data, PeriodicSeq) else "finite"
         if kind != boundary:
             raise BadParamsError(
                 f"{type(data).__name__} input conflicts with "
                 f"boundary={boundary!r}")
-        return (data,)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        cols = [arr]
-    elif arr.ndim == 2:
-        cols = [arr[:, d] for d in range(arr.shape[1])]
+        if kind == "periodic":
+            arr, offset = data.values[:, None], 0
+        else:
+            arr, offset = data.coeffs[:, None], data.offset
     else:
-        raise BadParamsError("data must be 1-D or 2-D (samples x components)")
+        if boundary not in ("periodic", "finite"):
+            raise BadParamsError(f"unknown boundary mode {boundary!r}")
+        arr, offset = np.asarray(data, dtype=float), 0
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        elif arr.ndim != 2:
+            raise BadParamsError(
+                "data must be 1-D or 2-D (samples x components)")
+    if not np.isfinite(arr).all():
+        raise DomainError("input data must be finite: found NaN or infinity")
+    return arr, offset
+
+
+def _as_components(data, boundary: str):
+    """Normalize input into a tuple of scalar sequence components."""
+    arr, offset = _input_array(data, boundary)
     if boundary == "periodic":
-        return tuple(PeriodicSeq(col) for col in cols)
-    if boundary == "finite":
-        return tuple(FinSeq(col, 0) for col in cols)
-    raise BadParamsError(f"unknown boundary mode {boundary!r}")
+        return _periodic_components(arr)
+    return tuple(FinSeq(col, offset) for col in arr.T)
+
+
+def _periodic_components(block: np.ndarray):
+    """One :class:`PeriodicSeq` per column of an ``(N, D)`` block."""
+    return tuple(PeriodicSeq(col) for col in block.T)
 
 
 def _stack(components):
@@ -209,6 +238,10 @@ class Pyramid:
             return tuple(FinSeq(col, offset) for col in cols)
 
         params = sorted(doc["level_params"], key=lambda e: e["level"])
+        if len(doc["details"]) != len(params):
+            raise ShapeMismatchError(
+                f"pyramid document has {len(doc['details'])} detail levels "
+                f"but {len(params)} level_params entries")
         coarse_offset = params[0].get("coarse_offset", 0) if params else 0
         coarse = to_components(doc["coarse"], coarse_offset)
         details = []
@@ -245,30 +278,41 @@ def analyze(data, family: SchemeFamily, levels: int,
     step-l mask is the family's mask after l-1 refinements, so a conic
     family initialized from the coarse sample count reproduces the
     per-level tension selection that keeps sampled circles exact.
+    Non-finite input raises :class:`DomainError`.
     """
     if levels < 1:
         raise BadParamsError("need at least one level")
-    comps = _as_components(data, boundary)
-    if boundary == "periodic":
-        period = comps[0].period
+    arr, offset = _input_array(data, boundary)
+    periodic = boundary == "periodic"
+    if periodic:
+        period = arr.shape[0]
         if period % (2 ** levels) != 0:
             raise PeriodNotDivisibleError(
                 f"period not divisible: {period} samples cannot be halved "
                 f"{levels} times")
+        current = arr
+    else:
+        current = tuple(FinSeq(col, offset) for col in arr.T)
 
     level_params = []
     details: list = [None] * levels
-    current = comps
     for level in range(levels, 0, -1):
         mask = family.mask_at_level(level - 1)
         filt = solve_gamma(mask, epsilon)
-        coarse = tuple(decimate(filt, c) for c in current)
-        predicted = tuple(refine(mask, c) for c in coarse)
-        details[level - 1] = tuple(
-            subtract(c, p) for c, p in zip(current, predicted))
+        if periodic:
+            coarse = _decimate_block(filt, current)
+            detail = _refine_block(mask, coarse)
+            np.subtract(current, detail, out=detail)
+            details[level - 1] = _periodic_components(detail)
+        else:
+            coarse = tuple(decimate(filt, c) for c in current)
+            details[level - 1] = tuple(
+                subtract(c, refine(mask, p)) for c, p in zip(current, coarse))
         level_params.append(LevelParams(level, mask, filt))
         current = coarse
     level_params.reverse()
+    if periodic:
+        current = _periodic_components(current)
     return Pyramid(current, details, family, epsilon, boundary, level_params)
 
 
@@ -277,21 +321,28 @@ def synthesize(pyramid: Pyramid):
 
     Uses the masks recorded in the pyramid, so a deserialized pyramid
     reconstructs with exactly the operators the analysis applied.
+    Periodic components are refined together as one ``(N, D)`` block.
     """
-    current = pyramid.coarse
+    ncomp = pyramid.n_components
+    periodic = isinstance(pyramid.coarse[0], PeriodicSeq)
+    current = _stack(pyramid.coarse)[0] if periodic else pyramid.coarse
     for lp in pyramid.level_params:
         dets = pyramid.detail(lp.level)
-        if len(dets) != len(current):
+        if len(dets) != ncomp:
             raise ShapeMismatchError("component count changed across levels")
-        if isinstance(current[0], PeriodicSeq):
-            expect = 2 * current[0].period
+        if periodic:
+            expect = 2 * current.shape[0]
             if any(d.period != expect for d in dets):
                 raise ShapeMismatchError(
                     f"level {lp.level} details have period "
                     f"{dets[0].period}, expected {expect}")
-        current = tuple(
-            add(refine(lp.mask, c), d) for c, d in zip(current, dets))
-    return current
+            current = _refine_block(lp.mask, current)
+            for k, d in enumerate(dets):
+                current[:, k] += d.values
+        else:
+            current = tuple(
+                add(refine(lp.mask, c), d) for c, d in zip(current, dets))
+    return _periodic_components(current) if periodic else current
 
 
 def synthesize_array(pyramid: Pyramid):

@@ -8,8 +8,15 @@ stores one period of an N-periodic sequence; all indexing is modulo N.
 The free functions (:func:`convolve`, :func:`upsample2`,
 :func:`downsample2`, the norms, :func:`max_abs_diff`, :func:`k_const`)
 accept either carrier where that makes sense.  Convolution is linear for
-two finite sequences and cyclic when a finite filter meets a periodic
-signal.  All values are immutable; every operation returns a new object.
+two finite sequences and cyclic when either operand is periodic.  All
+values are immutable; every operation returns a new object.
+
+Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
+It works along axis 0 of an ``(N,)`` or ``(N, D)`` array: it wrap-extends
+the array once by the filter length and runs ``np.convolve(..., "valid")``
+on each column, so a filter longer than the period wraps correctly too.
+The periodic refinement and decimation in :mod:`nspyr.subdivision` and
+:mod:`nspyr.decimation` call it on whole ``(N, D)`` blocks.
 """
 
 from __future__ import annotations
@@ -184,9 +191,20 @@ def subtract(a, b):
 
 
 def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    for tap, j in zip(taps, range(offset, offset + taps.size)):
-        out += tap * np.roll(values, j)
+    """Cyclic convolution along axis 0 of an ``(N,)`` or ``(N, D)`` array.
+
+    ``out[n] = sum_i taps[i] * values[(n - offset - i) mod N]``: ``taps``
+    holds a filter's coefficients from index ``offset`` on and must not be
+    empty.  Any filter length works, including one longer than N.
+    """
+    n = values.shape[0]
+    ext = np.take(values, np.arange(1 - offset - taps.size, n - offset),
+                  axis=0, mode="wrap")
+    if ext.ndim == 1:
+        return np.convolve(ext, taps, "valid")
+    out = np.empty(values.shape)
+    for d in range(ext.shape[1]):
+        out[:, d] = np.convolve(ext[:, d], taps, "valid")
     return out
 
 
@@ -196,6 +214,7 @@ def convolve(a, b):
     Linear for two :class:`FinSeq` operands (support is the Minkowski sum
     of the supports).  Cyclic when one operand is periodic: the finite
     filter wraps modulo the period and the result has the same period.
+    Two periodic operands need equal periods.
     """
     if isinstance(a, FinSeq) and isinstance(b, FinSeq):
         if a.is_empty or b.is_empty:
@@ -210,9 +229,7 @@ def convolve(a, b):
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         if a.period != b.period:
             raise BadParamsError("cyclic convolution needs equal periods")
-        n = a.period
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        return PeriodicSeq(a.values[idx] @ b.values)
+        return PeriodicSeq(_cyclic_convolve(a.values, 0, b.values))
     raise BadParamsError("unsupported operand kinds for convolve")
 
 

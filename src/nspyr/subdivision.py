@@ -27,7 +27,13 @@ from .errors import (
     DomainError,
     PeriodTooShortError,
 )
-from .sequences import FinSeq, PeriodicSeq, add, convolve, upsample2
+from .sequences import (
+    FinSeq,
+    PeriodicSeq,
+    _cyclic_convolve,
+    convolve,
+    upsample2,
+)
 
 _PARITY_TOL = 1e-12
 _DENOM_GUARD = 1e-12
@@ -89,29 +95,49 @@ def operator_norm_inf(mask: Mask) -> float:
     return float(max(even, odd))
 
 
-def _stencil_reach(taps: FinSeq) -> int:
-    """Largest number of coarse points one output sample touches."""
-    idx = taps.indices()
-    reach = 0
+def _polyphase(taps: FinSeq):
+    """The two phases ``beta^p_k = alpha_{2k+p}`` as ``(coeffs, offset)``.
+
+    A phase with no taps has empty ``coeffs``.
+    """
+    phases = []
     for parity in (0, 1):
-        sel = idx[idx % 2 == parity]
-        if sel.size:
-            ms = (sel - parity) // 2
-            reach = max(reach, int(ms.max() - ms.min()) + 1)
-    return reach
+        first = (parity - taps.offset) % 2
+        phases.append((taps.coeffs[first::2],
+                       (taps.offset + first - parity) // 2))
+    return phases
+
+
+def _refine_block(mask: Mask, values: np.ndarray) -> np.ndarray:
+    """Periodic refinement of an ``(N,)`` or ``(N, D)`` block along axis 0.
+
+    Polyphase: output ``[p::2]`` is the coarse data cyclically convolved
+    with the parity-p taps, so no inserted zero is ever multiplied.
+    """
+    phases = _polyphase(mask.taps)
+    n = values.shape[0]
+    reach = max(coeffs.size for coeffs, _ in phases)
+    if n < reach:
+        raise PeriodTooShortError(
+            f"period {n} shorter than stencil reach {reach}")
+    out = np.zeros((2 * n,) + values.shape[1:])
+    for parity, (coeffs, offset) in enumerate(phases):
+        if coeffs.size:
+            out[parity::2] = _cyclic_convolve(coeffs, offset, values)
+    return out
 
 
 def refine(mask: Mask, c):
     """One refinement step ``(S c)_j = sum_i alpha_{j-2i} c_i``.
 
     A periodic input of period N yields period 2N and must satisfy
-    ``N >= stencil reach``, otherwise the output would wrap onto itself.
+    ``N >= stencil reach`` (the longest run of one parity's taps),
+    otherwise the output would wrap onto itself.  Periodic data is refined
+    polyphase: output ``2m+p`` is ``sum_k alpha_{2k+p} c_{m-k}``, computed
+    without upsampling.  Finite data is ``alpha * upsample2(c)``.
     """
     if isinstance(c, PeriodicSeq):
-        reach = _stencil_reach(mask.taps)
-        if c.period < reach:
-            raise PeriodTooShortError(
-                f"period {c.period} shorter than stencil reach {reach}")
+        return PeriodicSeq(_refine_block(mask, c.values))
     return convolve(mask.taps, upsample2(c))
 
 

@@ -9,6 +9,7 @@ from conftest import family_grid
 from nspyr import (
     BadParamsError,
     Conic,
+    DomainError,
     FinSeq,
     NS4Point,
     NSCubic,
@@ -84,13 +85,26 @@ class TestAnalyzeContracts:
             analyze(np.ones(16), cubic_bspline_family(), 0,
                     boundary="periodic")
 
-    def test_interpolating_details_vanish_on_evens(self, rng):
+    @pytest.mark.parametrize("shape", [(96,), (96, 2)],
+                             ids=["scalar", "planar"])
+    def test_interpolating_details_vanish_on_evens(self, rng, shape):
         fam = NS4Point(2 * math.pi / 12)
-        data = rng.normal(size=96)
+        data = rng.normal(size=shape)
         p = analyze(data, fam, 3, boundary="periodic")
         for level in range(1, 4):
             d = p.detail_array(level)
             assert np.all(d[0::2] == 0.0)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, boundary, bad):
+        data = np.cos(2 * math.pi * np.arange(64) / 64)
+        data[17] = bad
+        with pytest.raises(DomainError, match="finite"):
+            analyze(data, cubic_bspline_family(), 2, boundary=boundary)
+        planar = np.stack([data, data[::-1]], axis=1)
+        with pytest.raises(DomainError, match="finite"):
+            analyze(planar, cubic_bspline_family(), 2, boundary=boundary)
 
     def test_interpolating_uses_plain_downsampling(self, rng):
         fam = NS4Point(2 * math.pi / 12)
@@ -311,6 +325,14 @@ class TestSerialization:
         doc = json.loads(p.to_json())
         assert list(doc.keys()) == ["family", "epsilon", "boundary",
                                     "coarse", "details", "level_params"]
+
+    def test_detail_count_must_match_level_params(self, rng):
+        p = analyze(rng.normal(size=64), cubic_bspline_family(), 3,
+                    boundary="periodic")
+        doc = json.loads(p.to_json())
+        doc["details"] = doc["details"][:2]
+        with pytest.raises(ShapeMismatchError, match="detail levels"):
+            Pyramid.from_json_dict(doc)
 
     def test_deserialized_synthesis_matches_input(self, rng):
         data = rng.normal(size=64)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nspyr import (
     BadParamsError,
@@ -20,6 +23,7 @@ from nspyr import (
     upsample2,
     write_sequence_csv,
 )
+from nspyr.sequences import _cyclic_convolve
 
 
 def brute_convolve(a: FinSeq, b: FinSeq) -> dict:
@@ -28,6 +32,14 @@ def brute_convolve(a: FinSeq, b: FinSeq) -> dict:
     for i, av in zip(a.indices(), a.coeffs):
         for j, bv in zip(b.indices(), b.coeffs):
             out[i + j] = out.get(i + j, 0.0) + av * bv
+    return out
+
+
+def roll_cyclic_convolve(taps, offset, values):
+    """Per-tap roll loop: the reference for the cyclic kernel."""
+    out = np.zeros_like(values)
+    for tap, j in zip(taps, range(offset, offset + taps.size)):
+        out += tap * np.roll(values, j, axis=0)
     return out
 
 
@@ -113,6 +125,50 @@ class TestConvolve:
         for j, t in zip(taps.indices(), taps.coeffs):
             expected += t * np.roll(c.values, j)
         np.testing.assert_allclose(out.values, expected, rtol=1e-15)
+
+    def test_periodic_pair_against_double_sum(self, rng):
+        for n in (1, 2, 5, 8):
+            a = PeriodicSeq(rng.normal(size=n))
+            b = PeriodicSeq(rng.normal(size=n))
+            out = convolve(a, b)
+            expected = [sum(a[i] * b[j - i] for i in range(n))
+                        for j in range(n)]
+            np.testing.assert_allclose(out.values, expected,
+                                       rtol=1e-14, atol=1e-14)
+
+    def test_periodic_pair_needs_equal_periods(self):
+        with pytest.raises(BadParamsError):
+            convolve(PeriodicSeq([1.0, 2.0]), PeriodicSeq([1.0, 2.0, 3.0]))
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernel_cases(draw):
+    taps = draw(arrays(float, st.integers(1, 40),
+                       elements=st.floats(-10.0, 10.0, **_FINITE)))
+    offset = draw(st.integers(-100, 100))
+    period = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from([(period,), (period, 2)]))
+    values = draw(arrays(float, shape,
+                         elements=st.floats(-1e3, 1e3, **_FINITE)))
+    return taps, offset, values
+
+
+class TestCyclicKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_roll_loop(self, case):
+        # covers taps longer than the period; the bound is fixed from the
+        # dtype: the two sum the same products in different orders
+        taps, offset, values = case
+        got = _cyclic_convolve(taps, offset, values)
+        want = roll_cyclic_convolve(taps, offset, values)
+        assert got.shape == values.shape
+        tol = (64 * np.finfo(float).eps * np.abs(taps).sum()
+               * np.abs(values).max())
+        assert np.abs(got - want).max() <= tol
 
 
 class TestResampling:

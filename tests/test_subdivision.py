@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import family_grid
+
 from nspyr import (
     BadParamsError,
     Conic,
@@ -19,6 +21,7 @@ from nspyr import (
     Stationary,
     Trigonometric,
     conic_params,
+    convolve,
     cubic_bspline_family,
     cubic_bspline_mask,
     delta,
@@ -28,6 +31,7 @@ from nspyr import (
     refine,
     refine_n,
     sample_circle,
+    upsample2,
     v_next,
     write_mask_csv,
 )
@@ -224,6 +228,17 @@ class TestRefine:
             c = PeriodicSeq(rng.normal(size=12))
             out = refine(fam.mask_at_level(k), c)
             assert np.array_equal(out.values[0::2], c.values)
+
+    @pytest.mark.parametrize("name,family", family_grid())
+    def test_polyphase_matches_upsampled_convolution(self, rng, name, family):
+        for k in range(3):
+            mask = family.mask_at_level(k)
+            c = PeriodicSeq(rng.normal(size=16))
+            got = refine(mask, c).values
+            want = convolve(mask.taps, upsample2(c)).values
+            tol = (64 * np.finfo(float).eps * np.abs(mask.taps.coeffs).sum()
+                   * np.abs(c.values).max())
+            assert np.abs(got - want).max() <= tol
 
     def test_period_too_short(self):
         mask = Conic(math.cos(2 * math.pi / 16)).mask_at_level(0)
