@@ -1,12 +1,12 @@
 """Computing reverse decimation filters and their diagnostics.
 
-For each scheme the even part of the mask is inverted on an adaptive
-window, truncated at 1e-15, and normalized to unit sum.  An
-interpolating mask inverts trivially (the filter is the Kronecker
-delta); the cubic B-spline filter is the classic alternating geometric
-sequence with ratio -(3 - 2*sqrt(2)); the nonstationary filters start
-out different at the first level and settle toward their stationary
-limit as the level grows.
+For each scheme the even part of the mask is inverted on a window set
+by the roots of that even part, truncated at 1e-15, and normalized to
+unit sum.  An interpolating mask inverts trivially (the filter is the
+Kronecker delta); the cubic B-spline filter is the classic alternating
+geometric sequence with ratio -(3 - 2*sqrt(2)); the nonstationary
+filters start out different at the first level and settle toward their
+stationary limit as the level grows.
 """
 
 import math

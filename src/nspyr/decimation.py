@@ -4,17 +4,18 @@ A mask ``alpha`` is reversed by the filter ``gamma`` solving the
 convolution equation ``gamma * even(alpha) = delta``; the decimation
 ``D(c) = gamma * downsample2(c)`` then recovers the coarse points a
 refinement produced, in the sense that ``c - S(D(c))`` vanishes at even
-indices.
-``gamma`` has infinite support but decays geometrically whenever the
-even-part symbol has no zero on the unit circle, so in practice it is
+indices.  ``gamma`` has infinite support but decays geometrically
+whenever the even-part symbol has no zero on the unit circle, so it is
 truncated at a threshold ``epsilon`` and renormalized to unit sum.
 
-The solver truncates the bi-infinite Toeplitz system to a window
-``[-W, W]``, solves the banded linear system, and doubles W until the
-solution tail is negligible and two successive windows agree.  The
-resulting filter carries its diagnostics: truncation threshold, the l1
-residual of the convolution equation, and fitted geometric-envelope
-constants.
+The solve reads everything from the roots of the even part, a Laurent
+polynomial (Bartels & Samavati, "Reversing subdivision rules", 2000):
+the symbol is tested for zeros on the unit circle at the roots' angles,
+the exact decay rate ``lambda`` is the root modulus nearest the circle
+(inverted outside it), and a partial-fraction bound fixes the window
+``[-W, W]`` of one banded Toeplitz solve, whose outer half must fall
+below ``epsilon / 10``.  The filter records the threshold, the l1
+residual of the convolution equation and the decay envelope.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (
+    BadParamsError,
     EmptyEvenPartError,
     FitFailedError,
     NoConvergenceError,
@@ -44,10 +46,8 @@ from .sequences import (
 )
 from .subdivision import Mask
 
-_SYMBOL_SAMPLES = 4096
 _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
-_AGREE_TOL = 1e-13
 
 
 def even_mask(mask: Mask) -> FinSeq:
@@ -59,24 +59,29 @@ def even_mask(mask: Mask) -> FinSeq:
     return ev
 
 
-def _symbol_min_on_circle(a: FinSeq) -> float:
-    omega = np.linspace(0.0, 2.0 * np.pi, _SYMBOL_SAMPLES, endpoint=False)
-    sym = np.exp(-1j * np.outer(omega, a.indices())) @ a.coeffs
-    return float(np.abs(sym).min())
+def _half_width(a: FinSeq, roots, lam: float, epsilon: float) -> int:
+    """Window half-width W with ``|gamma_j| < epsilon / 10`` for |j| > W/2.
+
+    Partial fractions over the roots r_i of ``z^-lo a(z)`` bound
+    ``|gamma_j|`` by ``S / lambda * lambda^|j + lo|`` with
+    ``S = sum 1 / |a_hi prod_(k != i) (r_i - r_k)|``; root gaps are floored
+    at 1e-4 so that (nearly) repeated roots give a finite, larger bound.
+    """
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    residues = 1.0 / np.maximum(gaps, 1e-4).prod(axis=1)
+    bound = residues.sum() / (abs(a.coeffs[-1]) * lam)
+    reach = abs(a.offset) + np.log(epsilon / (10.0 * bound)) / np.log(lam)
+    return 2 * max(int(np.ceil(reach)), len(a))
 
 
 def _solve_window(a: FinSeq, half_width: int) -> np.ndarray:
-    """Solve gamma * a = delta for gamma on [-W, W] (banded Toeplitz)."""
-    lo, hi = a.support
-    upper = max(0, -lo)
-    lower = max(0, hi)
+    """Banded Toeplitz solve of gamma * a = delta on [-W, W]; lo <= 0 <= hi."""
     n = 2 * half_width + 1
-    ab = np.zeros((upper + lower + 1, n))
-    for tap, off in zip(a.coeffs, range(lo, hi + 1)):
-        ab[upper + off, :] = tap
     rhs = np.zeros(n)
     rhs[half_width] = 1.0
-    return solve_banded((lower, upper), ab, rhs)
+    bands = np.repeat(a.coeffs[:, None], n, axis=1)
+    return solve_banded((a.support[1], -a.offset), bands, rhs)
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,10 @@ class DecimationFilter:
     """Normalized truncated reverse filter with solve diagnostics.
 
     ``zeta`` is the unit-sum filter actually applied; ``gamma_raw`` keeps
-    the truncated but unnormalized solution.  ``decay_C``/``decay_lambda``
-    hold the fitted envelope ``|gamma_j| <= C * lambda^|j|`` and are None
-    when the filter is too short to fit (e.g. the interpolating case
-    ``zeta = delta``).
+    the truncated but unnormalized solution.  ``decay_lambda`` is the
+    exact rate from the even part's roots, ``decay_C`` the least C with
+    ``|gamma_j| <= C * lambda^|j|`` on the kept coefficients; both are None
+    for a single even tap (e.g. the interpolating case ``zeta = delta``).
     """
 
     zeta: FinSeq
@@ -96,7 +101,6 @@ class DecimationFilter:
     residual_l1: float
     decay_C: float | None
     decay_lambda: float | None
-    source_mask_level: int
 
     @property
     def nonzero_count(self) -> int:
@@ -114,7 +118,8 @@ def decay_fit(gamma_raw: FinSeq) -> tuple[float, float]:
     The rate comes from a least-squares fit of ``log|gamma_j|`` against
     ``|j|`` over the nonzero entries; the constant is then raised so the
     envelope actually dominates every sample.  Needs at least five
-    nonzero entries and a fitted rate below one.
+    nonzero entries and a fitted rate below one.  Kept as a cross-check
+    of the exact rate :func:`solve_gamma` reads from the roots.
     """
     mask = gamma_raw.coeffs != 0.0
     if np.count_nonzero(mask) < 5:
@@ -141,14 +146,17 @@ _filter_cache: dict[tuple, DecimationFilter] = {}
 def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     """Compute the truncated, normalized reverse filter for ``mask``.
 
-    Raises :class:`SymbolZeroOnCircleError` when the even-part symbol
-    gets within 1e-9 of zero on the unit circle (no summable inverse) and
-    :class:`NoConvergenceError` if the adaptive window exceeds 2**16
-    without stabilizing.  Results are cached per (taps, epsilon): solving
-    is pure, so concurrent callers may share filters freely.
+    ``epsilon`` must lie in (0, 1).  Raises :class:`SymbolZeroOnCircleError`
+    when the even-part symbol at its roots' angles is within 1e-9 of zero
+    (no summable inverse) and :class:`NoConvergenceError` when the roots
+    call for a window above 2**16 or the solution's outer half is not
+    below ``epsilon / 10``.  Results are cached per (taps, epsilon):
+    solving is pure, so concurrent callers may share filters freely.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise BadParamsError(f"epsilon must lie in (0, 1), got {epsilon}")
     a = even_mask(mask)
-    key = (a.coeffs.tobytes(), a.offset, float(epsilon), mask.level)
+    key = (a.coeffs.tobytes(), a.offset, float(epsilon))
     with _cache_lock:
         hit = _filter_cache.get(key)
     if hit is not None:
@@ -159,46 +167,38 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         # interpolating mask this is the Kronecker delta and decimation
         # reduces to plain downsampling.
         gamma_raw = FinSeq([1.0 / a.coeffs[0]], -a.offset)
+        c_env, lam = None, None
     else:
-        if _symbol_min_on_circle(a) <= _SYMBOL_MIN:
+        roots = np.roots(a.coeffs[::-1])
+        lam = float(np.minimum(np.abs(roots), 1.0 / np.abs(roots)).max())
+        symbol = np.exp(-1j * np.outer(np.angle(roots), a.indices())) @ a.coeffs
+        if lam >= 1.0 or np.abs(symbol).min() <= _SYMBOL_MIN:
             raise SymbolZeroOnCircleError(
                 "even-part symbol vanishes on the unit circle; "
                 "no summable inverse filter exists")
-        width = max(16, 4 * len(a))
-        previous = None
-        gamma_full = None
-        while True:
-            solution = _solve_window(a, width)
-            tail = np.abs(
-                solution[np.abs(np.arange(-width, width + 1)) > width // 2])
-            tail_ok = tail.size == 0 or tail.max() < epsilon / 10.0
-            agree_ok = False
-            if previous is not None:
-                prev_w, prev_sol = previous
-                center = solution[width - prev_w: width + prev_w + 1]
-                agree_ok = np.abs(center - prev_sol).max() <= _AGREE_TOL
-            if tail_ok and agree_ok:
-                gamma_full = solution
-                break
-            previous = (width, solution)
-            width *= 2
-            if width > _MAX_WINDOW:
-                raise NoConvergenceError(
-                    f"filter solve window exceeded {_MAX_WINDOW} "
-                    "without stabilizing")
-        kept = np.where(np.abs(gamma_full) > epsilon, gamma_full, 0.0)
-        gamma_raw = FinSeq(kept, -width)
+        # Finite sections converge only for winding number 0 about the
+        # origin, so solve for the even part shifted by z^-wind.
+        wind = a.offset + int(np.count_nonzero(np.abs(roots) < 1.0))
+        centred = FinSeq(a.coeffs, a.offset - wind)
+        width = _half_width(centred, roots, lam, epsilon)
+        if width > _MAX_WINDOW:
+            raise NoConvergenceError(
+                f"decay rate {lam:.6g} needs a window above {_MAX_WINDOW}")
+        gamma_full = _solve_window(centred, width)
+        j = np.arange(-width, width + 1)
+        if np.abs(gamma_full[np.abs(j) > width // 2]).max() >= epsilon / 10:
+            raise NoConvergenceError(
+                f"filter tail beyond {width // 2} is not below epsilon/10")
+        kept = np.abs(gamma_full) > epsilon
+        gamma_raw = FinSeq(np.where(kept, gamma_full, 0.0), -width - wind)
+        c_env = float(np.max(np.abs(gamma_full[kept])
+                             * lam ** -np.abs(j[kept] - wind), initial=0.0))
 
     zeta = FinSeq(gamma_raw.coeffs / gamma_raw.coeffs.sum(), gamma_raw.offset)
-    try:
-        c_env, lam = decay_fit(gamma_raw)
-    except FitFailedError:
-        c_env, lam = None, None
     residual = norm_l1(subtract(delta(), convolve(a, zeta)))
     filt = DecimationFilter(
         zeta=zeta, gamma_raw=gamma_raw, epsilon=float(epsilon),
-        residual_l1=residual, decay_C=c_env, decay_lambda=lam,
-        source_mask_level=mask.level)
+        residual_l1=residual, decay_C=c_env, decay_lambda=lam)
     with _cache_lock:
         _filter_cache[key] = filt
     return filt
@@ -247,5 +247,4 @@ def filter_metadata(filt: DecimationFilter) -> dict:
         "decay_C": filt.decay_C,
         "decay_lambda": filt.decay_lambda,
         "nonzero_count": filt.nonzero_count,
-        "source_mask_level": filt.source_mask_level,
     }

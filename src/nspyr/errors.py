@@ -43,7 +43,7 @@ class SymbolZeroOnCircleError(NspyrError):
 
 
 class NoConvergenceError(NspyrError):
-    """Adaptive filter solve did not stabilize within the window limit."""
+    """Reverse-filter solve needs too wide a window or leaves a large tail."""
 
 
 class FitFailedError(NspyrError):

@@ -221,7 +221,7 @@ class Pyramid:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Pyramid":
@@ -258,8 +258,7 @@ class Pyramid:
                 epsilon=entry["epsilon"],
                 residual_l1=entry["residual_l1"],
                 decay_C=entry["decay_C"],
-                decay_lambda=entry["decay_lambda"],
-                source_mask_level=entry["level"] - 1)
+                decay_lambda=entry["decay_lambda"])
             details.append(to_components(dvals, entry["detail_offset"]))
             level_params.append(LevelParams(entry["level"], mask, filt))
         return cls(coarse, details, family, epsilon, boundary, level_params)

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nspyr import (
+    BadParamsError,
     Conic,
     FinSeq,
     FitFailedError,
     Mask,
+    NoConvergenceError,
     NS4Point,
     NSCubic,
     OddPeriodError,
     PeriodicSeq,
     SymbolZeroOnCircleError,
+    analyze,
     convolve,
     cubic_bspline_family,
     cubic_bspline_mask,
@@ -29,6 +34,7 @@ from nspyr import (
     subtract,
     write_filter_csv,
 )
+from nspyr import decimation
 from nspyr.decimation import filter_metadata
 
 CUBIC_RHO = 3.0 - 2.0 * math.sqrt(2.0)
@@ -44,9 +50,8 @@ def dense_toeplitz_gamma(a: FinSeq, width: int) -> FinSeq:
     """Brute-force oracle: dense solve of the windowed convolution system."""
     n = 2 * width + 1
     matrix = np.zeros((n, n))
-    for row in range(n):
-        for col in range(n):
-            matrix[row, col] = a[(row - width) - (col - width)]
+    for lag, tap in zip(a.indices(), a.coeffs):
+        matrix += tap * np.eye(n, k=-lag)  # entry (row, col) = a[row - col]
     rhs = np.zeros(n)
     rhs[width] = 1.0
     return FinSeq(np.linalg.solve(matrix, rhs), -width)
@@ -248,3 +253,106 @@ class TestExport:
         assert meta["residual_l1"] <= 1e-13
         assert 0.0 < meta["decay_lambda"] < 1.0
         assert meta["nonzero_count"] == len(filt.zeta)
+        assert "source_mask_level" not in meta
+
+
+def tension_masks():
+    """Conic and nscubic masks for tensions 2*pi/N, N from 6 to 256."""
+    return st.builds(
+        lambda kind, theta, level: kind(math.cos(theta)).mask_at_level(level),
+        st.sampled_from([Conic, NSCubic]),
+        st.floats(2 * math.pi / 256, 2 * math.pi / 6),
+        st.integers(0, 3))
+
+
+def count_window_solves(monkeypatch):
+    """Empty the filter cache and count the banded solves that follow."""
+    calls = []
+    solve = decimation._solve_window
+    monkeypatch.setattr(decimation, "_filter_cache", {})
+    monkeypatch.setattr(decimation, "_solve_window",
+                        lambda a, w: calls.append(w) or solve(a, w))
+    return calls
+
+
+class TestRootsOfEvenPart:
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    def test_symbol_zero_between_samples_rejected(self, w0):
+        # even part [1, -2 cos w0, 1] vanishes at omega = +-w0, wherever w0
+        # falls relative to any sampling grid (e.g. 2*pi*100.5/4096)
+        taps = FinSeq([1.0, 0.0, -2.0 * math.cos(w0), 0.0, 1.0], -2)
+        with pytest.raises(SymbolZeroOnCircleError):
+            solve_gamma(Mask(taps, check_parity=False), 1e-15)
+
+    def test_cubic_decay_lambda_exact(self):
+        lam = solve_gamma(cubic_mask(), 1e-15).decay_lambda
+        assert abs(lam - CUBIC_RHO) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(tension_masks())
+    def test_random_tensions_match_oracles(self, mask):
+        filt = solve_gamma(mask, 1e-15)
+        g = filt.gamma_raw
+        oracle = dense_toeplitz_gamma(even_mask(mask), 120)
+        idx = g.indices()
+        assert np.abs(g.coeffs - oracle.coeffs[idx + 120]).max() <= 1e-13
+        assert filt.zeta.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+        # the least-squares fit is biased by the second conic root pair,
+        # by up to 7e-4 over these tensions
+        assert decay_fit(g)[1] == pytest.approx(filt.decay_lambda, abs=1e-3)
+        kept = g.coeffs != 0.0
+        envelope = filt.decay_C * filt.decay_lambda ** np.abs(idx[kept])
+        assert np.all(np.abs(g.coeffs[kept]) <= envelope * (1.0 + 1e-12))
+
+    def test_one_banded_solve_per_cold_filter(self, monkeypatch):
+        calls = count_window_solves(monkeypatch)
+        nontrivial = 0
+        for fam in (Conic(math.cos(2 * math.pi / 16)),
+                    NSCubic(math.cos(2 * math.pi / 16)), NS4Point(0.3)):
+            for level in range(4):
+                filt = solve_gamma(fam.mask_at_level(level), 1e-15)
+                nontrivial += not filt.is_trivial
+        assert nontrivial == 8
+        assert len(calls) == nontrivial
+
+    def test_stationary_family_solves_once(self, monkeypatch, rng):
+        calls = count_window_solves(monkeypatch)
+        analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 4)
+        assert len(decimation._filter_cache) == 1
+        assert len(calls) == 1
+
+    def test_window_above_limit_rejected_before_solving(self, monkeypatch):
+        # roots 0.9999 and 1/0.9999: the symbol stays above 1e-9 on the
+        # circle, but the decay is far too slow for a 2**16 window
+        r = 0.9999
+        taps = FinSeq([1.0, 0.0, -(r + 1.0 / r), 0.0, 1.0], -2)
+        calls = count_window_solves(monkeypatch)
+        with pytest.raises(NoConvergenceError, match="window above"):
+            solve_gamma(Mask(taps, check_parity=False), 1e-15)
+        assert calls == []
+
+    def test_one_sided_inverse(self):
+        # a(z) = 9/z + 6 + z = (z + 3)^2 / z winds once around the origin;
+        # its inverse z / (z + 3)^2 has gamma_j = (-1)^(j-1) j / 3^(j+1), j >= 1
+        taps = FinSeq([9.0, 0.0, 6.0, 0.0, 1.0], -2)
+        g = solve_gamma(Mask(taps, check_parity=False), 1e-15).gamma_raw
+        j = g.indices()
+        assert g.offset == 1
+        np.testing.assert_allclose(
+            g.coeffs, (-1.0) ** (j - 1) * j / 3.0 ** (j + 1), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("even, offset", [
+        ([0.5, 1.0], 5), ([1.0, 2.2, 1.0], 0),
+        ([1.0, 8.0, 24.0, 32.0, 16.0], -2)])
+    def test_nonzero_winding_solves_equation(self, even, offset):
+        taps = np.zeros(2 * len(even) - 1)
+        taps[::2] = even
+        mask = Mask(FinSeq(taps, 2 * offset), check_parity=False)
+        g = solve_gamma(mask, 1e-15).gamma_raw
+        assert norm_l1(subtract(delta(), convolve(even_mask(mask), g))) <= 1e-13
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-15, 1.0, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(BadParamsError, match="epsilon"):
+            solve_gamma(cubic_mask(), epsilon)

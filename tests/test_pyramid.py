@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nspyr import (
     detail_bound,
     detail_decay_report,
     norm_l1,
+    perturb_wavy,
     reconstruction_stability_bound,
     residual_operator_norm_estimate,
     sample_circle,
@@ -322,9 +324,11 @@ class TestSerialization:
     def test_json_field_order_stable(self, rng):
         data = rng.normal(size=32)
         p = analyze(data, cubic_bspline_family(), 2, boundary="periodic")
-        doc = json.loads(p.to_json())
-        assert list(doc.keys()) == ["family", "epsilon", "boundary",
-                                    "coarse", "details", "level_params"]
+        text = p.to_json()
+        assert "\n" not in text
+        assert list(json.loads(text).keys()) == [
+            "family", "epsilon", "boundary", "coarse", "details",
+            "level_params"]
 
     def test_detail_count_must_match_level_params(self, rng):
         p = analyze(rng.normal(size=64), cubic_bspline_family(), 3,
@@ -333,6 +337,16 @@ class TestSerialization:
         doc["details"] = doc["details"][:2]
         with pytest.raises(ShapeMismatchError, match="detail levels"):
             Pyramid.from_json_dict(doc)
+
+    def test_committed_indented_document_loads(self):
+        # written with indent=1 by demos/03_pyramid_roundtrip.py
+        path = (Path(__file__).parent.parent
+                / "demos" / "output" / "wavy_pyramid.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        p = Pyramid.from_json_dict(doc)
+        curve = perturb_wavy(sample_circle(256), amplitude=0.02, frequency=9)
+        assert np.abs(synthesize_array(p) - curve.points).max() <= 1e-12
+        assert json.loads(p.to_json()) == doc
 
     def test_deserialized_synthesis_matches_input(self, rng):
         data = rng.normal(size=64)
