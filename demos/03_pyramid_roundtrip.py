@@ -14,7 +14,6 @@ import numpy as np
 
 from nspyr import (
     Conic,
-    PeriodicSeq,
     Pyramid,
     analyze,
     check_reconstruction_stability,
@@ -42,7 +41,7 @@ print(f"\nround-trip error: {np.abs(recon - curve.points).max():.3e}")
 
 halved = Pyramid(
     pyramid.coarse,
-    [[PeriodicSeq(0.5 * d.values) for d in lvl] for lvl in pyramid.details],
+    [0.5 * d for d in pyramid.details],
     pyramid.family, pyramid.epsilon, pyramid.boundary, pyramid.level_params)
 check = check_reconstruction_stability(pyramid, halved)
 print(f"halved details: output moved {check.lhs:.3e}, "

@@ -28,7 +28,6 @@ from .sequences import (
     delta,
     downsample2,
     k_const,
-    max_abs_diff,
     norm_inf,
     norm_l1,
     read_sequence_csv,

@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .geometry import (
     PlanarCurve,
     WAVY_PRESETS,
     circularity_report,
+    conic_family_for,
     curve_pyramid,
     perturb_quadrant,
     perturb_wavy,
@@ -34,7 +34,8 @@ from .geometry import (
     sample_circle,
     write_curve_csv,
 )
-from .pyramid import Pyramid, analyze, detail_decay_report, synthesize
+from .pyramid import (Pyramid, analyze, detail_decay_report, synthesize,
+                      synthesize_array)
 from .sequences import FinSeq, PeriodicSeq, read_sequence_csv, write_sequence_csv
 from .subdivision import Conic, NS4Point, NSCubic, Stationary
 
@@ -91,16 +92,10 @@ def _build_family(kind: str, theta, data_n=None, levels=None):
     if kind == "nscubic":
         return NSCubic(1.0 if theta is None else math.cos(theta))
     if kind == "conic":
-        if theta is None:
-            if data_n is None:
-                theta = 2.0 * math.pi / 16.0
-            else:
-                n0 = data_n // (2 ** levels)
-                if n0 < 1:
-                    raise BadParamsError(
-                        f"{data_n} samples cannot support {levels} levels")
-                theta = 2.0 * math.pi / n0
-        return Conic(math.cos(theta))
+        if theta is None and data_n is not None:
+            return conic_family_for(data_n, levels)
+        return Conic(math.cos(2.0 * math.pi / 16.0 if theta is None
+                              else theta))
     raise BadParamsError(f"unknown family {kind!r}")
 
 
@@ -163,12 +158,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     pyr = Pyramid.from_json(Path(args.infile).read_text(encoding="utf-8"))
-    comps = synthesize(pyr)
     if pyr.n_components == 2 and pyr.boundary == "periodic":
-        arr = np.stack([c.values for c in comps], axis=1)
-        write_curve_csv(args.outfile, PlanarCurve(arr, closed=True))
+        write_curve_csv(args.outfile,
+                        PlanarCurve(synthesize_array(pyr), closed=True))
     elif pyr.n_components == 1:
-        write_sequence_csv(args.outfile, comps[0])
+        write_sequence_csv(args.outfile, synthesize(pyr)[0])
     else:
         raise BadParamsError(
             f"cannot serialize {pyr.n_components}-component "
@@ -193,13 +187,6 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _wavy_case(task):
-    name, amplitude, frequency, n, levels, epsilon, radius = task
-    curve = perturb_wavy(sample_circle(n, radius), amplitude, frequency)
-    report = circularity_report(curve, levels, epsilon)
-    return name, amplitude, frequency, curve, report
-
-
 def cmd_circle_demo(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -209,10 +196,11 @@ def cmd_circle_demo(args) -> int:
     clean_pyr = curve_pyramid(clean, levels, eps)
     clean_report = circularity_report(clean, levels, eps)
 
-    tasks = [(name, amp, freq, n, levels, eps, radius)
-             for name, amp, freq in WAVY_PRESETS]
-    with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-        wavy = list(pool.map(_wavy_case, tasks))
+    wavy = []
+    for name, amp, freq in WAVY_PRESETS:
+        curve = perturb_wavy(sample_circle(n, radius), amp, freq)
+        wavy.append((name, amp, freq, curve,
+                     circularity_report(curve, levels, eps)))
 
     report = {
         "n": n,

@@ -48,6 +48,7 @@ from .subdivision import Mask
 
 _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
+_FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
 
 
 def even_mask(mask: Mask) -> FinSeq:
@@ -150,8 +151,9 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     when the even-part symbol at its roots' angles is within 1e-9 of zero
     (no summable inverse) and :class:`NoConvergenceError` when the roots
     call for a window above 2**16 or the solution's outer half is not
-    below ``epsilon / 10``.  Results are cached per (taps, epsilon):
-    solving is pure, so concurrent callers may share filters freely.
+    below ``epsilon / 10``.  Results are cached per (taps, epsilon), up to
+    2048 filters, the first cached leaving first: solving is pure, so
+    concurrent callers may share filters freely.
     """
     if not 0.0 < epsilon < 1.0:
         raise BadParamsError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -201,6 +203,8 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         residual_l1=residual, decay_C=c_env, decay_lambda=lam)
     with _cache_lock:
         _filter_cache[key] = filt
+        if len(_filter_cache) > _FILTER_CACHE_MAX:
+            _filter_cache.pop(next(iter(_filter_cache)))
     return filt
 
 

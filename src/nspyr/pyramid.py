@@ -11,48 +11,36 @@ is interpolating).  Synthesis inverts exactly by construction:
 
     c^(l) = S_l c^(l-1) + d^(l),   l = 1..J.
 
-Planar (or any vector-valued) data uses the same filters for every
-component: periodic data runs through each level as one ``(N, D)`` block,
-finite data component by component.  Reported coefficient norms are
-Euclidean across components.  Executable forms of the decay and stability
-estimates for these transforms are provided as bound evaluators and
-checkers.
+Every component shares the filters, so each level is one ``(N, D)``
+block: one period, or the nonzero rows of finite data plus the index of
+the first, processed on a zero frame on which the cyclic kernels compute
+linear convolutions.  Coefficient norms are Euclidean across components.
+Executable forms of the decay and stability estimates are provided as
+bound evaluators and checkers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import (
-    DecimationFilter,
-    _decimate_block,
-    decimate,
-    solve_gamma,
-)
+from .decimation import DecimationFilter, _decimate_block, solve_gamma
 from .errors import (
     BadParamsError,
     DomainError,
     PeriodNotDivisibleError,
     ShapeMismatchError,
 )
-from .sequences import (
-    FinSeq,
-    PeriodicSeq,
-    add,
-    k_const,
-    norm_l1,
-    subtract,
-)
+from .sequences import FinSeq, PeriodicSeq, k_const, norm_l1
 from .subdivision import (
     Mask,
     SchemeFamily,
     _refine_block,
     family_from_description,
     operator_norm_inf,
-    refine,
 )
 
 DEFAULT_EPSILON = 1e-15
@@ -97,60 +85,106 @@ def _input_array(data, boundary: str):
     return arr, offset
 
 
-def _as_components(data, boundary: str):
-    """Normalize input into a tuple of scalar sequence components."""
-    arr, offset = _input_array(data, boundary)
-    if boundary == "periodic":
-        return _periodic_components(arr)
-    return tuple(FinSeq(col, offset) for col in arr.T)
+def _read_only_block(values) -> np.ndarray:
+    """Read-only 2-D float copy of ``values``; 1-D becomes ``(N, 1)``."""
+    try:
+        arr = np.array(values, dtype=float)
+    except ValueError as exc:  # numpy refuses ragged nested lists
+        raise ShapeMismatchError(
+            f"pyramid coefficients must form rectangular blocks: {exc}"
+        ) from exc
+    arr = arr[:, None] if arr.ndim == 1 else arr
+    if arr.ndim != 2:
+        raise ShapeMismatchError(
+            f"pyramid blocks must be 2-D, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
 
 
-def _periodic_components(block: np.ndarray):
-    """One :class:`PeriodicSeq` per column of an ``(N, D)`` block."""
-    return tuple(PeriodicSeq(col) for col in block.T)
+def _components(block: np.ndarray, offset: int, periodic: bool):
+    """One :class:`PeriodicSeq` or :class:`FinSeq` per column of a block."""
+    if periodic:
+        return tuple(PeriodicSeq(col) for col in block.T)
+    return tuple(FinSeq(col, offset) for col in block.T)
 
 
-def _stack(components):
-    """Align components on a common index range; returns (array, offset).
+def _reach(seq: FinSeq) -> int:
+    """Largest |index| in the support of a filter or mask."""
+    return max(abs(seq.offset), abs(seq.offset + len(seq) - 1))
 
-    Periodic components stack directly.  Finite components are padded
-    with zeros onto the union of their supports, so trimming differences
-    between components cannot misalign them.
+
+def _frame(block: np.ndarray, offset: int, lo: int, hi: int):
+    """Zero frame over at least ``[lo, hi)`` holding ``block`` from ``offset``.
+
+    It starts at an even index and has an even number of rows; returns
+    the frame and the index of its first row.
     """
-    if isinstance(components[0], PeriodicSeq):
-        arr = np.stack([c.values for c in components], axis=1)
-        return arr, 0
-    nonempty = [c for c in components if not c.is_empty]
-    if not nonempty:
-        return np.zeros((0, len(components))), 0
-    lo = min(c.offset for c in nonempty)
-    hi = max(c.offset + len(c) for c in nonempty)
-    arr = np.zeros((hi - lo, len(components)))
-    for d, c in enumerate(components):
-        if not c.is_empty:
-            arr[c.offset - lo: c.offset - lo + len(c), d] = c.coeffs
-    return arr, lo
+    start = lo - lo % 2
+    rows = hi - start + (hi - start) % 2
+    frame = np.zeros((rows, block.shape[1]))
+    frame[offset - start: offset - start + block.shape[0]] = block
+    return frame, start
+
+
+def _trim(block: np.ndarray, start: int):
+    """Drop the all-zero edge rows of a block starting at index ``start``.
+
+    Returns the rest and its first index, 0 for an all-zero block.
+    """
+    rows = np.flatnonzero(block.any(axis=1))
+    if rows.size == 0:
+        return block[:0], 0
+    return block[rows[0]: rows[-1] + 1], start + int(rows[0])
 
 
 class Pyramid:
-    """Coarse sequence plus detail levels and full operator provenance."""
+    """Coarse block plus detail blocks and full operator provenance.
 
-    __slots__ = ("coarse", "details", "family", "epsilon", "boundary",
-                 "level_params")
+    ``coarse`` (``(N_0, D)``) and ``details[l-1]`` (``(N_l, D)``) are kept
+    as read-only copies; ``offsets`` holds the first-row index of each,
+    all 0 for periodic data.  Inconsistent shapes or counts raise
+    :class:`ShapeMismatchError`, non-finite values :class:`DomainError`.
+    """
+
+    __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
+                 "boundary", "level_params")
 
     def __init__(self, coarse, details, family: SchemeFamily, epsilon: float,
-                 boundary: str, level_params):
-        self.coarse = tuple(coarse)
-        self.details = tuple(tuple(lvl) for lvl in details)
+                 boundary: str, level_params, offsets=None):
+        if boundary not in ("periodic", "finite"):
+            raise BadParamsError(f"unknown boundary mode {boundary!r}")
+        blocks = [_read_only_block(coarse)]
+        blocks += [_read_only_block(d) for d in details]
+        level_params = tuple(level_params)
+        levels = [lp.level for lp in level_params]
+        if levels != list(range(1, len(blocks))):
+            raise ShapeMismatchError(
+                f"pyramid has {len(blocks) - 1} detail levels but "
+                f"level_params for levels {levels}")
+        offsets = (0,) * len(blocks) if offsets is None else tuple(
+            int(o) for o in offsets)
+        if len(offsets) != len(blocks):
+            raise ShapeMismatchError(
+                f"pyramid has {len(blocks)} blocks but {len(offsets)} offsets")
+        if any(b.shape[1] != blocks[0].shape[1] for b in blocks):
+            raise ShapeMismatchError(
+                "pyramid blocks differ in their number of components")
+        if boundary == "periodic":
+            for level, (below, block) in enumerate(zip(blocks, blocks[1:]), 1):
+                if block.shape[0] != 2 * below.shape[0]:
+                    raise ShapeMismatchError(
+                        f"level {level} details have period "
+                        f"{block.shape[0]}, expected {2 * below.shape[0]}")
+        if not all(np.isfinite(block).all() for block in blocks):
+            raise DomainError(
+                "pyramid coefficients must be finite: found NaN or infinity")
+        self.coarse = blocks[0]
+        self.details = tuple(blocks[1:])
+        self.offsets = offsets
         self.family = family
         self.epsilon = float(epsilon)
-        self.boundary = str(boundary)
-        self.level_params = tuple(level_params)
-        ncomp = len(self.coarse)
-        for lvl in self.details:
-            if len(lvl) != ncomp:
-                raise ShapeMismatchError(
-                    "detail component count differs from coarse")
+        self.boundary = boundary
+        self.level_params = level_params
 
     @property
     def levels(self) -> int:
@@ -158,41 +192,38 @@ class Pyramid:
 
     @property
     def n_components(self) -> int:
-        return len(self.coarse)
+        return self.coarse.shape[1]
 
-    def detail(self, level: int):
-        """Components of d^(level), 1-based."""
+    def _detail_block(self, level: int) -> np.ndarray:
         if not 1 <= level <= self.levels:
             raise BadParamsError(f"level {level} outside 1..{self.levels}")
         return self.details[level - 1]
 
+    def detail(self, level: int):
+        """Components of d^(level), 1-based."""
+        return _components(self._detail_block(level), self.offsets[level],
+                           self.boundary == "periodic")
+
     def coarse_array(self):
-        arr, _ = _stack(self.coarse)
-        return arr[:, 0] if self.n_components == 1 else arr
+        return self.coarse[:, 0] if self.n_components == 1 else self.coarse
 
     def detail_array(self, level: int):
-        arr, _ = _stack(self.detail(level))
+        arr = self._detail_block(level)
         return arr[:, 0] if self.n_components == 1 else arr
 
     def detail_norms(self, level: int) -> np.ndarray:
         """Per-coefficient Euclidean norms of d^(level)."""
-        arr, _ = _stack(self.detail(level))
+        arr = self._detail_block(level)
         return np.sqrt((arr * arr).sum(axis=1))
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def seq_entry(comps):
-            arr, offset = _stack(comps)
-            values = arr.tolist() if len(comps) > 1 else arr[:, 0].tolist()
-            return values, offset
+        def values(block):
+            return (block if block.shape[1] > 1 else block[:, 0]).tolist()
 
-        coarse_values, coarse_offset = seq_entry(self.coarse)
-        details = []
         level_params = []
         for lp in self.level_params:
-            dvals, doff = seq_entry(self.detail(lp.level))
-            details.append(dvals)
             entry = {
                 "level": lp.level,
                 "mask_offset": lp.mask.taps.offset,
@@ -206,17 +237,18 @@ class Pyramid:
                 "residual_l1": lp.filt.residual_l1,
                 "decay_C": lp.filt.decay_C,
                 "decay_lambda": lp.filt.decay_lambda,
-                "detail_offset": doff,
+                "detail_offset": self.offsets[lp.level],
             }
             if lp.level == 1:
-                entry["coarse_offset"] = coarse_offset
+                entry["coarse_offset"] = self.offsets[0]
             level_params.append(entry)
         return {
             "family": self.family.describe(),
             "epsilon": self.epsilon,
             "boundary": self.boundary,
-            "coarse": coarse_values,
-            "details": details,
+            "coarse": values(self.coarse),
+            "details": [values(self.details[lp.level - 1])
+                        for lp in self.level_params],
             "level_params": level_params,
         }
 
@@ -226,27 +258,10 @@ class Pyramid:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Pyramid":
         family = family_from_description(doc["family"])
-        boundary = doc["boundary"]
-        epsilon = doc["epsilon"]
-
-        def to_components(values, offset):
-            arr = np.asarray(values, dtype=float)
-            cols = [arr] if arr.ndim == 1 else [arr[:, d]
-                                                for d in range(arr.shape[1])]
-            if boundary == "periodic":
-                return tuple(PeriodicSeq(col) for col in cols)
-            return tuple(FinSeq(col, offset) for col in cols)
-
         params = sorted(doc["level_params"], key=lambda e: e["level"])
-        if len(doc["details"]) != len(params):
-            raise ShapeMismatchError(
-                f"pyramid document has {len(doc['details'])} detail levels "
-                f"but {len(params)} level_params entries")
-        coarse_offset = params[0].get("coarse_offset", 0) if params else 0
-        coarse = to_components(doc["coarse"], coarse_offset)
-        details = []
+        offsets = [params[0].get("coarse_offset", 0) if params else 0]
         level_params = []
-        for entry, dvals in zip(params, doc["details"]):
+        for entry in params:
             mask = Mask(FinSeq(entry["mask_taps"], entry["mask_offset"]),
                         level=entry["level"] - 1,
                         family_id=entry.get("mask_family", family.family_id),
@@ -259,9 +274,10 @@ class Pyramid:
                 residual_l1=entry["residual_l1"],
                 decay_C=entry["decay_C"],
                 decay_lambda=entry["decay_lambda"])
-            details.append(to_components(dvals, entry["detail_offset"]))
+            offsets.append(entry["detail_offset"])
             level_params.append(LevelParams(entry["level"], mask, filt))
-        return cls(coarse, details, family, epsilon, boundary, level_params)
+        return cls(doc["coarse"], doc["details"], family, doc["epsilon"],
+                   doc["boundary"], level_params, offsets)
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
@@ -281,38 +297,61 @@ def analyze(data, family: SchemeFamily, levels: int,
     """
     if levels < 1:
         raise BadParamsError("need at least one level")
-    arr, offset = _input_array(data, boundary)
+    block, offset = _input_array(data, boundary)
     periodic = boundary == "periodic"
-    if periodic:
-        period = arr.shape[0]
-        if period % (2 ** levels) != 0:
-            raise PeriodNotDivisibleError(
-                f"period not divisible: {period} samples cannot be halved "
-                f"{levels} times")
-        current = arr
-    else:
-        current = tuple(FinSeq(col, offset) for col in arr.T)
+    if periodic and block.shape[0] % (2 ** levels) != 0:
+        raise PeriodNotDivisibleError(
+            f"period not divisible: {block.shape[0]} samples cannot be "
+            f"halved {levels} times")
 
-    level_params = []
+    level_params: list = [None] * levels
     details: list = [None] * levels
+    offsets = [0] * (levels + 1)
     for level in range(levels, 0, -1):
         mask = family.mask_at_level(level - 1)
         filt = solve_gamma(mask, epsilon)
-        if periodic:
-            coarse = _decimate_block(filt, current)
-            detail = _refine_block(mask, coarse)
-            np.subtract(current, detail, out=detail)
-            details[level - 1] = _periodic_components(detail)
-        else:
-            coarse = tuple(decimate(filt, c) for c in current)
-            details[level - 1] = tuple(
-                subtract(c, refine(mask, p)) for c, p in zip(current, coarse))
-        level_params.append(LevelParams(level, mask, filt))
-        current = coarse
-    level_params.reverse()
-    if periodic:
-        current = _periodic_components(current)
-    return Pyramid(current, details, family, epsilon, boundary, level_params)
+        if not periodic:
+            # D reaches reach(zeta) coarse rows past the data, S another
+            # reach(mask) fine rows: 2*reach(zeta) + reach(mask) in all.
+            pad = 2 * _reach(filt.zeta) + _reach(mask.taps)
+            block, start = _frame(block, offset, offset - pad,
+                                  offset + block.shape[0] + pad)
+        coarse = _decimate_block(filt, block)
+        detail = _refine_block(mask, coarse)
+        np.subtract(block, detail, out=detail)
+        if not periodic:
+            detail, offsets[level] = _trim(detail, start)
+            coarse, offset = _trim(coarse, start // 2)
+        details[level - 1] = detail
+        level_params[level - 1] = LevelParams(level, mask, filt)
+        block = coarse
+    offsets[0] = offset
+    return Pyramid(block, details, family, epsilon, boundary, level_params,
+                   offsets)
+
+
+def _synthesize_block(pyramid: Pyramid):
+    """Run the synthesis levels; returns the finest block and its offset."""
+    block, offset = pyramid.coarse, pyramid.offsets[0]
+    for lp, detail, detail_offset in zip(pyramid.level_params,
+                                         pyramid.details,
+                                         pyramid.offsets[1:]):
+        if pyramid.boundary == "periodic":
+            block = _refine_block(lp.mask, block)
+            block += detail
+            continue
+        # The coarse frame reaches half the mask's reach (plus one row)
+        # beyond the block, so S never wraps, and covers the detail too.
+        half = _reach(lp.mask.taps) // 2 + 1
+        frame, start = _frame(
+            block, offset, min(offset - half, detail_offset // 2),
+            max(offset + block.shape[0] + half,
+                (detail_offset + detail.shape[0] + 1) // 2))
+        fine = _refine_block(lp.mask, frame)
+        fine[detail_offset - 2 * start:
+             detail_offset - 2 * start + detail.shape[0]] += detail
+        block, offset = _trim(fine, 2 * start)
+    return block, offset
 
 
 def synthesize(pyramid: Pyramid):
@@ -320,35 +359,16 @@ def synthesize(pyramid: Pyramid):
 
     Uses the masks recorded in the pyramid, so a deserialized pyramid
     reconstructs with exactly the operators the analysis applied.
-    Periodic components are refined together as one ``(N, D)`` block.
+    All components are refined together as one ``(N, D)`` block.
     """
-    ncomp = pyramid.n_components
-    periodic = isinstance(pyramid.coarse[0], PeriodicSeq)
-    current = _stack(pyramid.coarse)[0] if periodic else pyramid.coarse
-    for lp in pyramid.level_params:
-        dets = pyramid.detail(lp.level)
-        if len(dets) != ncomp:
-            raise ShapeMismatchError("component count changed across levels")
-        if periodic:
-            expect = 2 * current.shape[0]
-            if any(d.period != expect for d in dets):
-                raise ShapeMismatchError(
-                    f"level {lp.level} details have period "
-                    f"{dets[0].period}, expected {expect}")
-            current = _refine_block(lp.mask, current)
-            for k, d in enumerate(dets):
-                current[:, k] += d.values
-        else:
-            current = tuple(
-                add(refine(lp.mask, c), d) for c, d in zip(current, dets))
-    return _periodic_components(current) if periodic else current
+    block, offset = _synthesize_block(pyramid)
+    return _components(block, offset, pyramid.boundary == "periodic")
 
 
 def synthesize_array(pyramid: Pyramid):
-    """Synthesize and stack back into an array (N,) or (N, D)."""
-    comps = synthesize(pyramid)
-    arr, _ = _stack(comps)
-    return arr[:, 0] if len(comps) == 1 else arr
+    """Synthesize into an array (N,) or (N, D); a finite offset is dropped."""
+    block, _ = _synthesize_block(pyramid)
+    return block[:, 0] if block.shape[1] == 1 else block
 
 
 # ---------------------------------------------------------------------------
@@ -397,43 +417,48 @@ def detail_bound(pyramid: Pyramid, fprime_inf: float) -> list:
         (K_zeta ||alpha||_1 + K_alpha ||zeta||_1) * fprime_inf
         * prod_{m=l..J} ||zeta^(m)||_1 / ||zeta^(l)||_1 * 2^{-l}.
     """
-    zeta_norms = {lp.level: norm_l1(lp.filt.zeta)
-                  for lp in pyramid.level_params}
+    zeta_norms, tails = _zeta_tails(pyramid.level_params)
     bounds = []
-    for lp in pyramid.level_params:
+    for lp, zeta_norm, tail in zip(pyramid.level_params, zeta_norms, tails):
         alpha = lp.mask.taps
         zeta = lp.filt.zeta
         k_az = (k_const(zeta) * norm_l1(alpha)
                 + k_const(alpha) * norm_l1(zeta))
-        tail = 1.0
-        for m in range(lp.level, pyramid.levels + 1):
-            tail *= zeta_norms[m]
-        bounds.append(k_az * fprime_inf * tail / zeta_norms[lp.level]
+        bounds.append(k_az * fprime_inf * tail / zeta_norm
                       * 2.0 ** (-lp.level))
     return bounds
+
+
+def _zeta_tails(level_params):
+    """``||zeta^(l)||_1`` and ``prod_{m=l..J} ||zeta^(m)||_1``, l = 1..J."""
+    norms = [norm_l1(lp.filt.zeta) for lp in level_params]
+    return norms, [math.prod(norms[i:]) for i in range(len(norms))]
 
 
 # ---------------------------------------------------------------------------
 # stability
 
 
+def _amplification(masks) -> float:
+    """M**J if M > 1 else 1, for the largest operator norm M of J masks."""
+    m_norm = max(operator_norm_inf(mask) for mask in masks)
+    return m_norm ** len(masks) if m_norm > 1.0 else 1.0
+
+
 def reconstruction_stability_bound(family: SchemeFamily, levels: int) -> float:
     """Amplification constant L of the synthesis: M**J if M > 1 else 1."""
-    m_norm = max(operator_norm_inf(family.mask_at_level(k))
-                 for k in range(levels))
-    return m_norm ** levels if m_norm > 1.0 else 1.0
+    return _amplification([family.mask_at_level(k) for k in range(levels)])
 
 
-def _sup_norm(components) -> float:
-    arr, _ = _stack(components)
-    if arr.size == 0:
-        return 0.0
-    return float(np.sqrt((arr * arr).sum(axis=1)).max())
-
-
-def _diff_norm(a_comps, b_comps) -> float:
-    diffs = tuple(subtract(a, b) for a, b in zip(a_comps, b_comps))
-    return _sup_norm(diffs)
+def _diff_norm(a: np.ndarray, a_offset: int,
+               b: np.ndarray, b_offset: int) -> float:
+    """Largest Euclidean row norm of ``a - b``, rows aligned by index."""
+    lo = min(a_offset, b_offset)
+    hi = max(a_offset + a.shape[0], b_offset + b.shape[0])
+    diff = np.zeros((hi - lo, a.shape[1]))
+    diff[a_offset - lo: a_offset - lo + a.shape[0]] += a
+    diff[b_offset - lo: b_offset - lo + b.shape[0]] -= b
+    return float(np.sqrt((diff * diff).sum(axis=1)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -455,14 +480,19 @@ def check_reconstruction_stability(pyramid: Pyramid,
     summed input distances (coarse plus all detail levels).
     """
     if (pyramid.levels != perturbed.levels
-            or pyramid.n_components != perturbed.n_components):
+            or pyramid.n_components != perturbed.n_components
+            or pyramid.boundary != perturbed.boundary
+            or (pyramid.boundary == "periodic"
+                and pyramid.coarse.shape != perturbed.coarse.shape)):
         raise ShapeMismatchError("pyramids are not comparable")
-    m_norm = max(operator_norm_inf(lp.mask) for lp in pyramid.level_params)
-    big_l = m_norm ** pyramid.levels if m_norm > 1.0 else 1.0
-    budget = _diff_norm(pyramid.coarse, perturbed.coarse)
-    for level in range(1, pyramid.levels + 1):
-        budget += _diff_norm(pyramid.detail(level), perturbed.detail(level))
-    lhs = _diff_norm(synthesize(pyramid), synthesize(perturbed))
+    big_l = _amplification([lp.mask for lp in pyramid.level_params])
+    budget = 0.0
+    for a, a_offset, b, b_offset in zip(
+            (pyramid.coarse,) + pyramid.details, pyramid.offsets,
+            (perturbed.coarse,) + perturbed.details, perturbed.offsets):
+        budget += _diff_norm(a, a_offset, b, b_offset)
+    lhs = _diff_norm(*_synthesize_block(pyramid),
+                     *_synthesize_block(perturbed))
     rhs = big_l * budget
     return StabilityCheck(lhs <= rhs + 1e-12 * (1.0 + rhs), lhs, rhs)
 
@@ -490,9 +520,9 @@ def residual_operator_norm_estimate(mask: Mask, filt: DecimationFilter,
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        c = PeriodicSeq(rng.choice((-1.0, 1.0), size=period))
-        out = subtract(c, refine(mask, decimate(filt, c)))
-        best = max(best, float(np.abs(out.values).max()))
+        c = rng.choice((-1.0, 1.0), size=period)
+        out = c - _refine_block(mask, _decimate_block(filt, c))
+        best = max(best, float(np.abs(out).max()))
     _opnorm_cache[key] = best
     return best
 
@@ -537,27 +567,25 @@ def check_decomposition_stability(data, data_tilde, family: SchemeFamily,
     """
     p = analyze(data, family, levels, epsilon, boundary)
     q = analyze(data_tilde, family, levels, epsilon, boundary)
-    input_comps_p = _as_components(data, boundary)
-    input_comps_q = _as_components(data_tilde, boundary)
-    diff_fine = _diff_norm(input_comps_p, input_comps_q)
+    fine_p, offset_p = _input_array(data, boundary)
+    fine_q, offset_q = _input_array(data_tilde, boundary)
+    if fine_p.shape[1] != fine_q.shape[1] or (
+            boundary == "periodic" and fine_p.shape != fine_q.shape):
+        raise ShapeMismatchError("inputs are not comparable")
+    diff_fine = _diff_norm(fine_p, offset_p, fine_q, offset_q)
 
-    zeta_norms = {lp.level: norm_l1(lp.filt.zeta) for lp in p.level_params}
-    product_all = 1.0
-    for v in zeta_norms.values():
-        product_all *= v
-    lhs0 = _diff_norm(p.coarse, q.coarse)
-    rhs0 = product_all * diff_fine
+    zeta_norms, tails = _zeta_tails(p.level_params)
+    lhs0 = _diff_norm(p.coarse, p.offsets[0], q.coarse, q.offsets[0])
+    rhs0 = tails[0] * diff_fine
     coarse = StabilityCheck(lhs0 <= rhs0 + 1e-12 * (1.0 + rhs0), lhs0, rhs0)
 
     per_level = []
-    for lp in p.level_params:
-        lhs = _diff_norm(p.detail(lp.level), q.detail(lp.level))
-        upper = 1.0 + operator_norm_inf(lp.mask) * zeta_norms[lp.level]
+    for lp, zeta_norm, tail in zip(p.level_params, zeta_norms, tails):
+        lhs = _diff_norm(p.details[lp.level - 1], p.offsets[lp.level],
+                         q.details[lp.level - 1], q.offsets[lp.level])
+        upper = 1.0 + operator_norm_inf(lp.mask) * zeta_norm
         lower = residual_operator_norm_estimate(lp.mask, lp.filt,
                                                 trials=trials, seed=seed)
-        tail = 1.0
-        for m in range(lp.level, levels + 1):
-            tail *= zeta_norms[m]
-        rhs = upper * tail / zeta_norms[lp.level] * diff_fine
+        rhs = upper * tail / zeta_norm * diff_fine
         per_level.append(LevelStability(lp.level, lhs, rhs, upper, lower))
     return DecompositionStability(coarse, tuple(per_level))

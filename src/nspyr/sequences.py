@@ -6,7 +6,7 @@ that the first and last stored entries are nonzero.  :class:`PeriodicSeq`
 stores one period of an N-periodic sequence; all indexing is modulo N.
 
 The free functions (:func:`convolve`, :func:`upsample2`,
-:func:`downsample2`, the norms, :func:`max_abs_diff`, :func:`k_const`)
+:func:`downsample2`, the norms, :func:`k_const`)
 accept either carrier where that makes sense.  Convolution is linear for
 two finite sequences and cyclic when either operand is periodic.  All
 values are immutable; every operation returns a new object.
@@ -278,27 +278,6 @@ def norm_l1(c) -> float:
 def norm_inf(c) -> float:
     d = _data(c)
     return float(np.abs(d).max()) if d.size else 0.0
-
-
-def max_abs_diff(c, include_boundary: bool = True) -> float:
-    """Largest absolute first difference ``sup_j |c_{j+1} - c_j|``.
-
-    Periodic sequences wrap.  For a finite sequence the default views the
-    sequence with implicit zeros outside its support, so the steps onto
-    and off the support count; ``include_boundary=False`` restricts to
-    differences between stored neighbours, which is the right reading
-    when the sequence is a sampled window of a larger signal.
-    """
-    if isinstance(c, PeriodicSeq):
-        if c.period == 1:
-            return 0.0
-        return float(np.abs(np.diff(np.append(c.values, c.values[0]))).max())
-    if c.is_empty:
-        return 0.0
-    interior = float(np.abs(np.diff(c.coeffs)).max()) if len(c) > 1 else 0.0
-    if not include_boundary:
-        return interior
-    return max(interior, abs(float(c.coeffs[0])), abs(float(c.coeffs[-1])))
 
 
 def k_const(c: FinSeq) -> float:

@@ -173,12 +173,9 @@ def test_criterion_8_stability_checkers(rng):
             data = rng.normal(size=data_size)
             p = analyze(data, family, levels, boundary="periodic")
             noisy = Pyramid(
-                [PeriodicSeq(c.values
-                             + rng.uniform(-1e-3, 1e-3, size=c.period))
-                 for c in p.coarse],
-                [[PeriodicSeq(d.values
-                              + rng.uniform(-1e-3, 1e-3, size=d.period))
-                  for d in lvl] for lvl in p.details],
+                p.coarse + rng.uniform(-1e-3, 1e-3, size=p.coarse.shape),
+                [d + rng.uniform(-1e-3, 1e-3, size=d.shape)
+                 for d in p.details],
                 p.family, p.epsilon, p.boundary, p.level_params)
             rec = check_reconstruction_stability(p, noisy)
             assert rec.holds and rec.slack >= 0.0, f"{name} trial {t}"

@@ -104,6 +104,33 @@ class TestDecomposeReconstruct:
         assert err <= 1e-12 * (1 + np.abs(values).max())
 
 
+class TestMalformedPyramid:
+    @pytest.fixture
+    def doc_path(self, tmp_path, circle_csv):
+        path = tmp_path / "pyr.json"
+        assert run("decompose", "--in", circle_csv, "--out", path,
+                   "--levels", 3) == 0
+        return path
+
+    def test_ragged_detail_row_exits_3(self, tmp_path, doc_path, capsys):
+        doc = json.loads(doc_path.read_text())
+        doc["details"][1][7] = [0.5]
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "back.csv"
+        assert run("reconstruct", "--in", doc_path, "--out", out) == 3
+        assert "rectangular" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_coarse_exits_3(self, tmp_path, doc_path, capsys):
+        doc = json.loads(doc_path.read_text())
+        doc["coarse"][2][0] = float("nan")
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "back.csv"
+        assert run("reconstruct", "--in", doc_path, "--out", out) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGamma:
     def test_conic_level1_33_coefficients(self, tmp_path):
         outdir = tmp_path / "filters"

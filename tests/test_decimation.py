@@ -322,6 +322,20 @@ class TestRootsOfEvenPart:
         assert len(decimation._filter_cache) == 1
         assert len(calls) == 1
 
+    def test_filter_cache_stays_at_cap(self, monkeypatch):
+        monkeypatch.setattr(decimation, "_filter_cache", {})
+        cap = decimation._FILTER_CACHE_MAX
+        masks = [NSCubic(math.cos(2 * math.pi / (8 + k / 64))).mask_at_level(0)
+                 for k in range(cap + 10)]
+        for mask in masks:
+            solve_gamma(mask, 1e-15)
+        cache = decimation._filter_cache
+        assert len(cache) == cap
+        keys = [(even_mask(m).coeffs.tobytes(), even_mask(m).offset, 1e-15)
+                for m in masks]
+        assert not any(key in cache for key in keys[:10])
+        assert all(key in cache for key in keys[10:])
+
     def test_window_above_limit_rejected_before_solving(self, monkeypatch):
         # roots 0.9999 and 1/0.9999: the symbol stays above 1e-9 on the
         # circle, but the decay is far too slow for a 2**16 window

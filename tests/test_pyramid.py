@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import family_grid
 
@@ -18,17 +20,23 @@ from nspyr import (
     PeriodNotDivisibleError,
     Pyramid,
     ShapeMismatchError,
+    Stationary,
     analyze,
     check_decomposition_stability,
     check_reconstruction_stability,
     cubic_bspline_family,
+    cubic_bspline_mask,
+    decimate,
     detail_bound,
     detail_decay_report,
     norm_l1,
     perturb_wavy,
     reconstruction_stability_bound,
+    refine,
     residual_operator_norm_estimate,
     sample_circle,
+    solve_gamma,
+    subtract,
     synthesize,
     synthesize_array,
 )
@@ -87,15 +95,20 @@ class TestAnalyzeContracts:
             analyze(np.ones(16), cubic_bspline_family(), 0,
                     boundary="periodic")
 
-    @pytest.mark.parametrize("shape", [(96,), (96, 2)],
-                             ids=["scalar", "planar"])
-    def test_interpolating_details_vanish_on_evens(self, rng, shape):
+    @pytest.mark.parametrize(
+        "shape,boundary",
+        [((96,), "periodic"), ((96, 2), "periodic"),
+         ((96,), "finite"), ((96, 2), "finite")],
+        ids=["scalar", "planar", "scalar-finite", "planar-finite"])
+    def test_interpolating_details_vanish_on_evens(self, rng, shape,
+                                                   boundary):
         fam = NS4Point(2 * math.pi / 12)
         data = rng.normal(size=shape)
-        p = analyze(data, fam, 3, boundary="periodic")
+        p = analyze(data, fam, 3, boundary=boundary)
         for level in range(1, 4):
             d = p.detail_array(level)
-            assert np.all(d[0::2] == 0.0)
+            # row i holds index offsets[level] + i
+            assert np.all(d[p.offsets[level] % 2::2] == 0.0)
 
     @pytest.mark.parametrize("boundary", ["periodic", "finite"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -158,8 +171,7 @@ class TestSynthesisVariants:
         p = analyze(curve.points, fam, 4, boundary="periodic")
         zeroed = Pyramid(
             p.coarse,
-            [[PeriodicSeq(np.zeros(d.period)) for d in lvl]
-             for lvl in p.details],
+            [np.zeros_like(d) for d in p.details],
             p.family, p.epsilon, p.boundary, p.level_params)
         out = synthesize_array(zeroed)
         radii = np.hypot(out[:, 0], out[:, 1])
@@ -172,8 +184,7 @@ class TestSynthesisVariants:
         p = analyze(noisy_pts, fam, 4, boundary="periodic")
         halved = Pyramid(
             p.coarse,
-            [[PeriodicSeq(0.5 * d.values) for d in lvl]
-             for lvl in p.details],
+            [0.5 * d for d in p.details],
             p.family, p.epsilon, p.boundary, p.level_params)
         check = check_reconstruction_stability(p, halved)
         assert check.holds and check.slack >= 0.0
@@ -181,12 +192,11 @@ class TestSynthesisVariants:
     def test_shape_mismatch_detected(self, rng):
         data = rng.normal(size=32)
         p = analyze(data, cubic_bspline_family(), 2, boundary="periodic")
-        broken = Pyramid(
-            p.coarse,
-            [p.details[0], [PeriodicSeq(np.zeros(13))]],
-            p.family, p.epsilon, p.boundary, p.level_params)
         with pytest.raises(ShapeMismatchError):
-            synthesize(broken)
+            Pyramid(
+                p.coarse,
+                [p.details[0], np.zeros((13, 1))],
+                p.family, p.epsilon, p.boundary, p.level_params)
 
 
 class TestDecayReport:
@@ -248,9 +258,7 @@ class TestStability:
         p = analyze(data, fam, 4, boundary="periodic")
         noisy = Pyramid(
             p.coarse,
-            [[PeriodicSeq(d.values + rng.uniform(-1e-3, 1e-3,
-                                                 size=d.period))
-              for d in lvl] for lvl in p.details],
+            [d + rng.uniform(-1e-3, 1e-3, size=d.shape) for d in p.details],
             p.family, p.epsilon, p.boundary, p.level_params)
         check = check_reconstruction_stability(p, noisy)
         assert check.holds and check.slack >= 0.0
@@ -259,7 +267,7 @@ class TestStability:
         data = rng.normal(size=64)
         p = analyze(data, cubic_bspline_family(), 3, boundary="periodic")
         shifted = Pyramid(
-            [PeriodicSeq(c.values + 1e-3) for c in p.coarse],
+            p.coarse + 1e-3,
             p.details, p.family, p.epsilon, p.boundary, p.level_params)
         assert check_reconstruction_stability(p, shifted).holds
 
@@ -354,6 +362,139 @@ class TestSerialization:
         p = analyze(data, fam, 3, boundary="periodic")
         q = Pyramid.from_json(p.to_json())
         assert np.abs(synthesize_array(q) - data).max() <= 1e-12
+
+
+class TestPyramidValidation:
+    def test_ragged_detail_rejected(self, rng):
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 3)
+        doc = json.loads(p.to_json())
+        doc["details"][1][5] = [0.0]
+        with pytest.raises(ShapeMismatchError, match="rectangular"):
+            Pyramid.from_json_dict(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["coarse", "details"])
+    def test_non_finite_coefficients_rejected(self, rng, field, bad):
+        p = analyze(rng.normal(size=64), cubic_bspline_family(), 3)
+        doc = json.loads(p.to_json())
+        block = doc["coarse"] if field == "coarse" else doc["details"][2]
+        block[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Pyramid.from_json_dict(doc)
+
+    def test_level_params_run_from_level_one(self, rng):
+        p = analyze(rng.normal(size=64), cubic_bspline_family(), 3)
+        with pytest.raises(ShapeMismatchError, match="detail levels"):
+            Pyramid(p.coarse, p.details, p.family, p.epsilon, p.boundary,
+                    p.level_params[::-1])
+
+    def test_one_offset_per_block(self, rng):
+        p = analyze(rng.normal(size=40), cubic_bspline_family(), 2,
+                    boundary="finite")
+        with pytest.raises(ShapeMismatchError, match="offsets"):
+            Pyramid(p.coarse, p.details, p.family, p.epsilon, p.boundary,
+                    p.level_params, p.offsets[:-1])
+
+    def test_component_counts_agree(self, rng):
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 2)
+        with pytest.raises(ShapeMismatchError, match="components"):
+            Pyramid(p.coarse, [p.details[0], p.details[1][:, :1]],
+                    p.family, p.epsilon, p.boundary, p.level_params)
+
+    def test_blocks_are_read_only_copies(self, rng):
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 2)
+        coarse = np.array(p.coarse)
+        q = Pyramid(coarse, p.details, p.family, p.epsilon, p.boundary,
+                    p.level_params)
+        coarse[0, 0] += 1.0
+        assert q.coarse[0, 0] == p.coarse[0, 0]
+        with pytest.raises(ValueError):
+            q.details[0][0, 0] = 1.0
+
+
+def union_block(comps):
+    """FinSeq components on the union of their supports: (array, offset)."""
+    nonempty = [c for c in comps if not c.is_empty]
+    if not nonempty:
+        return np.zeros((0, len(comps))), 0
+    lo = min(c.offset for c in nonempty)
+    hi = max(c.offset + len(c) for c in nonempty)
+    arr = np.zeros((hi - lo, len(comps)))
+    for d, c in enumerate(comps):
+        arr[c.offset - lo: c.offset - lo + len(c), d] = c.coeffs
+    return arr, lo
+
+
+def reference_blocks(columns, family, levels):
+    """Finite analysis one component at a time with the sequence algebra.
+
+    Runs decimate -> refine -> subtract on each :class:`FinSeq` column and
+    returns the coarse level and the detail levels 1..J as union blocks.
+    """
+    current = list(columns)
+    details = []
+    for level in range(levels, 0, -1):
+        mask = family.mask_at_level(level - 1)
+        filt = solve_gamma(mask, 1e-15)
+        coarse = [decimate(filt, c) for c in current]
+        details.append([subtract(c, refine(mask, q))
+                        for c, q in zip(current, coarse)])
+        current = coarse
+    return [union_block(comps) for comps in [current] + details[::-1]]
+
+
+def shifted_stationary(taps: FinSeq, offset: int):
+    return Stationary(FinSeq(taps.coeffs, offset), name=f"shift{offset}")
+
+
+# Off-centre masks: the cubic B-spline from index 4 (its filter is
+# one-sided) and the four-point mask from index -7 (copy tap at -4).  Each
+# is shifted by an even amount; an odd shift swaps the mask's parities and
+# leaves an even part that vanishes at z = -1.
+FINITE_FAMILIES = family_grid() + [
+    ("cubic_at_4", shifted_stationary(cubic_bspline_mask(), 4)),
+    ("fourpoint_at_-7", shifted_stationary(
+        NS4Point(0.0).mask_at_level(0).taps, -7)),
+]
+
+
+class TestFiniteBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FINITE_FAMILIES), st.integers(0, 70),
+           st.integers(-9, 9), st.integers(1, 4), st.integers(1, 2),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_component_reference(self, named, length, offset,
+                                             levels, ncomp, seed):
+        _, family = named
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(length, ncomp))
+        if ncomp == 2:
+            # give the columns different supports
+            data[:rng.integers(0, length + 1), 0] = 0.0
+            data[rng.integers(0, length + 1):, 1] = 0.0
+            columns = [FinSeq(col, 0) for col in data.T]
+            p = analyze(data, family, levels, boundary="finite")
+        else:
+            columns = [FinSeq(data[:, 0], offset)]
+            p = analyze(columns[0], family, levels, boundary="finite")
+
+        blocks = (p.coarse,) + p.details
+        for block, block_offset, (ref, ref_offset) in zip(
+                blocks, p.offsets, reference_blocks(columns, family, levels)):
+            assert block_offset == ref_offset
+            assert block.shape == ref.shape
+            scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+            assert np.abs(block - ref).max(initial=0.0) <= 1e-12 * scale
+
+        scale = 1.0 + float(np.abs(data).max(initial=0.0))
+        for col, out in zip(columns, synthesize(p)):
+            for i in set(col.indices()) | set(out.indices()):
+                assert abs(out[i] - col[i]) <= 1e-12 * scale
+
+        if family.interpolating:
+            for level in range(1, levels + 1):
+                d = p.details[level - 1]
+                assert np.all(d[p.offsets[level] % 2::2] == 0.0)
 
 
 class TestFinSeqInputs:

@@ -14,7 +14,6 @@ from nspyr import (
     delta,
     downsample2,
     k_const,
-    max_abs_diff,
     norm_inf,
     norm_l1,
     read_sequence_csv,
@@ -24,6 +23,11 @@ from nspyr import (
     write_sequence_csv,
 )
 from nspyr.sequences import _cyclic_convolve
+
+
+def max_step(c: FinSeq) -> float:
+    """``sup_j |c_{j+1} - c_j|``, with zeros outside the support."""
+    return float(np.abs(np.diff(c.coeffs, prepend=0.0, append=0.0)).max())
 
 
 def brute_convolve(a: FinSeq, b: FinSeq) -> dict:
@@ -210,32 +214,12 @@ class TestNormsAndFunctionals:
         assert norm_l1(s) == 6.0
         assert norm_inf(s) == 3.0
 
-    def test_max_abs_diff_constant_periodic(self):
-        assert max_abs_diff(PeriodicSeq([2.5] * 7)) == 0.0
-
-    def test_max_abs_diff_step(self):
-        assert max_abs_diff(FinSeq([0.0, 1.0], 0)) == 1.0
-
-    def test_max_abs_diff_periodic_wraps(self):
-        assert max_abs_diff(PeriodicSeq([0.0, 1.0, 2.0, 3.0])) == 3.0
-
-    def test_max_abs_diff_windowed_linear_samples(self):
-        # Samples of f(x) = x on a 2^-J grid window; interior first
-        # differences all equal the grid spacing.
-        J = 8
-        h = 2.0 ** -J
-        window = FinSeq(np.arange(1, 40) * h, 1)
-        assert max_abs_diff(window, include_boundary=False) == pytest.approx(
-            h, rel=1e-12)
-        # with implicit zeros the boundary step dominates instead
-        assert max_abs_diff(window) == pytest.approx(39 * h, rel=1e-12)
-
     def test_delta_commutes_with_convolution_bound(self, rng):
         # the step bound behind the coarse-level recursion
         for _ in range(15):
             zeta, c = random_finseq(rng), random_finseq(rng)
-            lhs = max_abs_diff(convolve(zeta, c))
-            rhs = norm_l1(zeta) * max_abs_diff(c)
+            lhs = max_step(convolve(zeta, c))
+            rhs = norm_l1(zeta) * max_step(c)
             assert lhs <= rhs + 1e-12
 
     def test_k_const_examples(self):
