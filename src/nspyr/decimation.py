@@ -51,13 +51,26 @@ _MAX_WINDOW = 2 ** 16
 _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
 
 
-def even_mask(mask: Mask) -> FinSeq:
-    """Even-indexed taps of the mask as a sequence: entry j is alpha_{2j}."""
-    ev = downsample2(mask.taps)
-    if ev.is_empty:
+def _even_taps(mask: Mask):
+    """The even part's coefficients and offset, as in :func:`even_mask`.
+
+    Read by slicing the mask taps and trimming zero ends, with no
+    sequence built: this is the filter cache's key.
+    """
+    taps = mask.taps
+    first = taps.offset % 2
+    even = taps.coeffs[first::2]
+    kept = np.flatnonzero(even)
+    if kept.size == 0:
         raise EmptyEvenPartError(
             f"mask {mask.family_id!r} level {mask.level} has no even taps")
-    return ev
+    return (even[kept[0]: kept[-1] + 1],
+            (taps.offset + first) // 2 + int(kept[0]))
+
+
+def even_mask(mask: Mask) -> FinSeq:
+    """Even-indexed taps of the mask as a sequence: entry j is alpha_{2j}."""
+    return FinSeq(*_even_taps(mask))
 
 
 def _half_width(a: FinSeq, roots, lam: float, epsilon: float) -> int:
@@ -157,12 +170,13 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     """
     if not 0.0 < epsilon < 1.0:
         raise BadParamsError(f"epsilon must lie in (0, 1), got {epsilon}")
-    a = even_mask(mask)
-    key = (a.coeffs.tobytes(), a.offset, float(epsilon))
+    even, even_offset = _even_taps(mask)
+    key = (even.tobytes(), even_offset, float(epsilon))
     with _cache_lock:
         hit = _filter_cache.get(key)
     if hit is not None:
         return hit
+    a = FinSeq(even, even_offset)
 
     if len(a) == 1:
         # One even tap c at offset m inverts exactly to 1/c at -m; for an

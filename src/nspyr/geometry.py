@@ -4,8 +4,9 @@ Closed curves are analyzed with the conic-reproducing pyramid: because
 that family regenerates sampled circles exactly, the detail coefficients
 of circle data sit at machine noise, and any geometric deviation shows
 up as detail energy at the scales (and positions) where it lives.  The
-scoring here turns that into a scalar verdict; the localizer turns the
-finest-level detail norms into flagged index ranges on the curve.
+scoring here turns that into a scalar verdict; the localizer analyzes
+only the finest level and turns its detail norms into flagged index
+ranges on the curve.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decimation import solve_gamma
 from .errors import BadParamsError
-from .pyramid import Pyramid, analyze
+from .pyramid import (Pyramid, _analysis_input, _analysis_step, _row_norms,
+                      analyze, detail_decay_report)
+from .sequences import _parse_rows
 from .subdivision import Conic, Trigonometric, initial_v
 
 # Parameter window of the localized quadrant perturbation: a quarter arc
@@ -162,12 +166,17 @@ def conic_family_for(curve_n: int, levels: int) -> Conic:
     return Conic(initial_v(Trigonometric(2.0 * math.pi / n0)))
 
 
+def _closed_curve_family(curve: PlanarCurve, levels: int) -> Conic:
+    """:func:`conic_family_for` the curve; open curves are rejected."""
+    if not curve.closed:
+        raise BadParamsError("circularity analysis needs a closed curve")
+    return conic_family_for(curve.n, levels)
+
+
 def curve_pyramid(curve: PlanarCurve, levels: int,
                   epsilon: float = 1e-15) -> Pyramid:
     """Conic-family periodic analysis of a closed curve."""
-    if not curve.closed:
-        raise BadParamsError("circularity analysis needs a closed curve")
-    family = conic_family_for(curve.n, levels)
+    family = _closed_curve_family(curve, levels)
     return analyze(curve.points, family, levels, epsilon, boundary="periodic")
 
 
@@ -180,13 +189,9 @@ def circularity_report(curve: PlanarCurve, levels: int,
     per-level average.  Exact circles of any radius score at machine
     noise; the score grows with geometric deviation.
     """
-    pyr = curve_pyramid(curve, levels, epsilon)
-    l1, avg = [], []
-    for level in range(1, levels + 1):
-        e = pyr.detail_norms(level)
-        l1.append(float(e.sum()))
-        avg.append(float(e.mean()))
-    return CircularityReport(l1, avg, levels, max(avg))
+    report = detail_decay_report(curve_pyramid(curve, levels, epsilon))
+    return CircularityReport(report.per_level_l1, report.per_level_avg_l2,
+                             levels, max(report.per_level_avg_l2))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +238,19 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     ``threshold_ratio`` times the median norm, with an absolute floor
     that keeps machine noise on perfect circles unflagged.  Returns the
     boolean flag array and the threshold used.
+
+    Only the finest level is analyzed: its details ``x - S_J D_J x``
+    depend on no coarser level, so they equal those of
+    :func:`curve_pyramid` bit for bit and the errors are its errors, except
+    that a coarsest level shorter than the mask stencil (64 points at
+    ``levels=4``, say) is accepted instead of raising
+    :class:`PeriodTooShortError`.
     """
-    pyr = curve_pyramid(curve, levels, epsilon)
-    e = pyr.detail_norms(levels)
+    family = _closed_curve_family(curve, levels)
+    block, _ = _analysis_input(curve.points, levels, "periodic")
+    mask = family.mask_at_level(levels - 1)
+    _, detail = _analysis_step(mask, solve_gamma(mask, epsilon), block)
+    e = _row_norms(detail)
     threshold = max(threshold_ratio * float(np.median(e)), floor)
     return e > threshold, threshold
 
@@ -269,11 +284,21 @@ def write_curve_csv(path, curve: PlanarCurve) -> None:
             fh.write(f"{float(x)!r},{float(y)!r}\n")
 
 
+def _point(text: str):
+    x, y = text.split(",")
+    return float(x), float(y)
+
+
 def read_curve_csv(path) -> PlanarCurve:
+    """Inverse of :func:`write_curve_csv`.
+
+    A row that is not two numbers raises :class:`BadParamsError` naming
+    the file and the 1-based line.
+    """
     closed = True
-    rows = []
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln:
                 continue
@@ -282,8 +307,8 @@ def read_curve_csv(path) -> PlanarCurve:
                 if header.startswith("closed="):
                     closed = header.split("=", 1)[1].lower() == "true"
                 continue
-            x, y = ln.split(",")
-            rows.append((float(x), float(y)))
+            lines.append((lineno, ln))
+    rows = _parse_rows(path, lines, _point)
     if not rows:
         raise BadParamsError(f"no points in {path}")
     return PlanarCurve(np.asarray(rows), closed=closed)

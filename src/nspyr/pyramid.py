@@ -108,6 +108,11 @@ def _components(block: np.ndarray, offset: int, periodic: bool):
     return tuple(FinSeq(col, offset) for col in block.T)
 
 
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D block."""
+    return np.sqrt((block * block).sum(axis=1))
+
+
 def _reach(seq: FinSeq) -> int:
     """Largest |index| in the support of a filter or mask."""
     return max(abs(seq.offset), abs(seq.offset + len(seq) - 1))
@@ -213,8 +218,7 @@ class Pyramid:
 
     def detail_norms(self, level: int) -> np.ndarray:
         """Per-coefficient Euclidean norms of d^(level)."""
-        arr = self._detail_block(level)
-        return np.sqrt((arr * arr).sum(axis=1))
+        return _row_norms(self._detail_block(level))
 
     # -- serialization ----------------------------------------------------
 
@@ -284,6 +288,30 @@ class Pyramid:
         return cls.from_json_dict(json.loads(text))
 
 
+def _analysis_input(data, levels: int, boundary: str):
+    """Validated analysis input as an ``(N, D)`` block plus offset.
+
+    Needs ``levels >= 1``, finite data and, for periodic data, a period
+    divisible by ``2**levels``.
+    """
+    if levels < 1:
+        raise BadParamsError("need at least one level")
+    block, offset = _input_array(data, boundary)
+    if boundary == "periodic" and block.shape[0] % (2 ** levels) != 0:
+        raise PeriodNotDivisibleError(
+            f"period not divisible: {block.shape[0]} samples cannot be "
+            f"halved {levels} times")
+    return block, offset
+
+
+def _analysis_step(mask: Mask, filt: DecimationFilter, block: np.ndarray):
+    """One analysis level on a cyclic block: ``(D c, c - S D c)``."""
+    coarse = _decimate_block(filt, block)
+    detail = _refine_block(mask, coarse)
+    np.subtract(block, detail, out=detail)
+    return coarse, detail
+
+
 def analyze(data, family: SchemeFamily, levels: int,
             epsilon: float = DEFAULT_EPSILON,
             boundary: str = "periodic") -> Pyramid:
@@ -295,15 +323,8 @@ def analyze(data, family: SchemeFamily, levels: int,
     per-level tension selection that keeps sampled circles exact.
     Non-finite input raises :class:`DomainError`.
     """
-    if levels < 1:
-        raise BadParamsError("need at least one level")
-    block, offset = _input_array(data, boundary)
+    block, offset = _analysis_input(data, levels, boundary)
     periodic = boundary == "periodic"
-    if periodic and block.shape[0] % (2 ** levels) != 0:
-        raise PeriodNotDivisibleError(
-            f"period not divisible: {block.shape[0]} samples cannot be "
-            f"halved {levels} times")
-
     level_params: list = [None] * levels
     details: list = [None] * levels
     offsets = [0] * (levels + 1)
@@ -316,9 +337,7 @@ def analyze(data, family: SchemeFamily, levels: int,
             pad = 2 * _reach(filt.zeta) + _reach(mask.taps)
             block, start = _frame(block, offset, offset - pad,
                                   offset + block.shape[0] + pad)
-        coarse = _decimate_block(filt, block)
-        detail = _refine_block(mask, coarse)
-        np.subtract(block, detail, out=detail)
+        coarse, detail = _analysis_step(mask, filt, block)
         if not periodic:
             detail, offsets[level] = _trim(detail, start)
             coarse, offset = _trim(coarse, start // 2)
@@ -458,7 +477,7 @@ def _diff_norm(a: np.ndarray, a_offset: int,
     diff = np.zeros((hi - lo, a.shape[1]))
     diff[a_offset - lo: a_offset - lo + a.shape[0]] += a
     diff[b_offset - lo: b_offset - lo + b.shape[0]] -= b
-    return float(np.sqrt((diff * diff).sum(axis=1)).max(initial=0.0))
+    return float(_row_norms(diff).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ values are immutable; every operation returns a new object.
 
 Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
 It works along axis 0 of an ``(N,)`` or ``(N, D)`` array: it wrap-extends
-the array once by the filter length and runs ``np.convolve(..., "valid")``
-on each column, so a filter longer than the period wraps correctly too.
+the array once by the filter length (by slicing when the filter reaches
+at most one period past either end, else with ``np.take(mode="wrap")``,
+so a filter longer than the period wraps correctly too) and runs
+``np.correlate(..., "valid")`` with the reversed taps on each column.
 The periodic refinement and decimation in :mod:`nspyr.subdivision` and
 :mod:`nspyr.decimation` call it on whole ``(N, D)`` blocks.
 """
@@ -198,13 +200,19 @@ def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray) -> np.nd
     empty.  Any filter length works, including one longer than N.
     """
     n = values.shape[0]
-    ext = np.take(values, np.arange(1 - offset - taps.size, n - offset),
-                  axis=0, mode="wrap")
+    head, tail = offset + taps.size - 1, -offset
+    if 0 <= head <= n and 0 <= tail <= n:
+        ext = np.concatenate((values[n - head:], values, values[:tail]))
+    else:
+        ext = np.take(values, np.arange(-head, n + tail), axis=0, mode="wrap")
+    # np.convolve(ext, taps) is np.correlate(ext, taps[::-1]) behind a
+    # wrapper; ext is never shorter than taps, so the two agree bit for bit.
+    rtaps = taps[::-1]
     if ext.ndim == 1:
-        return np.convolve(ext, taps, "valid")
+        return np.correlate(ext, rtaps, "valid")
     out = np.empty(values.shape)
     for d in range(ext.shape[1]):
-        out[:, d] = np.convolve(ext[:, d], taps, "valid")
+        out[:, d] = np.correlate(ext[:, d], rtaps, "valid")
     return out
 
 
@@ -309,24 +317,48 @@ def write_sequence_csv(path, c) -> None:
                 fh.write(f"{int(i)},{float(v)!r}\n")
 
 
+def _parse_rows(path, lines, parse) -> list:
+    """``parse`` of each ``(lineno, text)`` line of a CSV file.
+
+    A line it cannot parse raises :class:`BadParamsError` naming the file
+    and the 1-based line.
+    """
+    out = []
+    for lineno, text in lines:
+        try:
+            out.append(parse(text))
+        except ValueError:
+            raise BadParamsError(
+                f"{path}, line {lineno}: cannot parse {text!r}") from None
+    return out
+
+
+def _index_value(text: str):
+    index, value = text.split(",")
+    return int(index), float(value)
+
+
 def read_sequence_csv(path):
-    """Inverse of :func:`write_sequence_csv`."""
+    """Inverse of :func:`write_sequence_csv`.
+
+    A line that does not parse raises :class:`BadParamsError` naming the
+    file and the 1-based line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines and lines[0].startswith("#"):
-        header = lines[0].lstrip("#").strip()
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
+                 if ln.strip()]
+    if lines and lines[0][1].startswith("#"):
+        header = lines[0][1].lstrip("#").strip()
         if not header.startswith("period="):
             raise BadParamsError(f"unrecognized sequence header: {header!r}")
-        period = int(header.split("=", 1)[1])
-        values = [float(ln) for ln in lines[1:]]
+        period = _parse_rows(path, lines[:1],
+                             lambda text: int(text.split("=", 1)[1]))[0]
+        values = _parse_rows(path, lines[1:], float)
         if len(values) != period:
             raise BadParamsError(
                 f"expected {period} values, found {len(values)}")
         return PeriodicSeq(values)
-    pairs = []
-    for ln in lines:
-        idx, val = ln.split(",")
-        pairs.append((int(idx), float(val)))
+    pairs = _parse_rows(path, lines, _index_value)
     if not pairs:
         return FinSeq()
     pairs.sort()

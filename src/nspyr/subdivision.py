@@ -69,13 +69,11 @@ class Mask:
 
     @property
     def even_sum(self) -> float:
-        idx = self.taps.indices()
-        return float(self.taps.coeffs[idx % 2 == 0].sum())
+        return float(self.taps.coeffs[self.taps.offset % 2::2].sum())
 
     @property
     def odd_sum(self) -> float:
-        idx = self.taps.indices()
-        return float(self.taps.coeffs[idx % 2 == 1].sum())
+        return float(self.taps.coeffs[(self.taps.offset + 1) % 2::2].sum())
 
     @property
     def parity_deviation(self):

@@ -131,6 +131,37 @@ class TestMalformedPyramid:
         assert not out.exists()
 
 
+class TestMalformedCsv:
+    @pytest.mark.parametrize("text, lineno", [
+        ("# closed=true\n1.0,2.0\n3.0,abc\n", 3),
+        ("# closed=true\n1.0,2.0,3.0\n", 2),
+        ("index,value\n0,1.0\n1,2.0\n", 1),
+        ("# period=2\n1.0\n\nx\n", 4),
+        ("# period=two\n1.0\n2.0\n", 1),
+    ], ids=["curve-field", "curve-three-columns", "sequence-header",
+            "periodic-value", "periodic-header"])
+    def test_decompose_exits_3_naming_the_line(self, tmp_path, capsys,
+                                                text, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        out = tmp_path / "p.json"
+        assert run("decompose", "--in", path, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"{path}, line {lineno}:" in err
+        assert not out.exists()
+
+    def test_readers_raise_bad_params(self, tmp_path):
+        from nspyr import BadParamsError, read_sequence_csv
+        curve = tmp_path / "curve.csv"
+        curve.write_text("0.0,1.0\n2.0;3.0\n")
+        with pytest.raises(BadParamsError, match="line 2"):
+            read_curve_csv(curve)
+        seq = tmp_path / "seq.csv"
+        seq.write_text("0,1.0\n1.5,2.0\n")
+        with pytest.raises(BadParamsError, match="line 2"):
+            read_sequence_csv(seq)
+
+
 class TestGamma:
     def test_conic_level1_33_coefficients(self, tmp_path):
         outdir = tmp_path / "filters"
@@ -210,7 +241,13 @@ class TestConfigPrecedence:
 
 def test_module_entry_point(tmp_path):
     import os
-    env = dict(os.environ, NSPYR_LOG="info")
+    from pathlib import Path
+
+    import nspyr
+    # The child imports the package under test, wherever it was imported from.
+    src = str(Path(nspyr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NSPYR_LOG="info", PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-m", "nspyr.cli", "gamma", "--family", "nscubic",
          "--theta", "0", "--levels", "1", "--out", str(tmp_path)],

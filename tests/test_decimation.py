@@ -322,6 +322,17 @@ class TestRootsOfEvenPart:
         assert len(decimation._filter_cache) == 1
         assert len(calls) == 1
 
+    def test_masks_with_equal_even_parts_share_a_filter(self):
+        cubic = Mask(cubic_bspline_mask())
+        other_odd = Mask(FinSeq([1 / 8, 0.3, 3 / 4, 0.7, 1 / 8], -2))
+        assert even_mask(cubic) == even_mask(other_odd)
+        assert solve_gamma(cubic, 3e-13) is solve_gamma(other_odd, 3e-13)
+        # Even parts trimmed of zero ends: both are the delta at 0.
+        four_point = NS4Point().mask_at_level(0)
+        linear = Mask(FinSeq([0.5, 1.0, 0.5], -1))
+        assert even_mask(four_point) == even_mask(linear) == delta()
+        assert solve_gamma(four_point, 3e-13) is solve_gamma(linear, 3e-13)
+
     def test_filter_cache_stays_at_cap(self, monkeypatch):
         monkeypatch.setattr(decimation, "_filter_cache", {})
         cap = decimation._FILTER_CACHE_MAX

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nspyr import (
     BadParamsError,
@@ -97,7 +99,12 @@ class TestCircularity:
         verdicts = []
         for _, amplitude, frequency in WAVY_PRESETS:
             curve = perturb_wavy(sample_circle(256), amplitude, frequency)
-            verdicts.append(circularity_report(curve, 4).verdict_scale)
+            rep = circularity_report(curve, 4)
+            verdicts.append(rep.verdict_scale)
+            norms = [curve_pyramid(curve, 4).detail_norms(level)
+                     for level in range(1, 5)]
+            assert rep.per_level_l1 == [float(e.sum()) for e in norms]
+            assert rep.per_level_avg_l2 == [float(e.mean()) for e in norms]
         assert verdicts[0] < verdicts[1] < verdicts[2]
 
     def test_monotone_in_amplitude(self):
@@ -194,6 +201,81 @@ class TestAnomaly:
         assert len(ranges) == 1
         start, end = ranges[0]
         assert start < 0 <= end  # wraps through index 0
+
+
+def radial_curve(n, shape, radius, center, phase, amplitude, frequency):
+    """Closed curve: circle, all-round radial wave or one quarter-arc bump."""
+    t = 2.0 * np.pi * np.arange(n) / n + phase
+    r = np.full(n, radius)
+    if shape == "wavy":
+        r += radius * amplitude * np.sin(frequency * t)
+    elif shape == "quadrant":
+        dist = np.abs(np.angle(np.exp(1j * (t - 3.0 * phase))))
+        r += radius * amplitude * np.sin(frequency * t) * np.where(
+            dist < np.pi / 4.0, 0.5 * (1.0 + np.cos(4.0 * dist)), 0.0)
+    pts = np.asarray(center) + r[:, None] * np.stack(
+        [np.cos(t), np.sin(t)], axis=1)
+    return PlanarCurve(pts)
+
+
+class TestFinestLevelFlags:
+    """anomaly_flags analyzes the finest level only."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(levels=st.integers(1, 5), extra=st.integers(3, 5),
+           shape=st.sampled_from(["clean", "wavy", "quadrant"]),
+           radius=st.floats(0.1, 10.0),
+           center=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+           phase=st.floats(0.0, 2.0 * math.pi),
+           amplitude=st.floats(0.001, 0.1), frequency=st.integers(2, 20),
+           log_epsilon=st.floats(-15.0, -8.0))
+    def test_equal_to_full_analysis(self, levels, extra, shape, radius,
+                                    center, phase, amplitude, frequency,
+                                    log_epsilon):
+        n = 2 ** (levels + extra)
+        curve = radial_curve(n, shape, radius, center, phase, amplitude,
+                            frequency)
+        epsilon = 10.0 ** log_epsilon
+        flags, threshold = anomaly_flags(curve, levels, epsilon)
+        e = curve_pyramid(curve, levels, epsilon).detail_norms(levels)
+        assert threshold == max(50.0 * float(np.median(e)), 1e-10)
+        np.testing.assert_array_equal(flags, e > threshold)
+
+    def test_same_errors_as_full_analysis(self):
+        from nspyr import DomainError, PeriodNotDivisibleError
+        open_curve = PlanarCurve(sample_circle(64).points, closed=False)
+        with pytest.raises(BadParamsError, match="closed"):
+            anomaly_flags(open_curve, 3)
+        with pytest.raises(BadParamsError, match="at least one level"):
+            anomaly_flags(sample_circle(64), 0)
+        with pytest.raises(PeriodNotDivisibleError):
+            anomaly_flags(sample_circle(100), 3)
+        points = sample_circle(64).points.copy()
+        points[5, 1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            anomaly_flags(PlanarCurve(points), 3)
+
+    def test_coarse_level_below_stencil_localizes(self):
+        from nspyr import (PeriodicSeq, PeriodTooShortError, conic_family_for,
+                           decimate, refine, solve_gamma)
+        n, levels = 64, 4
+        curve = perturb_quadrant(sample_circle(n), 0.01, 12)
+        with pytest.raises(PeriodTooShortError):
+            curve_pyramid(curve, levels)
+        mask = conic_family_for(n, levels).mask_at_level(levels - 1)
+        filt = solve_gamma(mask)
+        parts = [col - refine(mask, decimate(filt, PeriodicSeq(col))).values
+                 for col in curve.points.T]
+        e = np.sqrt(parts[0] * parts[0] + parts[1] * parts[1])
+        flags, threshold = anomaly_flags(curve, levels)
+        assert threshold == max(50.0 * float(np.median(e)), 1e-10)
+        np.testing.assert_array_equal(flags, e > threshold)
+        ranges = anomaly_localize(curve, levels)
+        assert len(ranges) == 1
+        start, end = ranges[0]
+        covered = np.arange(start, end + 1) % n
+        assert np.isin(injected_indices(n), covered).all()
+        assert anomaly_localize(sample_circle(n), levels) == []
 
 
 class TestCurveCsv:

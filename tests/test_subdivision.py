@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import family_grid
 
@@ -62,6 +64,18 @@ class TestMask:
         m = Mask(cubic_bspline_mask())
         assert m.even_sum == pytest.approx(1.0, abs=1e-15)
         assert m.odd_sum == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+           st.integers(-50, 50))
+    def test_parity_sums_match_boolean_index(self, taps, offset):
+        seq = FinSeq(taps, offset)
+        if seq.is_empty:
+            return
+        m = Mask(seq, check_parity=False)
+        idx = seq.indices()
+        assert m.even_sum == float(seq.coeffs[idx % 2 == 0].sum())
+        assert m.odd_sum == float(seq.coeffs[idx % 2 == 1].sum())
 
 
 class TestTensionMachinery:
