@@ -20,7 +20,7 @@ from .decimation import solve_gamma
 from .errors import BadParamsError
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _row_norms,
                       analyze, detail_decay_report)
-from .sequences import _parse_rows
+from .sequences import _CSV_ROWS, _parse_rows
 from .subdivision import Conic, Trigonometric, initial_v
 
 # Parameter window of the localized quadrant perturbation: a quarter arc
@@ -280,8 +280,9 @@ def anomaly_localize(curve: PlanarCurve, levels: int,
 def write_curve_csv(path, curve: PlanarCurve) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# closed={'true' if curve.closed else 'false'}\n")
-        for x, y in curve.points:
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+        for start in range(0, curve.n, _CSV_ROWS):
+            rows = curve.points[start:start + _CSV_ROWS].tolist()
+            fh.write("".join([f"{x!r},{y!r}\n" for x, y in rows]))
 
 
 def _point(text: str):
@@ -292,8 +293,9 @@ def _point(text: str):
 def read_curve_csv(path) -> PlanarCurve:
     """Inverse of :func:`write_curve_csv`.
 
-    A row that is not two numbers raises :class:`BadParamsError` naming
-    the file and the 1-based line.
+    A row that is not two numbers, or a ``# closed=`` header whose value
+    is not ``true`` or ``false`` (in any letter case), raises
+    :class:`BadParamsError` naming the file and the 1-based line.
     """
     closed = True
     lines = []
@@ -305,7 +307,12 @@ def read_curve_csv(path) -> PlanarCurve:
             if ln.startswith("#"):
                 header = ln.lstrip("#").strip()
                 if header.startswith("closed="):
-                    closed = header.split("=", 1)[1].lower() == "true"
+                    value = header.split("=", 1)[1]
+                    if value.lower() not in ("true", "false"):
+                        raise BadParamsError(
+                            f"{path}, line {lineno}: closed must be true "
+                            f"or false, got {value!r}")
+                    closed = value.lower() == "true"
                 continue
             lines.append((lineno, ln))
     rows = _parse_rows(path, lines, _point)

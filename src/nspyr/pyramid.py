@@ -14,7 +14,10 @@ is interpolating).  Synthesis inverts exactly by construction:
 Every component shares the filters, so each level is one ``(N, D)``
 block: one period, or the nonzero rows of finite data plus the index of
 the first, processed on a zero frame on which the cyclic kernels compute
-linear convolutions.  Coefficient norms are Euclidean across components.
+linear convolutions.  Blocks are column-major (Fortran order), so each
+component is one contiguous column for the kernel to read and write;
+the input's layout does not change any result.  Coefficient norms are
+Euclidean across components.
 Executable forms of the decay and stability estimates are provided as
 bound evaluators and checkers.
 """
@@ -58,8 +61,8 @@ class LevelParams:
 def _input_array(data, boundary: str):
     """Validate input data; returns it as an ``(N, D)`` array plus offset.
 
-    The offset is the index of the first row: a :class:`FinSeq` input
-    keeps its own, an array starts at 0.
+    The array is column-major.  The offset is the index of the first row:
+    a :class:`FinSeq` input keeps its own, an array starts at 0.
     """
     if isinstance(data, (FinSeq, PeriodicSeq)):
         kind = "periodic" if isinstance(data, PeriodicSeq) else "finite"
@@ -82,13 +85,16 @@ def _input_array(data, boundary: str):
                 "data must be 1-D or 2-D (samples x components)")
     if not np.isfinite(arr).all():
         raise DomainError("input data must be finite: found NaN or infinity")
-    return arr, offset
+    return np.asfortranarray(arr), offset
 
 
 def _read_only_block(values) -> np.ndarray:
-    """Read-only 2-D float copy of ``values``; 1-D becomes ``(N, 1)``."""
+    """Read-only column-major 2-D float copy of ``values``.
+
+    A 1-D ``values`` becomes ``(N, 1)``.
+    """
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.array(values, dtype=float, order="F")
     except ValueError as exc:  # numpy refuses ragged nested lists
         raise ShapeMismatchError(
             f"pyramid coefficients must form rectangular blocks: {exc}"
@@ -109,8 +115,12 @@ def _components(block: np.ndarray, offset: int, periodic: bool):
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D block."""
-    return np.sqrt((block * block).sum(axis=1))
+    """Euclidean norm of each row of a 2-D block.
+
+    The squares are summed from a row-major copy, so the rounding is the
+    same for every layout of ``block``.
+    """
+    return np.sqrt(np.multiply(block, block, order="C").sum(axis=1))
 
 
 def _reach(seq: FinSeq) -> int:
@@ -126,7 +136,7 @@ def _frame(block: np.ndarray, offset: int, lo: int, hi: int):
     """
     start = lo - lo % 2
     rows = hi - start + (hi - start) % 2
-    frame = np.zeros((rows, block.shape[1]))
+    frame = np.zeros((rows, block.shape[1]), order="F")
     frame[offset - start: offset - start + block.shape[0]] = block
     return frame, start
 

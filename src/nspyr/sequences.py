@@ -12,13 +12,15 @@ two finite sequences and cyclic when either operand is periodic.  All
 values are immutable; every operation returns a new object.
 
 Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
-It works along axis 0 of an ``(N,)`` or ``(N, D)`` array: it wrap-extends
-the array once by the filter length (by slicing when the filter reaches
-at most one period past either end, else with ``np.take(mode="wrap")``,
-so a filter longer than the period wraps correctly too) and runs
-``np.correlate(..., "valid")`` with the reversed taps on each column.
-The periodic refinement and decimation in :mod:`nspyr.subdivision` and
-:mod:`nspyr.decimation` call it on whole ``(N, D)`` blocks.
+It works along axis 0 of an ``(N,)`` or ``(N, D)`` array, one column at
+a time: it wrap-extends the column by the filter length (by slicing when
+the filter reaches at most one period past either end, else with
+``np.take(mode="wrap")``, so a filter longer than the period wraps
+correctly too) and runs ``np.correlate(..., "valid")`` with the reversed
+taps on it.  The periodic refinement and decimation in
+:mod:`nspyr.subdivision` and :mod:`nspyr.decimation` call it on whole
+``(N, D)`` blocks, which the pyramid keeps column-major so that every
+column the kernel reads and writes is contiguous.
 """
 
 from __future__ import annotations
@@ -192,27 +194,32 @@ def subtract(a, b):
 # convolution and sampling-rate changes
 
 
-def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray) -> np.ndarray:
+def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Cyclic convolution along axis 0 of an ``(N,)`` or ``(N, D)`` array.
 
     ``out[n] = sum_i taps[i] * values[(n - offset - i) mod N]``: ``taps``
     holds a filter's coefficients from index ``offset`` on and must not be
-    empty.  Any filter length works, including one longer than N.
+    empty.  Any filter length works, including one longer than N.  The
+    result goes into ``out`` (any view of ``values``' shape) or into a new
+    column-major array, one column at a time.
     """
     n = values.shape[0]
     head, tail = offset + taps.size - 1, -offset
-    if 0 <= head <= n and 0 <= tail <= n:
-        ext = np.concatenate((values[n - head:], values, values[:tail]))
-    else:
-        ext = np.take(values, np.arange(-head, n + tail), axis=0, mode="wrap")
+    wrap = (None if 0 <= head <= n and 0 <= tail <= n
+            else np.arange(-head, n + tail))
+    if out is None:
+        out = np.empty(values.shape, order="F")
+    cols, out_cols = ((values[:, None], out[:, None]) if values.ndim == 1
+                      else (values, out))
     # np.convolve(ext, taps) is np.correlate(ext, taps[::-1]) behind a
     # wrapper; ext is never shorter than taps, so the two agree bit for bit.
     rtaps = taps[::-1]
-    if ext.ndim == 1:
-        return np.correlate(ext, rtaps, "valid")
-    out = np.empty(values.shape)
-    for d in range(ext.shape[1]):
-        out[:, d] = np.correlate(ext[:, d], rtaps, "valid")
+    for d in range(cols.shape[1]):
+        col = cols[:, d]
+        ext = (np.concatenate((col[n - head:], col, col[:tail]))
+               if wrap is None else np.take(col, wrap, mode="wrap"))
+        out_cols[:, d] = np.correlate(ext, rtaps, "valid")
     return out
 
 
@@ -305,16 +312,25 @@ def k_const(c: FinSeq) -> float:
 # CSV interchange
 
 
+# CSV writers format this many rows from one ``tolist()`` per write: the
+# Python floats and the text held at once stay under 0.1 MB (a 2^14-row
+# ``tolist()`` of a curve would hold about 2 MB).
+_CSV_ROWS = 256
+
+
 def write_sequence_csv(path, c) -> None:
     """Write ``index,value`` rows (FinSeq) or a period header plus values."""
+    values = _data(c)
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(c, PeriodicSeq):
             fh.write(f"# period={c.period}\n")
-            for v in c.values:
-                fh.write(f"{float(v)!r}\n")
-        else:
-            for i, v in zip(c.indices(), c.coeffs):
-                fh.write(f"{int(i)},{float(v)!r}\n")
+        for start in range(0, values.size, _CSV_ROWS):
+            chunk = values[start:start + _CSV_ROWS].tolist()
+            if isinstance(c, PeriodicSeq):
+                fh.write("".join([f"{v!r}\n" for v in chunk]))
+            else:
+                fh.write("".join([f"{i},{v!r}\n" for i, v in
+                                  enumerate(chunk, c.offset + start)]))
 
 
 def _parse_rows(path, lines, parse) -> list:
@@ -341,8 +357,8 @@ def _index_value(text: str):
 def read_sequence_csv(path):
     """Inverse of :func:`write_sequence_csv`.
 
-    A line that does not parse raises :class:`BadParamsError` naming the
-    file and the 1-based line.
+    A line that does not parse, or repeats an index of an earlier line,
+    raises :class:`BadParamsError` naming the file and the 1-based line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
@@ -359,6 +375,12 @@ def read_sequence_csv(path):
                 f"expected {period} values, found {len(values)}")
         return PeriodicSeq(values)
     pairs = _parse_rows(path, lines, _index_value)
+    seen = set()
+    for (lineno, _), (index, _) in zip(lines, pairs):
+        if index in seen:
+            raise BadParamsError(
+                f"{path}, line {lineno}: repeated index {index}")
+        seen.add(index)
     if not pairs:
         return FinSeq()
     pairs.sort()

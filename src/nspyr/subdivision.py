@@ -110,7 +110,8 @@ def _refine_block(mask: Mask, values: np.ndarray) -> np.ndarray:
     """Periodic refinement of an ``(N,)`` or ``(N, D)`` block along axis 0.
 
     Polyphase: output ``[p::2]`` is the coarse data cyclically convolved
-    with the parity-p taps, so no inserted zero is ever multiplied.
+    with the parity-p taps, so no inserted zero is ever multiplied.  The
+    kernel writes each phase straight into the column-major result.
     """
     phases = _polyphase(mask.taps)
     n = values.shape[0]
@@ -118,10 +119,12 @@ def _refine_block(mask: Mask, values: np.ndarray) -> np.ndarray:
     if n < reach:
         raise PeriodTooShortError(
             f"period {n} shorter than stencil reach {reach}")
-    out = np.zeros((2 * n,) + values.shape[1:])
+    out = np.empty((2 * n,) + values.shape[1:], order="F")
     for parity, (coeffs, offset) in enumerate(phases):
         if coeffs.size:
-            out[parity::2] = _cyclic_convolve(coeffs, offset, values)
+            _cyclic_convolve(coeffs, offset, values, out=out[parity::2])
+        else:
+            out[parity::2] = 0.0
     return out
 
 

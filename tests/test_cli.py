@@ -150,6 +150,21 @@ class TestMalformedCsv:
         assert f"{path}, line {lineno}:" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("0,1.0\n0,2.0\n2,3.0\n", 2, "repeated index 0"),
+        ("# closed=yes\n1.0,0.0\n0.0,1.0\n-1.0,0.0\n0.0,-1.0\n", 1,
+         "closed must be true or false, got 'yes'"),
+    ], ids=["sequence-repeated-index", "curve-closed-yes"])
+    def test_decompose_exits_3_on_ambiguous_input(self, tmp_path, capsys,
+                                                   text, lineno, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        out = tmp_path / "p.json"
+        assert run("decompose", "--in", path, "--out", out,
+                   "--levels", 1) == 3
+        assert f"{path}, line {lineno}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readers_raise_bad_params(self, tmp_path):
         from nspyr import BadParamsError, read_sequence_csv
         curve = tmp_path / "curve.csv"

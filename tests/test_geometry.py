@@ -293,3 +293,35 @@ class TestCurveCsv:
                                           closed=False))
         assert path.read_text().splitlines()[0] == "# closed=false"
         assert not read_curve_csv(path).closed
+
+    @pytest.mark.parametrize("value, closed", [
+        ("true", True), ("TRUE", True), ("True", True),
+        ("false", False), ("False", False), ("FALSE", False)])
+    def test_closed_header_any_case(self, tmp_path, value, closed):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"# closed={value}\n1.0,0.0\n0.0,1.0\n"
+                        "-1.0,0.0\n0.0,-1.0\n")
+        assert read_curve_csv(path).closed is closed
+
+    @pytest.mark.parametrize("value", ["yes", "1", "", "truth", "no"])
+    def test_other_closed_values_rejected(self, tmp_path, value):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"1.0,0.0\n# closed={value}\n0.0,1.0\n")
+        with pytest.raises(BadParamsError,
+                           match=r"curve\.csv, line 2: closed must be"):
+            read_curve_csv(path)
+
+    def test_writer_output_unchanged(self, tmp_path):
+        # the repr of each coordinate, as float() of every numpy scalar gave
+        path = tmp_path / "curve.csv"
+        points = [[0.1, -1e-300], [1e16, 1.0 / 3.0], [-0.0, 5e-324]]
+        write_curve_csv(path, PlanarCurve(np.array(points), closed=False))
+        assert path.read_text() == (
+            "# closed=false\n0.1,-1e-300\n1e+16,0.3333333333333333\n"
+            "-0.0,5e-324\n")
+        # more rows than one write formats
+        points = np.random.default_rng(3).normal(size=(9000, 2))
+        write_curve_csv(path, PlanarCurve(points))
+        same = path.read_text() == "# closed=true\n" + "".join(
+            f"{float(x)!r},{float(y)!r}\n" for x, y in points)
+        assert same  # a plain bool: pytest's diff of 9000 lines is slow

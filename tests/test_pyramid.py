@@ -40,6 +40,7 @@ from nspyr import (
     synthesize,
     synthesize_array,
 )
+from nspyr.pyramid import _row_norms
 
 
 def roundtrip_error(data, family, levels, boundary):
@@ -511,3 +512,45 @@ class TestFinSeqInputs:
         with pytest.raises(BadParamsError):
             analyze(PeriodicSeq(rng.normal(size=16)),
                     cubic_bspline_family(), 2, boundary="finite")
+
+
+def layouts(data):
+    """The same values row-major, column-major and with strided rows."""
+    return [np.ascontiguousarray(data), np.asfortranarray(data),
+            np.repeat(data, 2, axis=0)[::2]]
+
+
+class TestBlockLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(family_grid()),
+           st.sampled_from(["periodic", "finite"]), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_input_layout_does_not_change_the_pyramid(
+            self, named, boundary, levels, ncomp, seed):
+        _, family = named
+        rng = np.random.default_rng(seed)
+        n = 16 * 2 ** levels if boundary == "periodic" else rng.integers(70)
+        data = rng.normal(size=(n, ncomp))
+        pyramids = [analyze(x, family, levels, boundary=boundary)
+                    for x in layouts(data)]
+        doc = pyramids[0].to_json()
+        out = synthesize_array(pyramids[0])
+        for p in pyramids + [Pyramid.from_json(doc)]:
+            assert p.to_json() == doc
+            assert synthesize_array(p).tobytes() == out.tobytes()
+            # each component of every stored block is one contiguous column
+            for block in (p.coarse,) + p.details:
+                assert block.flags.f_contiguous
+            if family.interpolating:
+                for level in range(1, levels + 1):
+                    d = p.details[level - 1]
+                    assert np.all(d[p.offsets[level] % 2::2] == 0.0)
+
+    def test_row_norms_do_not_depend_on_layout(self, rng):
+        # nine columns: numpy sums a contiguous row of 8 or more pairwise,
+        # a strided one in order
+        block = rng.normal(size=(50, 9))
+        want = _row_norms(block)
+        np.testing.assert_array_equal(want, np.sqrt((block ** 2).sum(axis=1)))
+        got = _row_norms(np.asfortranarray(block))
+        assert got.tobytes() == want.tobytes()

@@ -175,6 +175,61 @@ class TestCyclicKernel:
         assert np.abs(got - want).max() <= tol
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes in logical order (so -0.0 != 0.0)."""
+    return (a.shape == b.shape and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+@st.composite
+def block_cases(draw):
+    taps, offset, values = draw(kernel_cases())
+    ncomp = draw(st.integers(1, 4))
+    block = draw(arrays(float, (values.shape[0], ncomp),
+                        elements=st.floats(-1e3, 1e3, **_FINITE)))
+    return taps, offset, block
+
+
+class TestKernelLayout:
+    """The kernel's result does not depend on how its input is laid out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_cases())
+    def test_every_layout_gives_the_same_bits(self, case):
+        taps, offset, block = case
+        want = _cyclic_convolve(taps, offset, block)
+        assert want.flags.f_contiguous
+        layouts = [
+            np.asfortranarray(block),
+            np.repeat(block, 2, axis=0)[::2],       # strided rows
+            np.repeat(block, 2, axis=1)[:, ::2],    # strided columns
+        ]
+        for values in layouts:
+            assert same_bits(_cyclic_convolve(taps, offset, values), want)
+        flipped = _cyclic_convolve(taps, offset, block[:, ::-1])
+        assert same_bits(flipped, want[:, ::-1])
+        for d in range(block.shape[1]):
+            assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
+                             want[:, d])
+        tol = (64 * np.finfo(float).eps * np.abs(taps).sum()
+               * np.abs(block).max())
+        assert np.abs(want - roll_cyclic_convolve(taps, offset, block)).max(
+            initial=0.0) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_cases(), st.integers(0, 1), st.booleans())
+    def test_out_view_is_filled_in_place(self, case, parity, one_d):
+        taps, offset, block = case
+        values = block[:, 0] if one_d else block
+        want = _cyclic_convolve(taps, offset, values)
+        buf = np.full((2 * values.shape[0],) + values.shape[1:], np.nan,
+                      order="F")
+        out = buf[parity::2]
+        assert _cyclic_convolve(taps, offset, values, out=out) is out
+        assert same_bits(out, want)
+        assert np.isnan(buf[1 - parity::2]).all()
+
+
 class TestResampling:
     def test_upsample_examples(self):
         assert upsample2(delta()) == delta()
@@ -253,6 +308,38 @@ class TestCsv:
         s = random_finseq(rng)
         write_sequence_csv(path, s)
         assert read_sequence_csv(path) == s
+
+    def test_repeated_index_rejected(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("0,1.0\n0,2.0\n2,3.0\n")
+        with pytest.raises(BadParamsError,
+                           match=r"seq\.csv, line 2: repeated index 0"):
+            read_sequence_csv(path)
+        path.write_text("-3,1.0\n\n5,2.0\n-3,1.0\n")
+        with pytest.raises(BadParamsError, match="line 4: repeated index -3"):
+            read_sequence_csv(path)
+
+    def test_writer_output_unchanged(self, tmp_path):
+        # the repr of each value, as float() of every numpy scalar gave
+        values = [0.1, -1e-300, 1e16, 5.0, -2.5e300, 1.0 / 3.0]
+        path = tmp_path / "seq.csv"
+        write_sequence_csv(path, FinSeq(values, -2))
+        assert path.read_text() == (
+            "-2,0.1\n-1,-1e-300\n0,1e+16\n1,5.0\n2,-2.5e+300\n"
+            "3,0.3333333333333333\n")
+        write_sequence_csv(path, PeriodicSeq(values))
+        assert path.read_text() == "# period=6\n" + "".join(
+            f"{v!r}\n" for v in values)
+        # more rows than one write formats
+        values = np.random.default_rng(3).normal(size=9000)
+        write_sequence_csv(path, FinSeq(values, -5))
+        same = path.read_text() == "".join(
+            f"{i - 5},{float(v)!r}\n" for i, v in enumerate(values))
+        assert same  # a plain bool: pytest's diff of 9000 lines is slow
+        write_sequence_csv(path, PeriodicSeq(values))
+        same = path.read_text() == "# period=9000\n" + "".join(
+            f"{float(v)!r}\n" for v in values)
+        assert same
 
     def test_periodic_roundtrip(self, tmp_path, rng):
         path = tmp_path / "per.csv"

@@ -38,6 +38,7 @@ from nspyr import (
     write_mask_csv,
 )
 from nspyr.geometry import PlanarCurve
+from nspyr.subdivision import _refine_block
 
 
 def brute_refine(taps: FinSeq, c: FinSeq) -> dict:
@@ -253,6 +254,19 @@ class TestRefine:
             tol = (64 * np.finfo(float).eps * np.abs(mask.taps.coeffs).sum()
                    * np.abs(c.values).max())
             assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("offset", [0, 1, -3])
+    def test_phase_without_taps_refines_to_zero(self, rng, offset):
+        # one tap, so one parity has no taps and its output phase is zero
+        mask = Mask(FinSeq([1.5], offset), check_parity=False)
+        for rows in (3, 64, 4096):
+            values = rng.normal(size=(rows, 2))
+            got = _refine_block(mask, values)
+            for d in range(2):
+                want = convolve(mask.taps,
+                                upsample2(PeriodicSeq(values[:, d]))).values
+                np.testing.assert_array_equal(got[:, d], want)
+            assert np.all(got[(offset + 1) % 2::2] == 0.0)
 
     def test_period_too_short(self):
         mask = Conic(math.cos(2 * math.pi / 16)).mask_at_level(0)
