@@ -12,7 +12,8 @@ The solve reads everything from the roots of the even part, a Laurent
 polynomial (Bartels & Samavati, "Reversing subdivision rules", 2000):
 the symbol is tested for zeros on the unit circle at the roots' angles,
 the exact decay rate ``lambda`` is the root modulus nearest the circle
-(inverted outside it), and a partial-fraction bound fixes the window
+(inverted outside it; roots ``np.roots`` splits off a repeated root are
+merged first), and a partial-fraction bound fixes the window
 ``[-W, W]`` of one banded Toeplitz solve, whose outer half must fall
 below ``epsilon / 10``.  The filter records the threshold, the l1
 residual of the convolution equation and the decay envelope.
@@ -41,13 +42,12 @@ from .sequences import (
     convolve,
     delta,
     downsample2,
-    norm_l1,
-    subtract,
 )
 from .subdivision import Mask
 
 _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
+_ROOT_MERGE = 1e-3  # relative distance below which roots count as one
 _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
 
 
@@ -71,6 +71,38 @@ def _even_taps(mask: Mask):
 def even_mask(mask: Mask) -> FinSeq:
     """Even-indexed taps of the mask as a sequence: entry j is alpha_{2j}."""
     return FinSeq(*_even_taps(mask))
+
+
+def _merge_close_roots(roots: np.ndarray) -> np.ndarray:
+    """Roots with each group closer than 1e-3 (relative) set to its mean.
+
+    ``np.roots`` splits a root of multiplicity m into m roots about
+    eps^(1/m) apart; their mean, fixed by the coefficients, is accurate.
+    Roots farther apart pass through unchanged.  Only the reported decay
+    rate reads the merged roots: the symbol test and the window keep the
+    roots as found, so two distinct roots near the circle still fail.
+    """
+    size = np.abs(roots)
+    close = (np.abs(roots[:, None] - roots[None, :])
+             <= _ROOT_MERGE * np.maximum.outer(size, size))
+    if np.count_nonzero(close) == roots.size:  # the diagonal alone
+        return roots
+    merged = roots.copy()
+    left = np.ones(roots.size, dtype=bool)
+    for i in range(roots.size):
+        if not left[i]:
+            continue
+        group = close[i]
+        while not np.array_equal(grown := close[group].any(axis=0), group):
+            group = grown
+        merged[group] = roots[group].mean()
+        left &= ~group
+    return merged
+
+
+def _decay_rate(roots: np.ndarray) -> float:
+    """Root modulus nearest the unit circle, inverted outside it."""
+    return float(np.minimum(np.abs(roots), 1.0 / np.abs(roots)).max())
 
 
 def _half_width(a: FinSeq, roots, lam: float, epsilon: float) -> int:
@@ -148,9 +180,23 @@ def decay_fit(gamma_raw: FinSeq) -> tuple[float, float]:
     return c_envelope, lam
 
 
+def _residual_l1(even: np.ndarray, even_offset: int, zeta: FinSeq) -> float:
+    """``||delta - a * zeta||_1``, ``a`` the even taps from ``even_offset``.
+
+    One linear convolution, with the delta taken off its index 0 (or,
+    when index 0 lies outside the product, its 1 added to the sum).
+    """
+    product = np.convolve(even, zeta.coeffs)
+    at_zero = -(even_offset + zeta.offset)
+    if 0 <= at_zero < product.size:
+        product[at_zero] -= 1.0
+        return float(np.abs(product).sum())
+    return float(np.abs(product).sum()) + 1.0
+
+
 def residual_check(filt: DecimationFilter, mask: Mask) -> float:
     """l1 residual ``||delta - even(alpha) * zeta||_1`` of the reversal."""
-    return norm_l1(subtract(delta(), convolve(even_mask(mask), filt.zeta)))
+    return _residual_l1(*_even_taps(mask), filt.zeta)
 
 
 _cache_lock = threading.Lock()
@@ -186,7 +232,7 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         c_env, lam = None, None
     else:
         roots = np.roots(a.coeffs[::-1])
-        lam = float(np.minimum(np.abs(roots), 1.0 / np.abs(roots)).max())
+        lam = _decay_rate(roots)
         symbol = np.exp(-1j * np.outer(np.angle(roots), a.indices())) @ a.coeffs
         if lam >= 1.0 or np.abs(symbol).min() <= _SYMBOL_MIN:
             raise SymbolZeroOnCircleError(
@@ -207,11 +253,13 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
                 f"filter tail beyond {width // 2} is not below epsilon/10")
         kept = np.abs(gamma_full) > epsilon
         gamma_raw = FinSeq(np.where(kept, gamma_full, 0.0), -width - wind)
+        # The reported rate and envelope read repeated roots merged.
+        lam = _decay_rate(_merge_close_roots(roots))
         c_env = float(np.max(np.abs(gamma_full[kept])
                              * lam ** -np.abs(j[kept] - wind), initial=0.0))
 
     zeta = FinSeq(gamma_raw.coeffs / gamma_raw.coeffs.sum(), gamma_raw.offset)
-    residual = norm_l1(subtract(delta(), convolve(a, zeta)))
+    residual = _residual_l1(even, even_offset, zeta)
     filt = DecimationFilter(
         zeta=zeta, gamma_raw=gamma_raw, epsilon=float(epsilon),
         residual_l1=residual, decay_C=c_env, decay_lambda=lam)

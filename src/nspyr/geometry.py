@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import solve_gamma
 from .errors import BadParamsError
-from .pyramid import (Pyramid, _analysis_input, _analysis_step, _row_norms,
-                      analyze, detail_decay_report)
+from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
+                      _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
 from .subdivision import Conic, Trigonometric, initial_v
 
@@ -248,8 +247,8 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     """
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
-    mask = family.mask_at_level(levels - 1)
-    _, detail = _analysis_step(mask, solve_gamma(mask, epsilon), block)
+    params = _level_params(family, levels, epsilon)
+    _, detail = _analysis_step(params.mask, params.filt, block)
     e = _row_norms(detail)
     threshold = max(threshold_ratio * float(np.median(e)), floor)
     return e > threshold, threshold

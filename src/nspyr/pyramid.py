@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ from .subdivision import (
 )
 
 DEFAULT_EPSILON = 1e-15
+_LEVEL_CACHE_MAX = 2048  # levels _level_params keeps, oldest out first
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,41 @@ class LevelParams:
     level: int
     mask: Mask
     filt: DecimationFilter
+
+
+_level_lock = threading.Lock()
+_level_cache: dict[tuple, LevelParams] = {}
+
+
+def _level_params(family: SchemeFamily, level: int,
+                  epsilon: float) -> LevelParams:
+    """The step-``level`` mask of ``family`` and its reverse filter.
+
+    A level's operators depend only on the family and the level, so they
+    are cached per (family type, family id, description, level, epsilon),
+    up to 2048 entries, the first cached leaving first: equal families
+    built separately share them.  A family without a description is
+    computed on every call.
+    """
+    try:
+        # epsilon as given: a value solve_gamma rejects is never cached
+        key = (type(family), family.family_id, repr(family.describe()),
+               level, epsilon)
+    except NotImplementedError:
+        key = None
+    else:
+        with _level_lock:
+            hit = _level_cache.get(key)
+        if hit is not None:
+            return hit
+    mask = family.mask_at_level(level - 1)
+    params = LevelParams(level, mask, solve_gamma(mask, epsilon))
+    if key is not None:
+        with _level_lock:
+            _level_cache[key] = params
+            if len(_level_cache) > _LEVEL_CACHE_MAX:
+                _level_cache.pop(next(iter(_level_cache)))
+    return params
 
 
 def _input_array(data, boundary: str):
@@ -91,8 +128,14 @@ def _input_array(data, boundary: str):
 def _read_only_block(values) -> np.ndarray:
     """Read-only column-major 2-D float copy of ``values``.
 
-    A 1-D ``values`` becomes ``(N, 1)``.
+    A 1-D ``values`` becomes ``(N, 1)``.  A float array that is already
+    2-D, column-major, read-only and owns its data, as :func:`analyze`
+    leaves its periodic blocks, is kept uncopied.
     """
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.ndim == 2 and values.flags.f_contiguous
+            and not values.flags.writeable and values.flags.owndata):
+        return values
     try:
         arr = np.array(values, dtype=float, order="F")
     except ValueError as exc:  # numpy refuses ragged nested lists
@@ -339,8 +382,8 @@ def analyze(data, family: SchemeFamily, levels: int,
     details: list = [None] * levels
     offsets = [0] * (levels + 1)
     for level in range(levels, 0, -1):
-        mask = family.mask_at_level(level - 1)
-        filt = solve_gamma(mask, epsilon)
+        params = _level_params(family, level, epsilon)
+        mask, filt = params.mask, params.filt
         if not periodic:
             # D reaches reach(zeta) coarse rows past the data, S another
             # reach(mask) fine rows: 2*reach(zeta) + reach(mask) in all.
@@ -348,12 +391,17 @@ def analyze(data, family: SchemeFamily, levels: int,
             block, start = _frame(block, offset, offset - pad,
                                   offset + block.shape[0] + pad)
         coarse, detail = _analysis_step(mask, filt, block)
-        if not periodic:
+        if periodic:
+            # Fresh blocks: read-only, the Pyramid keeps them uncopied.
+            detail.setflags(write=False)
+        else:
             detail, offsets[level] = _trim(detail, start)
             coarse, offset = _trim(coarse, start // 2)
         details[level - 1] = detail
-        level_params[level - 1] = LevelParams(level, mask, filt)
+        level_params[level - 1] = params
         block = coarse
+    if periodic:
+        block.setflags(write=False)
     offsets[0] = offset
     return Pyramid(block, details, family, epsilon, boundary, level_params,
                    offsets)

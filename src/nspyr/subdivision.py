@@ -49,7 +49,7 @@ class Mask:
     the deviations remain available via :attr:`parity_deviation`.
     """
 
-    __slots__ = ("taps", "level", "family_id")
+    __slots__ = ("taps", "level", "family_id", "_phases")
 
     def __init__(self, taps: FinSeq, level: int = 0, family_id: str = "custom",
                  check_parity: bool = True):
@@ -58,6 +58,8 @@ class Mask:
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "level", int(level))
         object.__setattr__(self, "family_id", str(family_id))
+        # The polyphase split every refinement reads.
+        object.__setattr__(self, "_phases", _polyphase(taps))
         if check_parity:
             dev = max(abs(d) for d in self.parity_deviation)
             if dev > _PARITY_TOL:
@@ -113,7 +115,7 @@ def _refine_block(mask: Mask, values: np.ndarray) -> np.ndarray:
     with the parity-p taps, so no inserted zero is ever multiplied.  The
     kernel writes each phase straight into the column-major result.
     """
-    phases = _polyphase(mask.taps)
+    phases = mask._phases
     n = values.shape[0]
     reach = max(coeffs.size for coeffs, _ in phases)
     if n < reach:
@@ -261,6 +263,7 @@ class Stationary(SchemeFamily):
     def describe(self) -> dict:
         return {
             "kind": "stationary",
+            "name": self.family_id,
             "offset": self._mask.taps.offset,
             "taps": self._mask.taps.coeffs.tolist(),
         }
@@ -404,10 +407,15 @@ class Conic(SchemeFamily):
 
 
 def family_from_description(desc: dict) -> SchemeFamily:
-    """Rebuild a family from :meth:`SchemeFamily.describe` output."""
+    """Rebuild a family from :meth:`SchemeFamily.describe` output.
+
+    A stationary description without a ``name`` (written before names
+    were kept) rebuilds as ``"stationary"``.
+    """
     kind = desc.get("kind")
     if kind == "stationary":
-        return Stationary(FinSeq(desc["taps"], desc["offset"]))
+        return Stationary(FinSeq(desc["taps"], desc["offset"]),
+                          desc.get("name", "stationary"))
     if kind == "ns4pt":
         return NS4Point(desc["theta"])
     if kind == "nscubic":

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import family_grid
 
 from nspyr import (
     BadParamsError,
@@ -34,7 +37,7 @@ from nspyr import (
     subtract,
     write_filter_csv,
 )
-from nspyr import decimation
+from nspyr import decimation, pyramid
 from nspyr.decimation import filter_metadata
 
 CUBIC_RHO = 3.0 - 2.0 * math.sqrt(2.0)
@@ -266,10 +269,11 @@ def tension_masks():
 
 
 def count_window_solves(monkeypatch):
-    """Empty the filter cache and count the banded solves that follow."""
+    """Empty the filter and level caches; count the banded solves after."""
     calls = []
     solve = decimation._solve_window
     monkeypatch.setattr(decimation, "_filter_cache", {})
+    monkeypatch.setattr(pyramid, "_level_cache", {})
     monkeypatch.setattr(decimation, "_solve_window",
                         lambda a, w: calls.append(w) or solve(a, w))
     return calls
@@ -381,3 +385,76 @@ class TestRootsOfEvenPart:
     def test_epsilon_outside_unit_interval_rejected(self, epsilon):
         with pytest.raises(BadParamsError, match="epsilon"):
             solve_gamma(cubic_mask(), epsilon)
+
+
+def even_part_mask(even, offset):
+    """Mask whose even taps are ``even`` from index ``offset`` on, odd zero."""
+    taps = np.zeros(2 * len(even) - 1)
+    taps[::2] = even
+    return Mask(FinSeq(taps, 2 * offset), check_parity=False)
+
+
+class TestRepeatedRoots:
+    @pytest.mark.parametrize("even, offset, rate", [
+        ([1.0, 8.0, 24.0, 32.0, 16.0], -2, 0.5),  # (1 + 2z)^4 / z^2
+        ([27.0, 27.0, 9.0, 1.0], -1, 1.0 / 3.0),  # (z + 3)^3 / z
+    ])
+    def test_decay_lambda_exact(self, monkeypatch, even, offset, rate):
+        monkeypatch.setattr(decimation, "_filter_cache", {})
+        filt = solve_gamma(even_part_mask(even, offset), 1e-15)
+        assert abs(filt.decay_lambda - rate) <= 1e-12
+        g = filt.gamma_raw
+        kept = g.coeffs != 0.0
+        envelope = filt.decay_C * filt.decay_lambda ** np.abs(
+            g.indices()[kept])
+        assert np.all(np.abs(g.coeffs[kept]) <= envelope * (1.0 + 1e-12))
+
+    def test_shipped_family_filters_unchanged(self, monkeypatch):
+        # Their even-part roots lie far apart, so merging is a no-op and
+        # every filter equals the one solved from the raw roots.
+        def digest():
+            monkeypatch.setattr(decimation, "_filter_cache", {})
+            out = hashlib.sha256()
+            for k in range(40):
+                theta = 2 * math.pi / (6 + 1.3 * k)
+                for fam in (Conic(math.cos(theta)), NSCubic(math.cos(theta)),
+                            cubic_bspline_family()):
+                    for level in range(8):
+                        f = solve_gamma(fam.mask_at_level(level), 1e-15)
+                        out.update(f.zeta.coeffs.tobytes())
+                        out.update(f.gamma_raw.coeffs.tobytes())
+                        out.update(repr((f.zeta.offset, f.decay_C,
+                                         f.decay_lambda,
+                                         f.residual_l1)).encode())
+            return out.hexdigest()
+
+        merged = digest()
+        monkeypatch.setattr(decimation, "_merge_close_roots", lambda r: r)
+        assert digest() == merged
+
+
+def reference_residual(mask, zeta):
+    """``||delta - even(alpha) * zeta||_1`` through the sequence algebra."""
+    return norm_l1(subtract(delta(), convolve(even_mask(mask), zeta)))
+
+
+class TestResidual:
+    @pytest.mark.parametrize("shift", [0, 3, -5])
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_matches_sequence_algebra(self, name, family, shift):
+        for level in range(4):
+            m = family.mask_at_level(level)
+            mask = Mask(FinSeq(m.taps.coeffs, m.taps.offset + 2 * shift),
+                        check_parity=False)
+            for epsilon in (1e-15, 1e-10, 1e-6):
+                filt = solve_gamma(mask, epsilon)
+                assert filt.residual_l1 == reference_residual(mask, filt.zeta)
+                assert residual_check(filt, mask) == filt.residual_l1
+
+    def test_delta_outside_the_product(self):
+        # even part 1 + 2z placed at indices 3..4, zeta = 0.5 at 0: the
+        # product 0.5 z^3 + z^4 misses index 0, whose 1 adds to the norm
+        mask = even_part_mask([1.0, 2.0], 3)
+        zeta = FinSeq([0.5], 0)
+        assert decimation._residual_l1(np.array([1.0, 2.0]), 3, zeta) == 2.5
+        assert reference_residual(mask, zeta) == 2.5

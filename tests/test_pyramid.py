@@ -19,16 +19,21 @@ from nspyr import (
     PeriodicSeq,
     PeriodNotDivisibleError,
     Pyramid,
+    SchemeFamily,
     ShapeMismatchError,
     Stationary,
     analyze,
+    anomaly_flags,
     check_decomposition_stability,
     check_reconstruction_stability,
+    circularity_report,
+    conic_family_for,
     cubic_bspline_family,
     cubic_bspline_mask,
     decimate,
     detail_bound,
     detail_decay_report,
+    family_from_description,
     norm_l1,
     perturb_wavy,
     reconstruction_stability_bound,
@@ -40,6 +45,7 @@ from nspyr import (
     synthesize,
     synthesize_array,
 )
+from nspyr import pyramid
 from nspyr.pyramid import _row_norms
 
 
@@ -412,6 +418,31 @@ class TestPyramidValidation:
         with pytest.raises(ValueError):
             q.details[0][0, 0] = 1.0
 
+    def test_analyzed_periodic_blocks_are_kept(self, rng, monkeypatch):
+        built, step = [], pyramid._analysis_step
+        monkeypatch.setattr(
+            pyramid, "_analysis_step",
+            lambda *args: built.append(step(*args)) or built[-1])
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 2)
+        assert p.coarse is built[-1][0]
+        assert all(d is b[1] for d, b in zip(p.details[::-1], built))
+        q = Pyramid(p.coarse, p.details, p.family, p.epsilon, p.boundary,
+                    p.level_params)
+        assert q.coarse is p.coarse
+        assert all(a is b for a, b in zip(q.details, p.details))
+        # a read-only view could still change through its base: copied
+        view = p.coarse[:]
+        q = Pyramid(view, p.details, p.family, p.epsilon, p.boundary,
+                    p.level_params)
+        assert q.coarse is not view and q.coarse.flags.owndata
+
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    def test_overflowing_analysis_rejected(self, boundary):
+        # finite input whose details overflow to infinity
+        with pytest.raises(DomainError, match="pyramid coefficients"):
+            analyze(np.tile([1.7e308, -1.7e308], 32), Conic(0.9), 2,
+                    boundary=boundary)
+
 
 def union_block(comps):
     """FinSeq components on the union of their supports: (array, offset)."""
@@ -554,3 +585,69 @@ class TestBlockLayout:
         np.testing.assert_array_equal(want, np.sqrt((block ** 2).sum(axis=1)))
         got = _row_norms(np.asfortranarray(block))
         assert got.tobytes() == want.tobytes()
+
+
+class TestLevelCache:
+    @pytest.fixture(autouse=True)
+    def empty_level_cache(self, monkeypatch):
+        monkeypatch.setattr(pyramid, "_level_cache", {})
+
+    def test_equal_families_share_level_params(self, rng):
+        x = rng.normal(size=(64, 2))
+        built = [conic_family_for(64, 3), conic_family_for(64, 3),
+                 family_from_description(conic_family_for(64, 3).describe())]
+        first, *others = [analyze(x, fam, 3).level_params for fam in built]
+        for params in others:
+            assert all(a is b for a, b in zip(first, params))
+        assert len(pyramid._level_cache) == 3
+
+    def test_stationary_families_apart_by_name(self, rng):
+        x = rng.normal(size=64)
+        named = analyze(x, cubic_bspline_family(), 2).level_params
+        plain = analyze(x, Stationary(cubic_bspline_mask()), 2).level_params
+        for a, b in zip(named, plain):
+            assert a is not b
+            assert (a.mask.family_id, b.mask.family_id) == (
+                "cubic_bspline", "stationary")
+
+    def test_family_without_description_analyzes(self, rng):
+        class Undescribed(SchemeFamily):
+            family_id = "undescribed"
+
+            def mask_at_level(self, k):
+                return Conic(0.9).mask_at_level(k)
+
+        x = rng.normal(size=(64, 2))
+        p, q = (analyze(x, Undescribed(), 3) for _ in range(2))
+        assert pyramid._level_cache == {}
+        assert p.level_params[0] is not q.level_params[0]
+        assert np.abs(synthesize_array(p) - x).max() <= 1e-12
+
+    def test_cache_stays_at_cap_over_a_tension_search(self, rng):
+        cap = pyramid._LEVEL_CACHE_MAX
+        x = rng.normal(size=16)
+        thetas = [0.2 + 1e-4 * k for k in range(cap + 10)]
+        for theta in thetas:
+            analyze(x, NS4Point(theta), 1)
+        cache = pyramid._level_cache
+        assert len(cache) == cap
+        keys = [(NS4Point, "ns4pt", repr(NS4Point(t).describe()), 1, 1e-15)
+                for t in thetas]
+        assert not any(key in cache for key in keys[:10])
+        assert all(key in cache for key in keys[10:])
+
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_cold_and_warm_analyses_agree(self, rng, name, family, boundary):
+        x = rng.normal(size=(128, 2))
+        cold = analyze(x, family, 3, boundary=boundary).to_json()
+        size = len(pyramid._level_cache)
+        assert analyze(x, family, 3, boundary=boundary).to_json() == cold
+        assert len(pyramid._level_cache) == size == 3
+
+    def test_anomaly_flags_reuse_the_finest_level(self, monkeypatch):
+        curve = perturb_wavy(sample_circle(128), 0.01, 7)
+        circularity_report(curve, 3)
+        monkeypatch.setattr(Conic, "mask_at_level", None)
+        flags, _ = anomaly_flags(curve, 3)
+        assert flags.size == 128

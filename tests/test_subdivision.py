@@ -27,6 +27,7 @@ from nspyr import (
     cubic_bspline_family,
     cubic_bspline_mask,
     delta,
+    family_from_description,
     initial_v,
     operator_norm_inf,
     radial_deviation,
@@ -38,6 +39,7 @@ from nspyr import (
     write_mask_csv,
 )
 from nspyr.geometry import PlanarCurve
+from nspyr import subdivision
 from nspyr.subdivision import _refine_block
 
 
@@ -255,6 +257,14 @@ class TestRefine:
                    * np.abs(c.values).max())
             assert np.abs(got - want).max() <= tol
 
+    def test_refine_reads_the_phases_split_at_construction(self, rng,
+                                                            monkeypatch):
+        mask = Conic(math.cos(2 * math.pi / 16)).mask_at_level(0)
+        c = PeriodicSeq(rng.normal(size=16))
+        want = refine(mask, c)
+        monkeypatch.setattr(subdivision, "_polyphase", None)
+        assert refine(mask, c) == want
+
     @pytest.mark.parametrize("offset", [0, 1, -3])
     def test_phase_without_taps_refines_to_zero(self, rng, offset):
         # one tap, so one parity has no taps and its output phase is zero
@@ -328,6 +338,23 @@ class TestStationary:
     def test_levels_share_taps(self):
         fam = cubic_bspline_family()
         assert fam.mask_at_level(0).taps == fam.mask_at_level(7).taps
+
+    def test_description_keeps_the_name(self):
+        fam = cubic_bspline_family()
+        back = family_from_description(fam.describe())
+        assert back.family_id == "cubic_bspline"
+        assert back.describe() == fam.describe()
+        assert back.mask_at_level(2).family_id == "cubic_bspline"
+        assert (Stationary(cubic_bspline_mask()).describe()
+                != fam.describe())
+
+    def test_description_without_name_rebuilds_as_stationary(self):
+        # written before stationary descriptions kept the name
+        back = family_from_description(
+            {"kind": "stationary", "offset": -2,
+             "taps": cubic_bspline_mask().coeffs.tolist()})
+        assert back.family_id == "stationary"
+        assert back.mask_at_level(0).taps == cubic_bspline_mask()
 
 
 def test_mask_csv_dump(tmp_path):
