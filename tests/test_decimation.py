@@ -438,7 +438,7 @@ def reference_residual(mask, zeta):
     return norm_l1(subtract(delta(), convolve(even_mask(mask), zeta)))
 
 
-class TestResidual:
+class TestResidualAlgebra:
     @pytest.mark.parametrize("shift", [0, 3, -5])
     @pytest.mark.parametrize("name, family", family_grid())
     def test_matches_sequence_algebra(self, name, family, shift):
