@@ -9,14 +9,18 @@ whenever the even-part symbol has no zero on the unit circle, so it is
 truncated at a threshold ``epsilon`` and renormalized to unit sum.
 
 The solve reads everything from the roots of the even part, a Laurent
-polynomial (Bartels & Samavati, "Reversing subdivision rules", 2000):
-the symbol is tested for zeros on the unit circle at the roots' angles,
-the exact decay rate ``lambda`` is the root modulus nearest the circle
-(inverted outside it; roots ``np.roots`` splits off a repeated root are
-merged first), and a partial-fraction bound fixes the window
-``[-W, W]`` of one banded Toeplitz solve, whose outer half must fall
-below ``epsilon / 10``.  The filter records the threshold, the l1
-residual of the convolution equation and the decay envelope.
+polynomial (Bartels & Samavati, "Reversing subdivision rules", 2000),
+found as the eigenvalues of its companion matrix (``np.linalg.eigvals``
+of the matrix ``np.roots`` builds): the symbol is tested for zeros on
+the unit circle at the roots' angles, the exact decay rate ``lambda`` is
+the root modulus nearest the circle (inverted outside it; roots that
+the eigenvalue solver splits off a repeated root are merged first), and
+a partial-fraction bound fixes the window ``[-W, W]`` of one banded
+Toeplitz solve, whose outer half must fall below ``epsilon / 10``.  The
+solve calls the LAPACK driver ``scipy.linalg.solve_banded`` would pick,
+``dgtsv`` for one band on each side of the diagonal and ``dgbsv``
+otherwise, directly.  The filter records the threshold, the l1 residual
+of the convolution equation and the decay envelope.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     BadParamsError,
@@ -49,6 +53,7 @@ _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
 _ROOT_MERGE = 1e-3  # relative distance below which roots count as one
 _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
+_gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
 
 def _even_taps(mask: Mask):
@@ -76,8 +81,9 @@ def even_mask(mask: Mask) -> FinSeq:
 def _merge_close_roots(roots: np.ndarray) -> np.ndarray:
     """Roots with each group closer than 1e-3 (relative) set to its mean.
 
-    ``np.roots`` splits a root of multiplicity m into m roots about
-    eps^(1/m) apart; their mean, fixed by the coefficients, is accurate.
+    The eigenvalue solver splits a root of multiplicity m into m roots
+    about eps^(1/m) apart; their mean, fixed by the coefficients, is
+    accurate.
     Roots farther apart pass through unchanged.  Only the reported decay
     rate reads the merged roots: the symbol test and the window keep the
     roots as found, so two distinct roots near the circle still fail.
@@ -105,29 +111,63 @@ def _decay_rate(roots: np.ndarray) -> float:
     return float(np.minimum(np.abs(roots), 1.0 / np.abs(roots)).max())
 
 
-def _half_width(a: FinSeq, roots, lam: float, epsilon: float) -> int:
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of ``sum_k coeffs[k] z^k``, bit for bit as ``np.roots`` gives.
+
+    The eigenvalues of the companion matrix ``np.roots`` builds; its
+    trimming of zero end taps is skipped, which trimmed taps never need.
+    """
+    companion = np.eye(coeffs.size - 1, k=-1)
+    companion[0] = -coeffs[-2::-1] / coeffs[-1]
+    return np.linalg.eigvals(companion)
+
+
+def _half_width(a, roots, lam: float, epsilon: float) -> int:
     """Window half-width W with ``|gamma_j| < epsilon / 10`` for |j| > W/2.
 
-    Partial fractions over the roots r_i of ``z^-lo a(z)`` bound
+    ``a`` is the pair ``(coeffs, lo)`` of taps and first index.  Partial
+    fractions over the roots r_i of ``z^-lo a(z)`` bound
     ``|gamma_j|`` by ``S / lambda * lambda^|j + lo|`` with
     ``S = sum 1 / |a_hi prod_(k != i) (r_i - r_k)|``; root gaps are floored
     at 1e-4 so that (nearly) repeated roots give a finite, larger bound.
     """
+    coeffs, offset = a
     gaps = np.abs(roots[:, None] - roots[None, :])
     np.fill_diagonal(gaps, 1.0)
     residues = 1.0 / np.maximum(gaps, 1e-4).prod(axis=1)
-    bound = residues.sum() / (abs(a.coeffs[-1]) * lam)
-    reach = abs(a.offset) + np.log(epsilon / (10.0 * bound)) / np.log(lam)
-    return 2 * max(int(np.ceil(reach)), len(a))
+    bound = residues.sum() / (abs(coeffs[-1]) * lam)
+    reach = abs(offset) + np.log(epsilon / (10.0 * bound)) / np.log(lam)
+    return 2 * max(int(np.ceil(reach)), coeffs.size)
 
 
-def _solve_window(a: FinSeq, half_width: int) -> np.ndarray:
-    """Banded Toeplitz solve of gamma * a = delta on [-W, W]; lo <= 0 <= hi."""
+def _solve_window(a, half_width: int) -> np.ndarray:
+    """Banded Toeplitz solve of gamma * a = delta on [-W, W].
+
+    ``a`` is the pair ``(coeffs, lo)`` with ``lo <= 0 <= lo + len - 1``.
+    The bands are laid out as ``scipy.linalg.solve_banded`` lays them out
+    for the driver it picks, which is called directly: ``dgtsv`` for one
+    sub- and one super-diagonal, else ``dgbsv``.  A nonzero LAPACK
+    ``info`` raises :class:`NoConvergenceError`.
+    """
+    coeffs, offset = a
+    upper, lower = -offset, coeffs.size - 1 + offset
     n = 2 * half_width + 1
     rhs = np.zeros(n)
     rhs[half_width] = 1.0
-    bands = np.repeat(a.coeffs[:, None], n, axis=1)
-    return solve_banded((a.support[1], -a.offset), bands, rhs)
+    if lower == upper == 1:
+        *_, gamma, info = _gtsv(
+            np.full(n - 1, coeffs[2]), np.full(n, coeffs[1]),
+            np.full(n - 1, coeffs[0]), rhs, True, True, True, True)
+    else:
+        bands = np.zeros((2 * lower + upper + 1, n), order="F")
+        bands[lower:] = coeffs[:, None]
+        *_, gamma, info = _gbsv(lower, upper, bands, rhs,
+                                overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise NoConvergenceError(
+            f"banded solve of the {n}-point window failed "
+            f"(LAPACK info {info})")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -222,26 +262,25 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         hit = _filter_cache.get(key)
     if hit is not None:
         return hit
-    a = FinSeq(even, even_offset)
-
-    if len(a) == 1:
+    if even.size == 1:
         # One even tap c at offset m inverts exactly to 1/c at -m; for an
         # interpolating mask this is the Kronecker delta and decimation
         # reduces to plain downsampling.
-        gamma_raw = FinSeq([1.0 / a.coeffs[0]], -a.offset)
+        gamma_raw = FinSeq([1.0 / even[0]], -even_offset)
         c_env, lam = None, None
     else:
-        roots = np.roots(a.coeffs[::-1])
+        roots = _roots(even)
         lam = _decay_rate(roots)
-        symbol = np.exp(-1j * np.outer(np.angle(roots), a.indices())) @ a.coeffs
+        indices = even_offset + np.arange(even.size)
+        symbol = np.exp(-1j * np.outer(np.angle(roots), indices)) @ even
         if lam >= 1.0 or np.abs(symbol).min() <= _SYMBOL_MIN:
             raise SymbolZeroOnCircleError(
                 "even-part symbol vanishes on the unit circle; "
                 "no summable inverse filter exists")
         # Finite sections converge only for winding number 0 about the
         # origin, so solve for the even part shifted by z^-wind.
-        wind = a.offset + int(np.count_nonzero(np.abs(roots) < 1.0))
-        centred = FinSeq(a.coeffs, a.offset - wind)
+        wind = even_offset + int(np.count_nonzero(np.abs(roots) < 1.0))
+        centred = (even, even_offset - wind)
         width = _half_width(centred, roots, lam, epsilon)
         if width > _MAX_WINDOW:
             raise NoConvergenceError(

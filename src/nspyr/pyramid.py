@@ -244,6 +244,11 @@ class Pyramid:
         self.boundary = boundary
         self.level_params = level_params
 
+    def __reduce__(self):
+        # Rebuilt through __init__, so a copy's blocks are read-only too.
+        return Pyramid, (self.coarse, self.details, self.family, self.epsilon,
+                         self.boundary, self.level_params, self.offsets)
+
     @property
     def levels(self) -> int:
         return len(self.details)

@@ -77,6 +77,10 @@ class FinSeq:
     def __setattr__(self, name, value):
         raise AttributeError("FinSeq is immutable")
 
+    def __reduce__(self):
+        # Rebuilt through __init__: the slots cannot be set on a bare copy.
+        return FinSeq, (self.coeffs, self.offset)
+
     def __len__(self) -> int:
         return self.coeffs.size
 
@@ -128,6 +132,9 @@ class PeriodicSeq:
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicSeq is immutable")
+
+    def __reduce__(self):
+        return PeriodicSeq, (self.values,)
 
     @property
     def period(self) -> int:

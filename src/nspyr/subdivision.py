@@ -46,7 +46,8 @@ class Mask:
     to one.  That is enforced at construction for families that satisfy
     it exactly; the exponential B-spline family only approaches it as the
     level grows, so it constructs masks with ``check_parity=False`` and
-    the deviations remain available via :attr:`parity_deviation`.
+    the deviations remain available via :attr:`parity_deviation`.  Taps
+    must be finite (:class:`DomainError` otherwise).
     """
 
     __slots__ = ("taps", "level", "family_id", "_phases")
@@ -55,6 +56,9 @@ class Mask:
                  check_parity: bool = True):
         if taps.is_empty:
             raise BadParamsError("mask has no taps")
+        if not np.isfinite(taps.coeffs).all():
+            raise DomainError(
+                "mask taps must be finite: found NaN or infinity")
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "level", int(level))
         object.__setattr__(self, "family_id", str(family_id))
@@ -68,6 +72,10 @@ class Mask:
 
     def __setattr__(self, name, value):
         raise AttributeError("Mask is immutable")
+
+    def __reduce__(self):
+        # The taps passed any parity check when this mask was built.
+        return Mask, (self.taps, self.level, self.family_id, False)
 
     @property
     def even_sum(self) -> float:
@@ -305,10 +313,7 @@ class NS4Point(SchemeFamily):
                 f"four-point weight denominator vanishes at level {k}")
         w = 1.0 / den
         inner = 0.5 + w
-        taps = np.zeros(7)
-        taps[[0, 6]] = -w
-        taps[[2, 4]] = inner
-        taps[3] = 1.0
+        taps = np.array([-w, 0.0, inner, 1.0, inner, 0.0, -w])
         return Mask(FinSeq(taps, -3), level=k, family_id=self.family_id)
 
     def describe(self) -> dict:
@@ -397,9 +402,8 @@ class Conic(SchemeFamily):
         e0 = (4.0 * v * (1.0 - b - 2.0 * a) - 2.0 * a + 2.0) / den
         o_outer = (2.0 * a * (v + 1.0) + b) / den
         o_inner = ((2.0 - 2.0 * a) * (v + 1.0) - b) / den
-        taps = np.zeros(9)
-        taps[[0, 2, 4, 6, 8]] = [e2, e1, e0, e1, e2]
-        taps[[1, 3, 5, 7]] = [o_outer, o_inner, o_inner, o_outer]
+        taps = np.array([e2, o_outer, e1, o_inner, e0, o_inner, e1, o_outer,
+                         e2])
         return Mask(FinSeq(taps, -4), level=k, family_id=self.family_id)
 
     def describe(self) -> dict:

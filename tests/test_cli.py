@@ -80,6 +80,23 @@ class TestDecomposeReconstruct:
         back = read_curve_csv(out_csv)
         assert np.abs(back.points - original.points).max() <= 1e-12
 
+    @pytest.mark.parametrize("taps", [
+        [1 / 8, 1 / 2, math.nan, 1 / 2, 1 / 8], [1 / 2, math.nan, 1 / 2]])
+    @pytest.mark.parametrize("command", ["decompose", "gamma"])
+    def test_non_finite_mask_file_exits_3(self, tmp_path, circle_csv, capsys,
+                                          taps, command):
+        mask_path = tmp_path / "mask.csv"
+        mask_path.write_text("".join(
+            f"{i - len(taps) // 2},{t!r}\n" for i, t in enumerate(taps)))
+        family = ["--family", f"stationary:{mask_path}", "--levels", 2]
+        if command == "decompose":
+            code = run("decompose", "--in", circle_csv,
+                       "--out", tmp_path / "p.json", *family)
+        else:
+            code = run("gamma", "--out", tmp_path / "filters", *family)
+        assert code == 3
+        assert "mask taps must be finite" in capsys.readouterr().err
+
     def test_open_curve_rejected(self, tmp_path):
         path = tmp_path / "open.csv"
         path.write_text("# closed=false\n" + "".join(

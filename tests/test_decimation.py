@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from conftest import family_grid
 
@@ -458,3 +459,123 @@ class TestResidualAlgebra:
         zeta = FinSeq([0.5], 0)
         assert decimation._residual_l1(np.array([1.0, 2.0]), 3, zeta) == 2.5
         assert reference_residual(mask, zeta) == 2.5
+
+
+def reference_filter(mask, epsilon):
+    """The cold solve through ``np.roots`` and ``scipy.linalg.solve_banded``.
+
+    For even parts of two or more taps.  The direct LAPACK calls and
+    companion eigenvalues of ``solve_gamma`` must reproduce it bit for bit.
+    """
+    a = even_mask(mask)
+    roots = np.roots(a.coeffs[::-1])
+    lam = decimation._decay_rate(roots)
+    symbol = np.exp(-1j * np.outer(np.angle(roots), a.indices())) @ a.coeffs
+    if lam >= 1.0 or np.abs(symbol).min() <= decimation._SYMBOL_MIN:
+        raise SymbolZeroOnCircleError("reference")
+    wind = a.offset + int(np.count_nonzero(np.abs(roots) < 1.0))
+    centred = FinSeq(a.coeffs, a.offset - wind)
+    width = decimation._half_width((centred.coeffs, centred.offset),
+                                   roots, lam, epsilon)
+    if width > decimation._MAX_WINDOW:
+        raise NoConvergenceError("reference")
+    n = 2 * width + 1
+    rhs = np.zeros(n)
+    rhs[width] = 1.0
+    bands = np.repeat(centred.coeffs[:, None], n, axis=1)
+    gamma_full = solve_banded((centred.support[1], -centred.offset),
+                              bands, rhs)
+    j = np.arange(-width, width + 1)
+    if np.abs(gamma_full[np.abs(j) > width // 2]).max() >= epsilon / 10:
+        raise NoConvergenceError("reference")
+    kept = np.abs(gamma_full) > epsilon
+    gamma_raw = FinSeq(np.where(kept, gamma_full, 0.0), -width - wind)
+    lam = decimation._decay_rate(decimation._merge_close_roots(roots))
+    c_env = float(np.max(np.abs(gamma_full[kept])
+                         * lam ** -np.abs(j[kept] - wind), initial=0.0))
+    zeta = FinSeq(gamma_raw.coeffs / gamma_raw.coeffs.sum(), gamma_raw.offset)
+    return decimation.DecimationFilter(
+        zeta=zeta, gamma_raw=gamma_raw, epsilon=float(epsilon),
+        residual_l1=decimation._residual_l1(a.coeffs, a.offset, zeta),
+        decay_C=c_env, decay_lambda=lam)
+
+
+def filter_bits(filt):
+    """Every solved field of a filter, as bytes and exact values."""
+    return (filt.zeta.coeffs.tobytes(), filt.zeta.offset,
+            filt.gamma_raw.coeffs.tobytes(), filt.gamma_raw.offset,
+            filt.residual_l1, filt.decay_C, filt.decay_lambda)
+
+
+def assert_matches_reference(mask, epsilon):
+    try:
+        expected = filter_bits(reference_filter(mask, epsilon))
+    except (SymbolZeroOnCircleError, NoConvergenceError) as exc:
+        with pytest.raises(type(exc)):
+            solve_gamma(mask, epsilon)
+        return
+    assert filter_bits(solve_gamma(mask, epsilon)) == expected
+
+
+def root_modulus():
+    """Moduli off the unit circle, inside and outside, both signs."""
+    return st.one_of(st.floats(0.05, 0.92), st.floats(1.08, 20.0))
+
+
+@st.composite
+def factored_even_parts(draw, min_factors=1, max_factors=4):
+    """Even taps ``c * prod(factors)`` from linear and quadratic factors.
+
+    A quadratic factor is a complex-conjugate root pair; the roots keep
+    away from the unit circle, so the filter exists, and the offset sets
+    the winding number.
+    """
+    poly = np.array([1.0])
+    for _ in range(draw(st.integers(min_factors, max_factors))):
+        r = draw(root_modulus())
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            poly = np.convolve(poly, [1.0, -sign * r])
+        else:
+            t = draw(st.floats(0.05, math.pi - 0.05))
+            poly = np.convolve(poly, [1.0, -2.0 * r * math.cos(t), r * r])
+    scale = draw(st.floats(0.1, 10.0))
+    return (scale * poly[::-1]).tolist(), draw(st.integers(-6, 6))
+
+
+epsilons = st.floats(-15.0, -8.0).map(lambda e: 10.0 ** e)
+
+
+class TestLapackOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(0.05, 0.92), st.floats(1.08, 20.0),
+           st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+           st.floats(0.1, 10.0), st.integers(-6, 6), epsilons)
+    def test_three_taps_one_band_each_side(self, r_in, r_out, s_in, s_out,
+                                           scale, offset, epsilon):
+        # one root inside and one outside the circle: the window system
+        # has one sub- and one super-diagonal, the dgtsv path
+        even = scale * np.convolve([1.0, -s_in * r_in], [1.0, -s_out * r_out])
+        assert_matches_reference(
+            even_part_mask(even[::-1].tolist(), offset), epsilon)
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_even_parts(), epsilons)
+    def test_factored_even_parts(self, even_offset, epsilon):
+        even, offset = even_offset
+        assert_matches_reference(even_part_mask(even, offset), epsilon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tension_masks(), st.sampled_from([0, 5, -7]), epsilons)
+    def test_shipped_families(self, mask, shift, epsilon):
+        shifted = Mask(FinSeq(mask.taps.coeffs, mask.taps.offset + 2 * shift),
+                       check_parity=False)
+        assert_matches_reference(shifted, epsilon)
+
+    @pytest.mark.parametrize("coeffs, offset", [
+        ([1.0, 0.0, 0.0], -1),  # dgtsv: zero diagonal and sub-diagonal
+        ([0.0, 0.0], 0),  # dgbsv: the zero matrix
+    ])
+    def test_singular_window_raises_no_convergence(self, coeffs, offset):
+        with pytest.raises(NoConvergenceError, match="LAPACK info"):
+            decimation._solve_window((np.array(coeffs), offset), 3)

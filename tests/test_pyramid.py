@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,20 @@ class TestSerialization:
             assert lp.filt.residual_l1 == lq.filt.residual_l1
         np.testing.assert_array_equal(synthesize_array(q),
                                       synthesize_array(p))
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    def test_pickle_and_deepcopy(self, rng, boundary, clone):
+        p = analyze(rng.normal(size=(64, 2)), Conic(math.cos(2 * math.pi / 8)),
+                    3, boundary=boundary)
+        q = clone(p)
+        assert q.to_json() == p.to_json()
+        assert synthesize_array(q).tobytes() == synthesize_array(p).tobytes()
+        assert all(not b.flags.writeable for b in (q.coarse,) + q.details)
+        for lp, lq in zip(p.level_params, clone(p.level_params)):
+            assert lq.level == lp.level and lq.mask.taps == lp.mask.taps
+            assert lq.filt == lp.filt == clone(lp.filt)
 
     def test_json_field_order_stable(self, rng):
         data = rng.normal(size=32)

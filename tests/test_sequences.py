@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,20 @@ class TestFinSeqBasics:
     def test_indexing_outside_support_is_zero(self):
         s = FinSeq([1.0, 2.0], offset=3)
         assert s[2] == 0.0 and s[3] == 1.0 and s[4] == 2.0 and s[5] == 0.0
+
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+    def test_pickle_and_deepcopy(self, clone):
+        for seq in (FinSeq([1.0, 0.0, -2.5], -3), FinSeq(),
+                    PeriodicSeq([1.0, 2.0, 3.0])):
+            back = clone(seq)
+            assert type(back) is type(seq) and back == seq
+            periodic = isinstance(back, PeriodicSeq)
+            values = back.values if periodic else back.coeffs
+            assert not values.flags.writeable
+            with pytest.raises(AttributeError, match="immutable"):
+                back.offset = 1
 
 
 class TestConvolve:

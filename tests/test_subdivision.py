@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -79,6 +81,30 @@ class TestMask:
         idx = seq.indices()
         assert m.even_sum == float(seq.coeffs[idx % 2 == 0].sum())
         assert m.odd_sum == float(seq.coeffs[idx % 2 == 1].sum())
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check_parity", [True, False])
+    def test_non_finite_taps_rejected(self, bad, check_parity):
+        # checked before parity: NaN sums would pass a parity check
+        with pytest.raises(DomainError, match="mask taps must be finite"):
+            Mask(FinSeq([0.5, bad, 0.5], -1), check_parity=check_parity)
+
+    def test_nan_tension_rejected(self):
+        with pytest.raises(DomainError, match="mask taps must be finite"):
+            Conic(math.nan).mask_at_level(0)
+
+    @pytest.mark.parametrize("clone", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_pickle_and_deepcopy(self, name, family, clone):
+        mask = family.mask_at_level(2)
+        back = clone(mask)
+        assert (back.taps, back.level, back.family_id) == (
+            mask.taps, mask.level, mask.family_id)
+        assert back._phases[1][0].tobytes() == mask._phases[1][0].tobytes()
+        with pytest.raises(AttributeError):
+            back.level = 0
 
 
 class TestTensionMachinery:
