@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -200,17 +201,33 @@ class Pyramid:
 
     ``coarse`` (``(N_0, D)``) and ``details[l-1]`` (``(N_l, D)``) are kept
     as read-only copies; ``offsets`` holds the first-row index of each,
-    all 0 for periodic data.  Inconsistent shapes or counts raise
+    all 0 for periodic data.  ``support`` is the analyzed input's index
+    range ``(lo, hi)`` for finite data, which synthesis returns; it is
+    None for periodic data and for finite pyramids that did not record
+    it.  Inconsistent shapes, counts or supports raise
     :class:`ShapeMismatchError`, non-finite values :class:`DomainError`.
     """
 
     __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
-                 "boundary", "level_params")
+                 "boundary", "level_params", "support")
 
     def __init__(self, coarse, details, family: SchemeFamily, epsilon: float,
-                 boundary: str, level_params, offsets=None):
+                 boundary: str, level_params, offsets=None, support=None):
         if boundary not in ("periodic", "finite"):
             raise BadParamsError(f"unknown boundary mode {boundary!r}")
+        if support is not None:
+            if boundary != "finite":
+                raise ShapeMismatchError(
+                    "only a finite pyramid records an input support")
+            try:
+                lo, hi = (operator.index(v) for v in support)
+            except (TypeError, ValueError):
+                raise ShapeMismatchError(
+                    f"support must be two integers, got {support!r}"
+                ) from None
+            if hi < lo:
+                raise ShapeMismatchError(f"empty support range {support!r}")
+            support = (lo, hi)
         blocks = [_read_only_block(coarse)]
         blocks += [_read_only_block(d) for d in details]
         level_params = tuple(level_params)
@@ -243,11 +260,13 @@ class Pyramid:
         self.epsilon = float(epsilon)
         self.boundary = boundary
         self.level_params = level_params
+        self.support = support
 
     def __reduce__(self):
         # Rebuilt through __init__, so a copy's blocks are read-only too.
         return Pyramid, (self.coarse, self.details, self.family, self.epsilon,
-                         self.boundary, self.level_params, self.offsets)
+                         self.boundary, self.level_params, self.offsets,
+                         self.support)
 
     @property
     def levels(self) -> int:
@@ -304,7 +323,7 @@ class Pyramid:
             if lp.level == 1:
                 entry["coarse_offset"] = self.offsets[0]
             level_params.append(entry)
-        return {
+        doc = {
             "family": self.family.describe(),
             "epsilon": self.epsilon,
             "boundary": self.boundary,
@@ -313,6 +332,9 @@ class Pyramid:
                         for lp in self.level_params],
             "level_params": level_params,
         }
+        if self.support is not None:
+            doc["support"] = list(self.support)
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -339,7 +361,7 @@ class Pyramid:
             offsets.append(entry["detail_offset"])
             level_params.append(LevelParams(entry["level"], mask, filt))
         return cls(doc["coarse"], doc["details"], family, doc["epsilon"],
-                   doc["boundary"], level_params, offsets)
+                   doc["boundary"], level_params, offsets, doc.get("support"))
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
@@ -375,7 +397,8 @@ def analyze(data, family: SchemeFamily, levels: int,
             boundary: str = "periodic") -> Pyramid:
     """Decompose ``data`` into a pyramid with ``levels`` detail layers.
 
-    Periodic data must have its period divisible by ``2**levels``.  The
+    Periodic data must have its period divisible by ``2**levels``.  Finite
+    data records its index range, to which synthesis trims.  The
     step-l mask is the family's mask after l-1 refinements, so a conic
     family initialized from the coarse sample count reproduces the
     per-level tension selection that keeps sampled circles exact.
@@ -383,6 +406,7 @@ def analyze(data, family: SchemeFamily, levels: int,
     """
     block, offset = _analysis_input(data, levels, boundary)
     periodic = boundary == "periodic"
+    support = None if periodic else (offset, offset + block.shape[0])
     level_params: list = [None] * levels
     details: list = [None] * levels
     offsets = [0] * (levels + 1)
@@ -409,7 +433,7 @@ def analyze(data, family: SchemeFamily, levels: int,
         block.setflags(write=False)
     offsets[0] = offset
     return Pyramid(block, details, family, epsilon, boundary, level_params,
-                   offsets)
+                   offsets, support)
 
 
 def _synthesize_block(pyramid: Pyramid):
@@ -436,20 +460,43 @@ def _synthesize_block(pyramid: Pyramid):
     return block, offset
 
 
+def _output_block(pyramid: Pyramid):
+    """The synthesized block over the recorded input support, if any.
+
+    Beyond the support, finite synthesis leaves only rounding residues of
+    the analysis frame; they are dropped.  Rows of the support that the
+    synthesized block does not reach are zero.
+    """
+    block, offset = _synthesize_block(pyramid)
+    if pyramid.support is None:
+        return block, offset
+    lo, hi = pyramid.support
+    out = np.zeros((hi - lo, block.shape[1]), order="F")
+    first, last = max(lo, offset), min(hi, offset + block.shape[0])
+    if first < last:
+        out[first - lo:last - lo] = block[first - offset:last - offset]
+    return out, lo
+
+
 def synthesize(pyramid: Pyramid):
     """Invert :func:`analyze`; returns components like the analyzed input.
 
     Uses the masks recorded in the pyramid, so a deserialized pyramid
     reconstructs with exactly the operators the analysis applied.
-    All components are refined together as one ``(N, D)`` block.
+    All components are refined together as one ``(N, D)`` block.  A
+    finite pyramid that recorded its input's support comes back on it.
     """
-    block, offset = _synthesize_block(pyramid)
+    block, offset = _output_block(pyramid)
     return _components(block, offset, pyramid.boundary == "periodic")
 
 
 def synthesize_array(pyramid: Pyramid):
-    """Synthesize into an array (N,) or (N, D); a finite offset is dropped."""
-    block, _ = _synthesize_block(pyramid)
+    """Synthesize into an array (N,) or (N, D); a finite offset is dropped.
+
+    A finite pyramid that recorded its input's support gives an array of
+    the input's shape.
+    """
+    block, _ = _output_block(pyramid)
     return block[:, 0] if block.shape[1] == 1 else block
 
 

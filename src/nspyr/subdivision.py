@@ -77,6 +77,16 @@ class Mask:
         # The taps passed any parity check when this mask was built.
         return Mask, (self.taps, self.level, self.family_id, False)
 
+    def __eq__(self, other) -> bool:
+        # _phases is derived from the taps, so it takes no part.
+        if not isinstance(other, Mask):
+            return NotImplemented
+        return (self.taps, self.level, self.family_id) == (
+            other.taps, other.level, other.family_id)
+
+    def __hash__(self):
+        return hash((self.taps, self.level, self.family_id))
+
     @property
     def even_sum(self) -> float:
         return float(self.taps.coeffs[self.taps.offset % 2::2].sum())

@@ -92,6 +92,34 @@ class TestRoundTrip:
         assert np.abs(out - curve.points).max() <= 1e-12
 
 
+class TestLongFilterPath:
+    """At N = 2^12 the finest decimation (2048 x 2) runs through GEMM."""
+
+    @pytest.mark.parametrize("name,family", family_grid())
+    def test_planar_round_trip(self, rng, gemm_calls, name, family):
+        n = 2 ** 12
+        t = 2 * math.pi * np.arange(n) / n
+        data = np.stack([np.cos(t), np.sin(t)], axis=1)
+        data += 0.05 * rng.normal(size=data.shape)
+        p = analyze(data, family, 4)
+        assert np.abs(synthesize_array(p) - data).max() <= 1e-12
+        if family.interpolating:
+            # ns4pt: a 1-tap filter, so no level takes the GEMM path
+            assert gemm_calls == []
+            for d in p.details:
+                assert np.all(d[0::2] == 0.0)
+        else:
+            # only the finest decimation (2048 x 2) reaches the crossover
+            assert gemm_calls == [len(p.level_params[-1].filt.zeta)]
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+    def test_clean_circle_scores_at_noise(self, gemm_calls, radius):
+        curve = sample_circle(2 ** 12, radius=radius, center=(0.3, -1.2))
+        report = circularity_report(curve, 4)
+        assert len(gemm_calls) == 1
+        assert report.verdict_scale <= 1e-9 * radius
+
+
 class TestAnalyzeContracts:
     def test_period_not_divisible(self):
         with pytest.raises(PeriodNotDivisibleError) as excinfo:
@@ -348,9 +376,8 @@ class TestSerialization:
         assert q.to_json() == p.to_json()
         assert synthesize_array(q).tobytes() == synthesize_array(p).tobytes()
         assert all(not b.flags.writeable for b in (q.coarse,) + q.details)
-        for lp, lq in zip(p.level_params, clone(p.level_params)):
-            assert lq.level == lp.level and lq.mask.taps == lp.mask.taps
-            assert lq.filt == lp.filt == clone(lp.filt)
+        assert q.level_params == p.level_params == clone(p.level_params)
+        assert hash(clone(p.level_params)) == hash(p.level_params)
 
     def test_json_field_order_stable(self, rng):
         data = rng.normal(size=32)
@@ -545,6 +572,82 @@ class TestFiniteBlocks:
                 assert np.all(d[p.offsets[level] % 2::2] == 0.0)
 
 
+class TestFiniteSupport:
+    """Finite synthesis comes back on the analyzed input's index range."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(family_grid()), st.integers(1, 4),
+           st.integers(-9, 9), st.integers(1, 90),
+           st.integers(0, 2 ** 32 - 1))
+    def test_output_support_is_the_inputs(self, named, levels, offset,
+                                          length, seed):
+        _, family = named
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, size=length)
+        coeffs[[0, -1]] = rng.choice((-1.0, 1.0), size=2) * rng.uniform(
+            0.25, 1.0, size=2)
+        seq = FinSeq(coeffs, offset)
+        p = analyze(seq, family, levels, boundary="finite")
+        assert p.support == (offset, offset + length)
+        out = synthesize(p)[0]
+        assert out.support == seq.support
+        assert np.abs(out.coeffs - seq.coeffs).max() <= 1e-12
+        arr = synthesize_array(p)
+        assert arr.shape == (length,)
+        assert np.abs(arr - coeffs).max() <= 1e-12
+
+    def test_sixty_samples_come_back_on_their_range(self, rng):
+        data = rng.normal(size=(60, 2))
+        p = analyze(data, Conic(math.cos(2 * math.pi / 16)), 4,
+                    boundary="finite")
+        assert synthesize_array(p).shape == (60, 2)
+        for comp in synthesize(p):
+            assert comp.support == (0, 59)
+        # without the support the widened frame's residues come back
+        block, offset = pyramid._synthesize_block(p)
+        assert offset < 0 and offset + block.shape[0] > 60
+
+    def test_support_is_serialized_for_finite_documents_only(self, rng):
+        fam = NSCubic(math.cos(2 * math.pi / 16))
+        data = rng.normal(size=64)
+        periodic = json.loads(analyze(data, fam, 3).to_json())
+        assert "support" not in periodic
+        p = analyze(FinSeq(data, -5), fam, 3, boundary="finite")
+        doc = json.loads(p.to_json())
+        assert doc["support"] == [-5, 59]
+        q = Pyramid.from_json_dict(doc)
+        assert q.support == (-5, 59)
+        assert synthesize_array(q).tobytes() == synthesize_array(p).tobytes()
+
+    def test_document_without_support_comes_back_untrimmed(self, rng):
+        p = analyze(rng.normal(size=60), cubic_bspline_family(), 3,
+                    boundary="finite")
+        doc = json.loads(p.to_json())
+        del doc["support"]
+        q = Pyramid.from_json_dict(doc)
+        assert q.support is None
+        block, offset = pyramid._synthesize_block(p)
+        assert synthesize(q)[0] == FinSeq(block[:, 0], offset)
+        assert synthesize_array(q).tobytes() == block[:, 0].tobytes()
+
+    @pytest.mark.parametrize("support", [
+        [3], [1, 2, 3], [0.5, 4], "ab", 7, [5, 4]])
+    def test_malformed_support_rejected(self, rng, support):
+        p = analyze(rng.normal(size=40), cubic_bspline_family(), 2,
+                    boundary="finite")
+        doc = json.loads(p.to_json())
+        doc["support"] = support
+        with pytest.raises(ShapeMismatchError, match="support"):
+            Pyramid.from_json_dict(doc)
+
+    def test_periodic_document_with_support_rejected(self, rng):
+        doc = json.loads(analyze(rng.normal(size=32),
+                                 cubic_bspline_family(), 2).to_json())
+        doc["support"] = [0, 32]
+        with pytest.raises(ShapeMismatchError, match="support"):
+            Pyramid.from_json_dict(doc)
+
+
 class TestFinSeqInputs:
     def test_finseq_component_offsets_survive(self, rng):
         seq = FinSeq(rng.normal(size=40), offset=-7)
@@ -637,6 +740,7 @@ class TestLevelCache:
         p, q = (analyze(x, Undescribed(), 3) for _ in range(2))
         assert pyramid._level_cache == {}
         assert p.level_params[0] is not q.level_params[0]
+        assert p.level_params == q.level_params
         assert np.abs(synthesize_array(p) - x).max() <= 1e-12
 
     def test_cache_stays_at_cap_over_a_tension_search(self, rng):

@@ -25,6 +25,7 @@ from nspyr import (
     upsample2,
     write_sequence_csv,
 )
+from nspyr import sequences
 from nspyr.sequences import _cyclic_convolve
 
 
@@ -245,6 +246,103 @@ class TestKernelLayout:
         assert _cyclic_convolve(taps, offset, values, out=out) is out
         assert same_bits(out, want)
         assert np.isnan(buf[1 - parity::2]).all()
+
+
+def kernel_tolerance(taps, values) -> float:
+    return 64 * np.finfo(float).eps * np.abs(taps).sum() * np.abs(
+        values).max()
+
+
+@st.composite
+def long_filter_cases(draw):
+    """Blocks at or above the GEMM crossover and filters of 12-80 taps.
+
+    Rows are often not a multiple of the 64-row block; offsets reach
+    three periods either way, so the extension often wraps past the
+    period; inputs come C-ordered, F-ordered or with strided rows.
+    """
+    ncomp = draw(st.integers(1, 3))
+    min_rows = -(-sequences._GEMM_MIN_WORK // ncomp)
+    rows = draw(st.one_of(st.integers(min_rows, 9000),
+                          st.sampled_from([4096, 8192, 64 * 70])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    taps = rng.normal(size=draw(st.integers(12, 80)))
+    offset = draw(st.integers(-3 * rows, 3 * rows))
+    block = rng.uniform(-1e3, 1e3, size=(rows, ncomp))
+    values = draw(st.sampled_from([
+        lambda b: b,
+        np.asfortranarray,
+        lambda b: np.repeat(b, 2, axis=0)[::2],
+    ]))(block)
+    return taps, offset, values
+
+
+class TestLongFilterKernel:
+    """The GEMM strategy above the crossover, against the roll loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_filter_cases(), st.integers(0, 1))
+    def test_matches_roll_loop(self, case, parity):
+        taps, offset, values = case
+        want = roll_cyclic_convolve(taps, offset, values)
+        got = _cyclic_convolve(taps, offset, values)
+        assert got.flags.f_contiguous
+        assert np.abs(got - want).max() <= kernel_tolerance(taps, values)
+        # a strided out= view of every other row; the rows between keep
+        # their values
+        buf = np.full((2 * values.shape[0], values.shape[1]), np.nan,
+                      order="F")
+        out = buf[parity::2]
+        assert _cyclic_convolve(taps, offset, values, out=out) is out
+        assert out.tobytes() == np.ascontiguousarray(got).tobytes()
+        assert np.isnan(buf[1 - parity::2]).all()
+
+    @pytest.mark.parametrize("ntaps, takes_gemm", [
+        (11, False), (12, True), (33, True), (65, True), (66, False),
+        (80, False)])
+    def test_strategy_by_tap_count(self, rng, gemm_calls, ntaps,
+                                   takes_gemm):
+        # above 65 taps a 64-row block would need more than one next block
+        taps = rng.normal(size=ntaps)
+        values = rng.normal(size=(4096, 2))
+        got = _cyclic_convolve(taps, -ntaps // 2, values)
+        assert gemm_calls == ([ntaps] if takes_gemm else [])
+        assert np.abs(got - roll_cyclic_convolve(
+            taps, -ntaps // 2, values)).max() <= kernel_tolerance(
+                taps, values)
+
+    @pytest.mark.parametrize("shape, takes_gemm", [
+        ((4095,), False), ((4096,), True), ((2047, 2), False),
+        ((2048, 2), True), ((16, 400), True), ((256, 400), True)])
+    def test_strategy_by_block_size(self, rng, gemm_calls, shape,
+                                    takes_gemm):
+        taps = rng.normal(size=33)
+        values = rng.normal(size=shape)
+        got = _cyclic_convolve(taps, -16, values)
+        assert len(gemm_calls) == int(takes_gemm)
+        assert np.abs(got - roll_cyclic_convolve(taps, -16, values)).max(
+        ) <= kernel_tolerance(taps, values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(12, 65), st.integers(-9000, 9000),
+           st.sampled_from([4096, 4160, 5000, 8192]), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_every_layout_gives_the_same_bits(self, ntaps, offset, rows,
+                                              ncomp, seed):
+        # rows >= the crossover, so each column alone takes GEMM too
+        rng = np.random.default_rng(seed)
+        taps = rng.normal(size=ntaps)
+        block = rng.normal(size=(rows, ncomp))
+        want = _cyclic_convolve(taps, offset, block)
+        for values in (np.asfortranarray(block),
+                       np.repeat(block, 2, axis=0)[::2],
+                       np.repeat(block, 2, axis=1)[:, ::2]):
+            assert same_bits(_cyclic_convolve(taps, offset, values), want)
+        assert same_bits(_cyclic_convolve(taps, offset, block[:, ::-1]),
+                         want[:, ::-1])
+        for d in range(ncomp):
+            assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
+                             want[:, d])
 
 
 class TestResampling:

@@ -106,6 +106,22 @@ class TestMask:
         with pytest.raises(AttributeError):
             back.level = 0
 
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_equality_is_over_taps_level_and_family(self, name, family):
+        mask = family.mask_at_level(2)
+        again = Mask(FinSeq(mask.taps.coeffs.copy(), mask.taps.offset),
+                     mask.level, mask.family_id, check_parity=False)
+        assert again == mask and hash(again) == hash(mask)
+        assert len({mask, again}) == 1
+        assert mask != Mask(mask.taps, mask.level + 1, mask.family_id,
+                            check_parity=False)
+        assert mask != Mask(mask.taps, mask.level, "other",
+                            check_parity=False)
+        shifted = FinSeq(mask.taps.coeffs, mask.taps.offset + 2)
+        assert mask != Mask(shifted, mask.level, mask.family_id,
+                            check_parity=False)
+        assert mask != mask.taps
+
 
 class TestTensionMachinery:
     def test_v_next_fixed_point(self):
