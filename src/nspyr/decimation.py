@@ -250,7 +250,9 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     when the even-part symbol at its roots' angles is within 1e-9 of zero
     (no summable inverse) and :class:`NoConvergenceError` when the roots
     call for a window above 2**16 or the solution's outer half is not
-    below ``epsilon / 10``.  Results are cached per (taps, epsilon), up to
+    below ``epsilon / 10``, and :class:`BadParamsError` when no solved
+    coefficient exceeds ``epsilon`` (an even part with large taps has a
+    small inverse).  Results are cached per (taps, epsilon), up to
     2048 filters, the first cached leaving first: solving is pure, so
     concurrent callers may share filters freely.
     """
@@ -291,6 +293,10 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
             raise NoConvergenceError(
                 f"filter tail beyond {width // 2} is not below epsilon/10")
         kept = np.abs(gamma_full) > epsilon
+        if not kept.any():
+            raise BadParamsError(
+                f"epsilon {epsilon:g} truncates every reverse-filter "
+                f"coefficient (largest {np.abs(gamma_full).max():.3g})")
         gamma_raw = FinSeq(np.where(kept, gamma_full, 0.0), -width - wind)
         # The reported rate and envelope read repeated roots merged.
         lam = _decay_rate(_merge_close_roots(roots))

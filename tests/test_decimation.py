@@ -387,6 +387,16 @@ class TestRootsOfEvenPart:
         with pytest.raises(BadParamsError, match="epsilon"):
             solve_gamma(cubic_mask(), epsilon)
 
+    def test_epsilon_above_every_coefficient_rejected(self):
+        # even part 7 * prod(roots) with taps up to 1e8: every solved
+        # coefficient is below 1e-8, so truncation would leave no filter
+        even = [103219200.0, -62276021.80968224, 22870377.563965864,
+                -4937021.144396084, 751555.9617852054, -77272.8866208266,
+                5668.360823949443, -257.1838975932345, 7.0]
+        with pytest.raises(BadParamsError, match="truncates every"):
+            solve_gamma(even_part_mask(even, 0), 1e-8)
+        assert len(solve_gamma(even_part_mask(even, 0), 1e-15).zeta) > 0
+
 
 def even_part_mask(even, offset):
     """Mask whose even taps are ``even`` from index ``offset`` on, odd zero."""
@@ -489,6 +499,8 @@ def reference_filter(mask, epsilon):
     if np.abs(gamma_full[np.abs(j) > width // 2]).max() >= epsilon / 10:
         raise NoConvergenceError("reference")
     kept = np.abs(gamma_full) > epsilon
+    if not kept.any():
+        raise BadParamsError("reference")
     gamma_raw = FinSeq(np.where(kept, gamma_full, 0.0), -width - wind)
     lam = decimation._decay_rate(decimation._merge_close_roots(roots))
     c_env = float(np.max(np.abs(gamma_full[kept])
@@ -510,7 +522,8 @@ def filter_bits(filt):
 def assert_matches_reference(mask, epsilon):
     try:
         expected = filter_bits(reference_filter(mask, epsilon))
-    except (SymbolZeroOnCircleError, NoConvergenceError) as exc:
+    except (SymbolZeroOnCircleError, NoConvergenceError,
+            BadParamsError) as exc:
         with pytest.raises(type(exc)):
             solve_gamma(mask, epsilon)
         return
