@@ -23,17 +23,10 @@ from .errors import (
 from .sequences import (
     FinSeq,
     PeriodicSeq,
-    add,
-    convolve,
     delta,
-    downsample2,
     k_const,
-    norm_inf,
     norm_l1,
     read_sequence_csv,
-    scale,
-    subtract,
-    upsample2,
     write_sequence_csv,
 )
 from .subdivision import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, svgplot
 from .decimation import filter_metadata, solve_gamma, write_filter_csv
-from .errors import BadParamsError, NspyrError
+from .errors import _NUMBER, BadParamsError, NspyrError, _check_json
 from .geometry import (
     PlanarCurve,
     WAVY_PRESETS,
@@ -36,33 +36,41 @@ from .geometry import (
 )
 from .pyramid import (Pyramid, analyze, detail_decay_report, synthesize,
                       synthesize_array)
-from .sequences import FinSeq, PeriodicSeq, read_sequence_csv, write_sequence_csv
+from .sequences import (FinSeq, PeriodicSeq, read_sequence_csv,
+                        write_sequence_csv)
 from .subdivision import Conic, NS4Point, NSCubic, Stationary
 
 log = logging.getLogger("nspyr")
 
+# Each setting's default and the JSON type a config file must give it.
 _DEFAULTS = {
-    "family": "conic",
-    "theta": None,
-    "levels": 4,
-    "epsilon": 1e-15,
-    "boundary": "periodic",
-    "plot": False,
-    "n": 256,
-    "radius": 1.0,
-    "amplitude": 0.01,
-    "frequency": 12,
-    "threshold_ratio": 50.0,
+    "family": ("conic", str),
+    "theta": (None, _NUMBER + (type(None),)),
+    "levels": (4, int),
+    "epsilon": (1e-15, _NUMBER),
+    "boundary": ("periodic", str),
+    "plot": (False, bool),
+    "n": (256, int),
+    "radius": (1.0, _NUMBER),
+    "amplitude": (0.01, _NUMBER),
+    "frequency": (12, int),
+    "threshold_ratio": (50.0, _NUMBER),
 }
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply precedence flags > config file > defaults."""
+    """Apply precedence flags > config file > defaults.
+
+    A config value of the wrong JSON type raises :class:`BadParamsError`.
+    """
     file_conf = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_conf = json.load(fh)
-    for key, default in _DEFAULTS.items():
+        _check_json(file_conf, f"config {args.config}",
+                    {key: kind for key, (_, kind) in _DEFAULTS.items()},
+                    optional=_DEFAULTS, error=BadParamsError)
+    for key, (default, _) in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_conf.get(key, default))
     return args

@@ -43,9 +43,9 @@ from .sequences import (
     FinSeq,
     PeriodicSeq,
     _cyclic_convolve,
-    convolve,
+    _frame,
+    _reach,
     delta,
-    downsample2,
 )
 from .subdivision import Mask
 
@@ -331,12 +331,18 @@ def decimate(filt: DecimationFilter, c):
     """Apply the decimation ``D(c)_j = sum_i zeta_{j-i} c_{2i}``.
 
     Equivalent to ``zeta * downsample2(c)``; a periodic input must have
-    an even period and comes back with period N/2.  Periodic data is
-    filtered directly on its even samples, with no intermediate sequence.
+    an even period and comes back with period N/2.  Data is filtered
+    directly on its even samples; finite data goes on a zero frame so
+    wide that the cyclic kernel does not wrap.
     """
     if isinstance(c, PeriodicSeq):
         return PeriodicSeq(_decimate_block(filt, c.values))
-    return convolve(filt.zeta, downsample2(c))
+    if c.is_empty:
+        return FinSeq()
+    pad = 2 * _reach(filt.zeta)
+    frame, start = _frame(c.coeffs, c.offset, c.offset - pad,
+                          c.offset + len(c) + pad)
+    return FinSeq(_decimate_block(filt, frame), start // 2)
 
 
 def write_filter_csv(path, filt: DecimationFilter) -> None:

@@ -3,6 +3,9 @@
 Every numerical precondition failure maps to a distinct subclass of
 :class:`NspyrError` whose message names the violated precondition, so
 callers (and the command line front end) can report it verbatim.
+JSON documents read from outside (a saved pyramid, a CLI config) are
+type-checked here too, field by field, so a malformed one raises one of
+these types naming the field.
 """
 
 
@@ -52,3 +55,42 @@ class FitFailedError(NspyrError):
 
 class ShapeMismatchError(NspyrError):
     """Pyramid pieces are mutually inconsistent (lengths or components)."""
+
+
+# JSON types of the documents read from outside: the pyramid JSON and
+# the CLI config.
+
+_NUMBER = (int, float)
+
+
+def _json_ok(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``.
+
+    ``kind`` is a type, a tuple of types, or ``[kind]`` for an array of
+    that kind.  JSON true and false are booleans, not numbers.
+    """
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(
+            _json_ok(v, kind[0]) for v in value)
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
+def _check_json(doc, where: str, kinds: dict, optional=(),
+                error=ShapeMismatchError) -> None:
+    """Check the fields of a JSON document read from outside.
+
+    Unless ``doc`` is an object holding each field of ``kinds`` (those in
+    ``optional`` may be left out) with a value of the field's
+    :func:`_json_ok` kind, ``error`` is raised naming ``where`` and the
+    field.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object, "
+                    f"got {type(doc).__name__}")
+    for key, kind in kinds.items():
+        if key not in doc and key not in optional:
+            raise error(f"{where} lacks the field {key!r}")
+        if key in doc and not _json_ok(doc[key], kind):
+            raise error(f"{where} field {key!r} has the wrong JSON type "
+                        f"({type(doc[key]).__name__})")

@@ -38,8 +38,11 @@ from .errors import (
     DomainError,
     PeriodNotDivisibleError,
     ShapeMismatchError,
+    _NUMBER,
+    _check_json,
 )
-from .sequences import FinSeq, PeriodicSeq, k_const, norm_l1
+from .sequences import (FinSeq, PeriodicSeq, _frame, _reach, _trim, k_const,
+                        norm_l1)
 from .subdivision import (
     Mask,
     SchemeFamily,
@@ -139,10 +142,10 @@ def _read_only_block(values) -> np.ndarray:
         return values
     try:
         arr = np.array(values, dtype=float, order="F")
-    except ValueError as exc:  # numpy refuses ragged nested lists
+    except (TypeError, ValueError) as exc:  # ragged lists, non-numbers
         raise ShapeMismatchError(
-            f"pyramid coefficients must form rectangular blocks: {exc}"
-        ) from exc
+            f"pyramid coefficients must form rectangular blocks of "
+            f"numbers: {exc}") from exc
     arr = arr[:, None] if arr.ndim == 1 else arr
     if arr.ndim != 2:
         raise ShapeMismatchError(
@@ -167,33 +170,16 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.multiply(block, block, order="C").sum(axis=1))
 
 
-def _reach(seq: FinSeq) -> int:
-    """Largest |index| in the support of a filter or mask."""
-    return max(abs(seq.offset), abs(seq.offset + len(seq) - 1))
-
-
-def _frame(block: np.ndarray, offset: int, lo: int, hi: int):
-    """Zero frame over at least ``[lo, hi)`` holding ``block`` from ``offset``.
-
-    It starts at an even index and has an even number of rows; returns
-    the frame and the index of its first row.
-    """
-    start = lo - lo % 2
-    rows = hi - start + (hi - start) % 2
-    frame = np.zeros((rows, block.shape[1]), order="F")
-    frame[offset - start: offset - start + block.shape[0]] = block
-    return frame, start
-
-
-def _trim(block: np.ndarray, start: int):
-    """Drop the all-zero edge rows of a block starting at index ``start``.
-
-    Returns the rest and its first index, 0 for an all-zero block.
-    """
-    rows = np.flatnonzero(block.any(axis=1))
-    if rows.size == 0:
-        return block[:0], 0
-    return block[rows[0]: rows[-1] + 1], start + int(rows[0])
+# Field types of a pyramid document and of its level_params entries.
+_DOCUMENT_FIELDS = {"family": dict, "epsilon": _NUMBER, "boundary": str,
+                    "coarse": list, "details": list, "level_params": list}
+_LEVEL_FIELDS = {
+    "level": int, "mask_offset": int, "mask_taps": [_NUMBER],
+    "mask_family": str, "zeta_offset": int, "zeta_taps": [_NUMBER],
+    "gamma_offset": int, "gamma_taps": [_NUMBER], "epsilon": _NUMBER,
+    "residual_l1": _NUMBER, "decay_C": _NUMBER + (type(None),),
+    "decay_lambda": _NUMBER + (type(None),), "detail_offset": int,
+    "coarse_offset": int}
 
 
 class Pyramid:
@@ -341,7 +327,15 @@ class Pyramid:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Pyramid":
+        """Rebuild a pyramid from :meth:`to_json_dict` output.
+
+        A missing or mistyped field raises :class:`ShapeMismatchError`.
+        """
+        _check_json(doc, "pyramid document", _DOCUMENT_FIELDS)
         family = family_from_description(doc["family"])
+        for i, entry in enumerate(doc["level_params"]):
+            _check_json(entry, f"level_params[{i}]", _LEVEL_FIELDS,
+                        ("mask_family", "coarse_offset"))
         params = sorted(doc["level_params"], key=lambda e: e["level"])
         offsets = [params[0].get("coarse_offset", 0) if params else 0]
         level_params = []

@@ -1,15 +1,11 @@
-"""Exact algebra of finitely supported and periodic real sequences.
+"""Finitely supported and periodic real sequences, and the cyclic kernel.
 
 Two carriers are provided.  :class:`FinSeq` stores a finitely supported
 bi-infinite sequence as an offset plus a coefficient block, trimmed so
 that the first and last stored entries are nonzero.  :class:`PeriodicSeq`
 stores one period of an N-periodic sequence; all indexing is modulo N.
-
-The free functions (:func:`convolve`, :func:`upsample2`,
-:func:`downsample2`, the norms, :func:`k_const`)
-accept either carrier where that makes sense.  Convolution is linear for
-two finite sequences and cyclic when either operand is periodic.  All
-values are immutable; every operation returns a new object.
+Both are immutable.  Besides them the module holds the norms and the
+moment constant the pyramid's bounds read, and the sequence CSV format.
 
 Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
 It works along axis 0 of an ``(N,)`` or ``(N, D)`` array.  It
@@ -23,11 +19,14 @@ per run of 64-row blocks, for all columns at once.  Every other call
 runs ``np.correlate(..., "valid")`` one column at a time.  That
 crossover was measured on a 2-core x86 host: below it, the per-call
 set-up of the products outweighs what they save; above it, they ran
-1.04-5.9 times faster than the loop.  The two ways agree to rounding.  The
-periodic refinement and decimation in :mod:`nspyr.subdivision` and
+1.04-5.9 times faster than the loop.  The two ways agree to rounding.
+
+Refinement and decimation in :mod:`nspyr.subdivision` and
 :mod:`nspyr.decimation` call the kernel on whole ``(N, D)`` blocks,
 which the pyramid keeps column-major so that every column the kernel
-reads and writes is contiguous.
+reads and writes is contiguous.  Finite data, in ``refine``,
+``decimate`` and the pyramid alike, goes on a zero frame (:func:`_frame`)
+wide enough for the kernel to compute linear convolutions.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParamsError, OddPeriodError
+from .errors import BadParamsError
 
 # Magnitudes below this are flushed to exact zero on construction to keep
 # denormals out of canonical trimming.
@@ -172,41 +171,7 @@ def delta() -> FinSeq:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-
-
-def add(a, b):
-    """Pointwise sum of two sequences of the same kind."""
-    if isinstance(a, FinSeq) and isinstance(b, FinSeq):
-        if a.is_empty:
-            return b
-        if b.is_empty:
-            return a
-        lo = min(a.offset, b.offset)
-        hi = max(a.offset + len(a), b.offset + len(b))
-        out = np.zeros(hi - lo)
-        out[a.offset - lo: a.offset - lo + len(a)] += a.coeffs
-        out[b.offset - lo: b.offset - lo + len(b)] += b.coeffs
-        return FinSeq(out, lo)
-    if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        if a.period != b.period:
-            raise BadParamsError("periods differ")
-        return PeriodicSeq(a.values + b.values)
-    raise BadParamsError("mixed sequence kinds")
-
-
-def scale(c, factor: float):
-    if isinstance(c, FinSeq):
-        return FinSeq(c.coeffs * factor, c.offset)
-    return PeriodicSeq(c.values * factor)
-
-
-def subtract(a, b):
-    return add(a, scale(b, -1.0))
-
-
-# ---------------------------------------------------------------------------
-# convolution and sampling-rate changes
+# the cyclic kernel and the zero frame of finite data
 
 
 # Long filters on big blocks run as blocked Toeplitz products: from
@@ -302,59 +267,34 @@ def _toeplitz_convolve(taps, head, wrap, cols, out_cols) -> None:
         out_cols[...] = res.reshape(width, blocks * b)[:, :n].T
 
 
-def convolve(a, b):
-    """Convolution ``(a*b)_j = sum_i a_i b_{j-i}``.
+def _reach(seq: FinSeq) -> int:
+    """Largest |index| in the support of a filter or mask."""
+    return max(abs(seq.offset), abs(seq.offset + len(seq) - 1))
 
-    Linear for two :class:`FinSeq` operands (support is the Minkowski sum
-    of the supports).  Cyclic when one operand is periodic: the finite
-    filter wraps modulo the period and the result has the same period.
-    Two periodic operands need equal periods.
+
+def _frame(block: np.ndarray, offset: int, lo: int, hi: int):
+    """Zero frame over at least ``[lo, hi)`` holding ``block`` from ``offset``.
+
+    ``block`` is ``(N,)`` or ``(N, D)``.  The frame starts at an even
+    index and has an even number of rows; returns the frame and the
+    index of its first row.
     """
-    if isinstance(a, FinSeq) and isinstance(b, FinSeq):
-        if a.is_empty or b.is_empty:
-            return FinSeq()
-        return FinSeq(np.convolve(a.coeffs, b.coeffs), a.offset + b.offset)
-    if isinstance(a, FinSeq) and isinstance(b, PeriodicSeq):
-        if a.is_empty:
-            return PeriodicSeq(np.zeros(b.period))
-        return PeriodicSeq(_cyclic_convolve(a.coeffs, a.offset, b.values))
-    if isinstance(a, PeriodicSeq) and isinstance(b, FinSeq):
-        return convolve(b, a)
-    if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        if a.period != b.period:
-            raise BadParamsError("cyclic convolution needs equal periods")
-        return PeriodicSeq(_cyclic_convolve(a.values, 0, b.values))
-    raise BadParamsError("unsupported operand kinds for convolve")
+    start = lo - lo % 2
+    rows = hi - start + (hi - start) % 2
+    frame = np.zeros((rows,) + block.shape[1:], order="F")
+    frame[offset - start: offset - start + block.shape[0]] = block
+    return frame, start
 
 
-def upsample2(c):
-    """Insert a zero after every entry: even output 2k holds c_k."""
-    if isinstance(c, FinSeq):
-        if c.is_empty:
-            return FinSeq()
-        up = np.zeros(2 * len(c) - 1)
-        up[0::2] = c.coeffs
-        return FinSeq(up, 2 * c.offset)
-    up = np.zeros(2 * c.period)
-    up[0::2] = c.values
-    return PeriodicSeq(up)
+def _trim(block: np.ndarray, start: int):
+    """Drop the all-zero edge rows of a block starting at index ``start``.
 
-
-def downsample2(c):
-    """Keep even-indexed entries: output j holds c_{2j}.
-
-    For a periodic sequence the period must be even (the result has
-    period N/2); an odd period raises :class:`OddPeriodError`.
+    Returns the rest and its first index, 0 for an all-zero block.
     """
-    if isinstance(c, FinSeq):
-        if c.is_empty:
-            return FinSeq()
-        first = c.offset if c.offset % 2 == 0 else c.offset + 1
-        kept = c.coeffs[first - c.offset:: 2]
-        return FinSeq(kept, first // 2)
-    if c.period % 2 != 0:
-        raise OddPeriodError(f"odd period {c.period}: cannot halve")
-    return PeriodicSeq(c.values[0::2])
+    rows = np.flatnonzero(block.any(axis=1))
+    if rows.size == 0:
+        return block[:0], 0
+    return block[rows[0]: rows[-1] + 1], start + int(rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +307,6 @@ def _data(c) -> np.ndarray:
 
 def norm_l1(c) -> float:
     return float(np.abs(_data(c)).sum())
-
-
-def norm_inf(c) -> float:
-    d = _data(c)
-    return float(np.abs(d).max()) if d.size else 0.0
 
 
 def k_const(c: FinSeq) -> float:

@@ -26,14 +26,11 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     PeriodTooShortError,
+    _NUMBER,
+    _check_json,
 )
-from .sequences import (
-    FinSeq,
-    PeriodicSeq,
-    _cyclic_convolve,
-    convolve,
-    upsample2,
-)
+from .sequences import (FinSeq, PeriodicSeq, _cyclic_convolve, _frame,
+                        _reach)
 
 _PARITY_TOL = 1e-12
 _DENOM_GUARD = 1e-12
@@ -153,13 +150,17 @@ def refine(mask: Mask, c):
 
     A periodic input of period N yields period 2N and must satisfy
     ``N >= stencil reach`` (the longest run of one parity's taps),
-    otherwise the output would wrap onto itself.  Periodic data is refined
+    otherwise the output would wrap onto itself.  Data is refined
     polyphase: output ``2m+p`` is ``sum_k alpha_{2k+p} c_{m-k}``, computed
-    without upsampling.  Finite data is ``alpha * upsample2(c)``.
+    without upsampling.  Finite data goes on a zero frame so wide that
+    the cyclic kernel does not wrap.
     """
     if isinstance(c, PeriodicSeq):
         return PeriodicSeq(_refine_block(mask, c.values))
-    return convolve(mask.taps, upsample2(c))
+    half = _reach(mask.taps) // 2 + 1
+    frame, start = _frame(c.coeffs, c.offset, c.offset - half,
+                          c.offset + len(c) + half)
+    return FinSeq(_refine_block(mask, frame), 2 * start)
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +425,23 @@ def family_from_description(desc: dict) -> SchemeFamily:
     """Rebuild a family from :meth:`SchemeFamily.describe` output.
 
     A stationary description without a ``name`` (written before names
-    were kept) rebuilds as ``"stationary"``.
+    were kept) rebuilds as ``"stationary"``.  A missing or mistyped
+    field raises :class:`ShapeMismatchError`.
     """
-    kind = desc.get("kind")
+    where = "family description"
+    _check_json(desc, where, {"kind": str})
+    kind = desc["kind"]
     if kind == "stationary":
+        _check_json(desc, where, {"taps": [_NUMBER], "offset": int,
+                                  "name": str}, ("name",))
         return Stationary(FinSeq(desc["taps"], desc["offset"]),
                           desc.get("name", "stationary"))
-    if kind == "ns4pt":
-        return NS4Point(desc["theta"])
-    if kind == "nscubic":
-        return NSCubic(desc["v_init"])
-    if kind == "conic":
-        return Conic(desc["v_init"])
-    raise BadParamsError(f"unknown family kind {kind!r}")
+    build, param = {"ns4pt": (NS4Point, "theta"), "conic": (Conic, "v_init"),
+                    "nscubic": (NSCubic, "v_init")}.get(kind, (None, None))
+    if build is None:
+        raise BadParamsError(f"unknown family kind {kind!r}")
+    _check_json(desc, where, {param: _NUMBER})
+    return build(desc[param])
 
 
 def refine_n(family: SchemeFamily, c, steps: int):

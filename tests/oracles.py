@@ -1,0 +1,134 @@
+"""Reference sequence algebra that the property tests compare against.
+
+The paper's operators written out literally on sequence objects:
+refinement is ``alpha * upsample2(c)``, decimation ``zeta *
+downsample2(c)``.  Linear convolution is ``np.convolve``; cyclic
+convolution is a per-tap roll loop, so it checks the library's kernel
+instead of mirroring it.  Every operation returns a new sequence.
+"""
+
+import numpy as np
+
+from nspyr import BadParamsError, FinSeq, OddPeriodError, PeriodicSeq
+
+
+def roll_cyclic_convolve(taps, offset, values):
+    """Per-tap roll loop: the reference for the cyclic kernel."""
+    out = np.zeros_like(values)
+    for tap, j in zip(taps, range(offset, offset + taps.size)):
+        out += tap * np.roll(values, j, axis=0)
+    return out
+
+
+def kernel_tolerance(taps, values) -> float:
+    """Bound on how far two summation orders of a convolution may differ:
+    ``64 eps ||taps||_1 max|values|``."""
+    return 64 * np.finfo(float).eps * np.abs(taps).sum() * np.abs(
+        values).max(initial=0.0)
+
+
+def add(a, b):
+    """Pointwise sum of two sequences of the same kind."""
+    if isinstance(a, FinSeq) and isinstance(b, FinSeq):
+        if a.is_empty:
+            return b
+        if b.is_empty:
+            return a
+        lo = min(a.offset, b.offset)
+        hi = max(a.offset + len(a), b.offset + len(b))
+        out = np.zeros(hi - lo)
+        out[a.offset - lo: a.offset - lo + len(a)] += a.coeffs
+        out[b.offset - lo: b.offset - lo + len(b)] += b.coeffs
+        return FinSeq(out, lo)
+    if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
+        if a.period != b.period:
+            raise BadParamsError("periods differ")
+        return PeriodicSeq(a.values + b.values)
+    raise BadParamsError("mixed sequence kinds")
+
+
+def scale(c, factor: float):
+    if isinstance(c, FinSeq):
+        return FinSeq(c.coeffs * factor, c.offset)
+    return PeriodicSeq(c.values * factor)
+
+
+def subtract(a, b):
+    return add(a, scale(b, -1.0))
+
+
+def convolve(a, b):
+    """Convolution ``(a*b)_j = sum_i a_i b_{j-i}``.
+
+    Linear for two :class:`FinSeq` operands (support is the Minkowski sum
+    of the supports).  Cyclic when one operand is periodic: the finite
+    filter wraps modulo the period and the result has the same period.
+    Two periodic operands need equal periods.
+    """
+    if isinstance(a, FinSeq) and isinstance(b, FinSeq):
+        if a.is_empty or b.is_empty:
+            return FinSeq()
+        return FinSeq(np.convolve(a.coeffs, b.coeffs), a.offset + b.offset)
+    if isinstance(a, FinSeq) and isinstance(b, PeriodicSeq):
+        return PeriodicSeq(roll_cyclic_convolve(a.coeffs, a.offset, b.values))
+    if isinstance(a, PeriodicSeq) and isinstance(b, FinSeq):
+        return convolve(b, a)
+    if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
+        if a.period != b.period:
+            raise BadParamsError("cyclic convolution needs equal periods")
+        return PeriodicSeq(roll_cyclic_convolve(a.values, 0, b.values))
+    raise BadParamsError("unsupported operand kinds for convolve")
+
+
+def upsample2(c):
+    """Insert a zero after every entry: even output 2k holds c_k."""
+    if isinstance(c, FinSeq):
+        if c.is_empty:
+            return FinSeq()
+        up = np.zeros(2 * len(c) - 1)
+        up[0::2] = c.coeffs
+        return FinSeq(up, 2 * c.offset)
+    up = np.zeros(2 * c.period)
+    up[0::2] = c.values
+    return PeriodicSeq(up)
+
+
+def downsample2(c):
+    """Keep even-indexed entries: output j holds c_{2j}.
+
+    For a periodic sequence the period must be even (the result has
+    period N/2); an odd period raises :class:`OddPeriodError`.
+    """
+    if isinstance(c, FinSeq):
+        if c.is_empty:
+            return FinSeq()
+        first = c.offset if c.offset % 2 == 0 else c.offset + 1
+        kept = c.coeffs[first - c.offset:: 2]
+        return FinSeq(kept, first // 2)
+    if c.period % 2 != 0:
+        raise OddPeriodError(f"odd period {c.period}: cannot halve")
+    return PeriodicSeq(c.values[0::2])
+
+
+def norm_inf(c) -> float:
+    d = c.coeffs if isinstance(c, FinSeq) else c.values
+    return float(np.abs(d).max()) if d.size else 0.0
+
+
+def refine(mask, c):
+    """The paper's refinement ``alpha * upsample2(c)``."""
+    return convolve(mask.taps, upsample2(c))
+
+
+def decimate(filt, c):
+    """The paper's decimation ``zeta * downsample2(c)``."""
+    return convolve(filt.zeta, downsample2(c))
+
+
+def assert_matches(got: FinSeq, want: FinSeq, taps, data: FinSeq) -> None:
+    """``got`` is ``want`` within :func:`kernel_tolerance` of ``taps`` on
+    ``data``, and zero outside ``want``'s support."""
+    assert norm_inf(subtract(got, want)) <= kernel_tolerance(taps, data.coeffs)
+    if not got.is_empty:
+        assert want.support[0] <= got.support[0]
+        assert got.support[1] <= want.support[1]

@@ -148,6 +148,28 @@ class TestMalformedPyramid:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda d: {k: v for k, v in d.items() if k != "family"},
+         "'family'"),
+        (lambda d: {**d, "family": {"kind": "conic"}}, "'v_init'"),
+        (lambda d: {**d, "epsilon": "x"}, "'epsilon'"),
+        (lambda d: {**d, "level_params": [
+            {k: v for k, v in d["level_params"][0].items()
+             if k != "zeta_taps"}] + d["level_params"][1:]}, "'zeta_taps'"),
+        (lambda d: {**d, "details": 5}, "'details'"),
+        (lambda d: [d], "JSON object"),
+    ], ids=["no-family", "family-without-tension", "epsilon-string",
+            "no-zeta-taps", "details-number", "top-level-list"])
+    def test_malformed_document_exits_3(self, tmp_path, doc_path, capsys,
+                                        corrupt, field):
+        doc = corrupt(json.loads(doc_path.read_text()))
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "back.csv"
+        assert run("reconstruct", "--in", doc_path, "--out", out) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize("text, lineno", [
         ("# closed=true\n1.0,2.0\n3.0,abc\n", 3),
@@ -264,6 +286,26 @@ class TestConfigPrecedence:
         doc = json.loads(pyr_path.read_text())
         assert len(doc["details"]) == 4      # flag won
         assert doc["epsilon"] == 1e-9        # config used for the rest
+
+    @pytest.mark.parametrize("config, key", [
+        ({"levels": "3"}, "'levels'"),
+        ({"levels": 2.5}, "'levels'"),
+        ({"levels": True}, "'levels'"),
+        ({"epsilon": "1e-15"}, "'epsilon'"),
+        ({"theta": "0.3"}, "'theta'"),
+        ({"family": 7}, "'family'"),
+        ({"plot": "yes"}, "'plot'"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_mistyped_config_exits_3(self, tmp_path, circle_csv, capsys,
+                                     config, key):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "p.json"
+        assert run("decompose", "--in", circle_csv, "--out", out,
+                   "--config", path) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_epsilon_rejected(self, tmp_path, circle_csv):
         code = run("decompose", "--in", circle_csv,

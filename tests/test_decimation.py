@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+import oracles
 from conftest import family_grid
+from oracles import convolve, downsample2, norm_inf, subtract
 
 from nspyr import (
     BadParamsError,
@@ -22,20 +24,16 @@ from nspyr import (
     PeriodicSeq,
     SymbolZeroOnCircleError,
     analyze,
-    convolve,
     cubic_bspline_family,
     cubic_bspline_mask,
     decay_fit,
     decimate,
     delta,
-    downsample2,
     even_mask,
-    norm_inf,
     norm_l1,
     refine,
     residual_check,
     solve_gamma,
-    subtract,
     write_filter_csv,
 )
 from nspyr import decimation, pyramid
@@ -242,6 +240,39 @@ class TestDecimate:
                 evens = downsample2(resid)
                 bound = filt.residual_l1 * norm_inf(c)
                 assert norm_inf(evens) <= bound + 1e-13
+
+
+class TestFiniteDecimate:
+    """Finite decimation on the zero frame against ``zeta * downsample2(c)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(family_grid()), st.integers(0, 3),
+           st.integers(-9, 9), st.integers(0, 300),
+           st.integers(0, 2 ** 32 - 1))
+    @example(family_grid()[3], 0, 0, 0, 0)   # empty input
+    @example(family_grid()[2], 1, 7, 1, 0)   # one sample, odd offset
+    def test_matches_oracle(self, named, level, offset, length, seed):
+        _, family = named
+        filt = solve_gamma(family.mask_at_level(level))
+        c = FinSeq(np.random.default_rng(seed).uniform(-1.0, 1.0, length),
+                   offset)
+        got = decimate(filt, c)
+        if length == 1 and offset % 2:
+            assert got.is_empty  # no even-indexed sample to keep
+        oracles.assert_matches(got, oracles.decimate(filt, c),
+                               filt.zeta.coeffs, c)
+
+    @pytest.mark.parametrize("name, family", [
+        named for named in family_grid() if named[0] != "ns4pt"])
+    def test_long_input_takes_the_gemm_path(self, rng, gemm_calls, name,
+                                            family):
+        # the frame's 4100-odd even samples under a 33-45-tap filter
+        filt = solve_gamma(family.mask_at_level(0))
+        c = FinSeq(rng.uniform(-1.0, 1.0, 8200), -7)
+        got = decimate(filt, c)
+        assert gemm_calls == [len(filt.zeta)]
+        oracles.assert_matches(got, oracles.decimate(filt, c),
+                               filt.zeta.coeffs, c)
 
 
 class TestExport:

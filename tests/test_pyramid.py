@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import family_grid
+from oracles import decimate, refine, subtract
 
 from nspyr import (
     BadParamsError,
@@ -32,18 +33,15 @@ from nspyr import (
     conic_family_for,
     cubic_bspline_family,
     cubic_bspline_mask,
-    decimate,
     detail_bound,
     detail_decay_report,
     family_from_description,
     norm_l1,
     perturb_wavy,
     reconstruction_stability_bound,
-    refine,
     residual_operator_norm_estimate,
     sample_circle,
     solve_gamma,
-    subtract,
     synthesize,
     synthesize_array,
 )
@@ -422,6 +420,14 @@ class TestPyramidValidation:
         with pytest.raises(ShapeMismatchError, match="rectangular"):
             Pyramid.from_json_dict(doc)
 
+    @pytest.mark.parametrize("bad", [{"x": 1.0}, "x", [1.0, [2.0]]])
+    def test_non_numeric_coefficients_rejected(self, rng, bad):
+        doc = json.loads(analyze(rng.normal(size=(64, 2)),
+                                 cubic_bspline_family(), 3).to_json())
+        doc["details"][0][4] = bad
+        with pytest.raises(ShapeMismatchError, match="blocks of numbers"):
+            Pyramid.from_json_dict(doc)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["coarse", "details"])
     def test_non_finite_coefficients_rejected(self, rng, field, bad):
@@ -486,6 +492,48 @@ class TestPyramidValidation:
             analyze(np.tile([1.7e308, -1.7e308], 32), Conic(0.9), 2,
                     boundary=boundary)
 
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda d: d.pop("family"), "'family'"),
+        (lambda d: d.update(family={"kind": "conic"}), "'v_init'"),
+        (lambda d: d.update(family=["conic"]), "'family'"),
+        (lambda d: d.update(epsilon="x"), "'epsilon'"),
+        (lambda d: d.update(boundary=None), "'boundary'"),
+        (lambda d: d.update(details=5), "'details'"),
+        (lambda d: d["level_params"][1].pop("zeta_taps"), "'zeta_taps'"),
+        (lambda d: d["level_params"][0].update(level=1.0), "'level'"),
+        (lambda d: d["level_params"][0].update(decay_C="big"), "'decay_C'"),
+        (lambda d: d["level_params"][0].update(mask_taps=[1.0, None]),
+         "'mask_taps'"),
+        (lambda d: d["level_params"].append(3), r"level_params\[2\]"),
+    ], ids=["no-family", "family-without-tension", "family-not-object",
+            "epsilon-string", "boundary-null", "details-number",
+            "no-zeta-taps", "level-float", "decay-string", "tap-null",
+            "entry-number"])
+    def test_malformed_document_names_the_field(self, rng, corrupt, field):
+        doc = json.loads(analyze(rng.normal(size=40), cubic_bspline_family(),
+                                 2, boundary="finite").to_json())
+        corrupt(doc)
+        with pytest.raises(ShapeMismatchError, match=field):
+            Pyramid.from_json_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ShapeMismatchError, match="JSON object"):
+            Pyramid.from_json_dict([1, 2])
+
+    def test_optional_fields_may_be_left_out(self, rng):
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 3)
+        doc = json.loads(p.to_json())
+        for entry in doc["level_params"]:
+            entry.pop("coarse_offset", None)
+            del entry["mask_family"]
+        q = Pyramid.from_json_dict(doc)
+        assert synthesize_array(q).tobytes() == synthesize_array(p).tobytes()
+        doc = json.loads(analyze(rng.normal(size=40), cubic_bspline_family(),
+                                 2, boundary="finite").to_json())
+        del doc["support"], doc["level_params"][0]["coarse_offset"]
+        q = Pyramid.from_json_dict(doc)
+        assert q.support is None and q.offsets[0] == 0
+
 
 def union_block(comps):
     """FinSeq components on the union of their supports: (array, offset)."""
@@ -501,7 +549,7 @@ def union_block(comps):
 
 
 def reference_blocks(columns, family, levels):
-    """Finite analysis one component at a time with the sequence algebra.
+    """Finite analysis one component at a time with the oracle algebra.
 
     Runs decimate -> refine -> subtract on each :class:`FinSeq` column and
     returns the coarse level and the detail levels 1..J as union blocks.

@@ -4,10 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import family_grid
+from oracles import convolve, upsample2
 
 from nspyr import (
     BadParamsError,
@@ -25,7 +27,6 @@ from nspyr import (
     Stationary,
     Trigonometric,
     conic_params,
-    convolve,
     cubic_bspline_family,
     cubic_bspline_mask,
     delta,
@@ -36,7 +37,6 @@ from nspyr import (
     refine,
     refine_n,
     sample_circle,
-    upsample2,
     v_next,
     write_mask_csv,
 )
@@ -335,6 +335,24 @@ class TestRefine:
             rhs = a * refine(mask, c).values + b * refine(mask, e).values
             np.testing.assert_allclose(lhs.values, rhs, rtol=1e-13,
                                        atol=1e-13)
+
+
+class TestFiniteRefine:
+    """Finite refinement on the zero frame against ``alpha * upsample2(c)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(family_grid()), st.integers(0, 3),
+           st.integers(-9, 9), st.integers(0, 300),
+           st.integers(0, 2 ** 32 - 1))
+    @example(family_grid()[3], 0, 0, 0, 0)   # empty input
+    @example(family_grid()[2], 1, 7, 1, 0)   # one sample, odd offset
+    def test_matches_oracle(self, named, level, offset, length, seed):
+        _, family = named
+        mask = family.mask_at_level(level)
+        c = FinSeq(np.random.default_rng(seed).uniform(-1.0, 1.0, length),
+                   offset)
+        oracles.assert_matches(refine(mask, c), oracles.refine(mask, c),
+                               mask.taps.coeffs, c)
 
 
 class TestRefineN:
