@@ -15,9 +15,7 @@ import numpy as np
 from nspyr import (
     Conic,
     PeriodicSeq,
-    Trigonometric,
     cubic_bspline_family,
-    initial_v,
     radial_deviation,
     refine_n,
     sample_circle,
@@ -39,7 +37,7 @@ print(f"{n} circle samples, {steps} refinement steps "
 
 for label, family in (
         ("cubic B-spline", cubic_bspline_family()),
-        ("conic-reproducing", Conic(initial_v(Trigonometric(2 * math.pi / n))))):
+        ("conic-reproducing", Conic(math.cos(2 * math.pi / n)))):
     rx = refine_n(family, x, steps)
     ry = refine_n(family, y, steps)
     pts = np.stack([rx.values, ry.values], axis=1)

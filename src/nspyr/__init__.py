@@ -31,20 +31,15 @@ from .sequences import (
 )
 from .subdivision import (
     Conic,
-    CurveClass,
-    Hyperbolic,
     Mask,
     NS4Point,
     NSCubic,
-    Polynomial,
     SchemeFamily,
     Stationary,
-    Trigonometric,
     conic_params,
     cubic_bspline_family,
     cubic_bspline_mask,
     family_from_description,
-    initial_v,
     operator_norm_inf,
     refine,
     refine_n,

@@ -61,7 +61,8 @@ _DEFAULTS = {
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Apply precedence flags > config file > defaults.
 
-    A config value of the wrong JSON type raises :class:`BadParamsError`.
+    An unknown config key or a value of the wrong JSON type raises
+    :class:`BadParamsError`.
     """
     file_conf = {}
     if getattr(args, "config", None):
@@ -70,6 +71,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         _check_json(file_conf, f"config {args.config}",
                     {key: kind for key, (_, kind) in _DEFAULTS.items()},
                     optional=_DEFAULTS, error=BadParamsError)
+        unknown = sorted(file_conf.keys() - _DEFAULTS.keys())
+        if unknown:
+            raise BadParamsError(
+                f"config {args.config} has the unknown key {unknown[0]!r}")
     for key, (default, _) in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_conf.get(key, default))

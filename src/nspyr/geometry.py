@@ -20,7 +20,7 @@ from .errors import BadParamsError
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
                       _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
-from .subdivision import Conic, Trigonometric, initial_v
+from .subdivision import Conic
 
 # Parameter window of the localized quadrant perturbation: a quarter arc
 # centered at the bottom of the curve.
@@ -162,7 +162,7 @@ def conic_family_for(curve_n: int, levels: int) -> Conic:
     if n0 < 1:
         raise BadParamsError(
             f"{curve_n} samples cannot support {levels} levels")
-    return Conic(initial_v(Trigonometric(2.0 * math.pi / n0)))
+    return Conic(math.cos(2.0 * math.pi / n0))
 
 
 def _closed_curve_family(curve: PlanarCurve, levels: int) -> Conic:

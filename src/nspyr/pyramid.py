@@ -24,10 +24,10 @@ bound evaluators and checkers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +52,6 @@ from .subdivision import (
 )
 
 DEFAULT_EPSILON = 1e-15
-_LEVEL_CACHE_MAX = 2048  # levels _level_params keeps, oldest out first
 
 
 @dataclass(frozen=True)
@@ -64,39 +63,18 @@ class LevelParams:
     filt: DecimationFilter
 
 
-_level_lock = threading.Lock()
-_level_cache: dict[tuple, LevelParams] = {}
-
-
+@functools.lru_cache(maxsize=2048)
 def _level_params(family: SchemeFamily, level: int,
                   epsilon: float) -> LevelParams:
     """The step-``level`` mask of ``family`` and its reverse filter.
 
-    A level's operators depend only on the family and the level, so they
-    are cached per (family type, family id, description, level, epsilon),
-    up to 2048 entries, the first cached leaving first: equal families
-    built separately share them.  A family without a description is
-    computed on every call.
+    A level's operators depend only on the family, the level and
+    epsilon, so they are cached on those, up to 2048 entries, the least
+    recently used leaving first.  Families compare by their parameters,
+    so equal families built separately share them.
     """
-    try:
-        # epsilon as given: a value solve_gamma rejects is never cached
-        key = (type(family), family.family_id, repr(family.describe()),
-               level, epsilon)
-    except NotImplementedError:
-        key = None
-    else:
-        with _level_lock:
-            hit = _level_cache.get(key)
-        if hit is not None:
-            return hit
     mask = family.mask_at_level(level - 1)
-    params = LevelParams(level, mask, solve_gamma(mask, epsilon))
-    if key is not None:
-        with _level_lock:
-            _level_cache[key] = params
-            if len(_level_cache) > _LEVEL_CACHE_MAX:
-                _level_cache.pop(next(iter(_level_cache)))
-    return params
+    return LevelParams(level, mask, solve_gamma(mask, epsilon))
 
 
 def _input_array(data, boundary: str):
@@ -620,9 +598,7 @@ def check_reconstruction_stability(pyramid: Pyramid,
     return StabilityCheck(lhs <= rhs + 1e-12 * (1.0 + rhs), lhs, rhs)
 
 
-_opnorm_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=2048)
 def residual_operator_norm_estimate(mask: Mask, filt: DecimationFilter,
                                     trials: int = 200,
                                     seed: int = 0) -> float:
@@ -631,13 +607,9 @@ def residual_operator_norm_estimate(mask: Mask, filt: DecimationFilter,
     Maximizes ``||c - S(D c)||_inf`` over random sign sequences of unit
     sup norm on a period comfortably larger than the operator stencils.
     A lower-bound estimate only; pair it with the analytic upper bound
-    ``1 + ||S|| * ||zeta||_1`` for sound inequality checks.
+    ``1 + ||S|| * ||zeta||_1`` for sound inequality checks.  Estimates
+    are cached per call arguments, up to 2048 entries.
     """
-    key = (mask.taps.coeffs.tobytes(), mask.taps.offset,
-           filt.zeta.coeffs.tobytes(), filt.zeta.offset, trials, seed)
-    hit = _opnorm_cache.get(key)
-    if hit is not None:
-        return hit
     reach = len(filt.zeta) + 2 * len(mask.taps) + 8
     period = 2 * (reach + reach % 2 + 8)
     rng = np.random.default_rng(seed)
@@ -646,7 +618,6 @@ def residual_operator_norm_estimate(mask: Mask, filt: DecimationFilter,
         c = rng.choice((-1.0, 1.0), size=period)
         out = c - _refine_block(mask, _decimate_block(filt, c))
         best = max(best, float(np.abs(out).max()))
-    _opnorm_cache[key] = best
     return best
 
 

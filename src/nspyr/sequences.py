@@ -4,7 +4,8 @@ Two carriers are provided.  :class:`FinSeq` stores a finitely supported
 bi-infinite sequence as an offset plus a coefficient block, trimmed so
 that the first and last stored entries are nonzero.  :class:`PeriodicSeq`
 stores one period of an N-periodic sequence; all indexing is modulo N.
-Both are immutable.  Besides them the module holds the norms and the
+Both are immutable and hold finite values only (:class:`DomainError`
+otherwise).  Besides them the module holds the norms and the
 moment constant the pyramid's bounds read, and the sequence CSV format.
 
 Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParamsError
+from .errors import BadParamsError, DomainError
 
 # Magnitudes below this are flushed to exact zero on construction to keep
 # denormals out of canonical trimming.
@@ -45,6 +46,9 @@ def _clean(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).copy()
     if arr.ndim != 1:
         raise BadParamsError("sequence values must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise DomainError(
+            "sequence values must be finite: found NaN or infinity")
     arr[np.abs(arr) < _FLUSH] = 0.0
     return arr
 

@@ -12,12 +12,17 @@ masks: an interpolating four-point family with a trigonometric tension
 (``NS4Point``), an exponential generalization of the cubic B-spline
 (``NSCubic``), and a conic-reproducing family (``Conic``) whose
 refinements keep sampled conic sections (circles in particular) exact.
+The conic family for a closed curve of N0 uniformly sampled coarse points
+is ``Conic(math.cos(2 * math.pi / N0))``.  Families are immutable values
+that compare and hash by their parameters (the taps and name of a
+stationary family, the tension of the others), so equal families built
+separately share the analysis's per-level cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,8 +48,8 @@ class Mask:
     to one.  That is enforced at construction for families that satisfy
     it exactly; the exponential B-spline family only approaches it as the
     level grows, so it constructs masks with ``check_parity=False`` and
-    the deviations remain available via :attr:`parity_deviation`.  Taps
-    must be finite (:class:`DomainError` otherwise).
+    the deviations remain available via :attr:`parity_deviation`.  The
+    taps are finite, as every :class:`FinSeq` is.
     """
 
     __slots__ = ("taps", "level", "family_id", "_phases")
@@ -53,9 +58,6 @@ class Mask:
                  check_parity: bool = True):
         if taps.is_empty:
             raise BadParamsError("mask has no taps")
-        if not np.isfinite(taps.coeffs).all():
-            raise DomainError(
-                "mask taps must be finite: found NaN or infinity")
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "level", int(level))
         object.__setattr__(self, "family_id", str(family_id))
@@ -164,46 +166,7 @@ def refine(mask: Mask, c):
 
 
 # ---------------------------------------------------------------------------
-# curve classes and tension parameters
-
-
-class CurveClass:
-    """Kind of exponential-polynomial data the conic family is tuned to."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Polynomial(CurveClass):
-    pass
-
-
-@dataclass(frozen=True)
-class Hyperbolic(CurveClass):
-    sigma: float
-
-
-@dataclass(frozen=True)
-class Trigonometric(CurveClass):
-    sigma: float
-
-
-def initial_v(curve_class: CurveClass) -> float:
-    """Starting tension for a family adapted to the given data class.
-
-    Uniformly sampled data with angular spacing ``sigma`` (for closed
-    curves, ``sigma = 2*pi/N`` with N sample points) gives ``cos(sigma)``
-    in the trigonometric case and ``cosh(sigma)`` in the hyperbolic case;
-    purely polynomial data gives 1.
-    """
-    if isinstance(curve_class, Polynomial):
-        return 1.0
-    if isinstance(curve_class, (Hyperbolic, Trigonometric)):
-        if curve_class.sigma <= 0:
-            raise DomainError("sigma must be positive")
-        fn = math.cosh if isinstance(curve_class, Hyperbolic) else math.cos
-        return fn(curve_class.sigma)
-    raise BadParamsError(f"unknown curve class {curve_class!r}")
+# tension parameters
 
 
 def v_next(v: float) -> float:
@@ -215,13 +178,6 @@ def v_next(v: float) -> float:
     if v <= -1.0:
         raise DomainError(f"tension {v} outside domain (-1, inf)")
     return math.sqrt((1.0 + v) / 2.0)
-
-
-def _v_at(v_init: float, k: int) -> float:
-    v = v_init
-    for _ in range(k + 1):
-        v = v_next(v)
-    return v
 
 
 def conic_params(v: float) -> tuple[float, float]:
@@ -249,7 +205,13 @@ def conic_params(v: float) -> tuple[float, float]:
 
 
 class SchemeFamily:
-    """Supplier of per-level masks for a (possibly nonstationary) scheme."""
+    """Supplier of per-level masks for a (possibly nonstationary) scheme.
+
+    A family is an immutable value: the analysis caches each level's
+    operators per family, by equality and hash, so a family must be
+    hashable and must not change once built.  The families of this module compare by their
+    parameters; a subclass without ``__eq__`` compares by identity.
+    """
 
     family_id = "abstract"
 
@@ -265,26 +227,31 @@ class SchemeFamily:
         return False
 
 
+@dataclass(frozen=True)
 class Stationary(SchemeFamily):
-    """Same mask at every level."""
+    """Same mask at every level; ``name`` is the family id."""
 
-    family_id = "stationary"
+    taps: FinSeq
+    name: str = "stationary"
 
-    def __init__(self, taps: FinSeq, name: str = "stationary"):
-        self._mask = Mask(taps, level=0, family_id=name)
-        self.family_id = name
+    def __post_init__(self):
+        Mask(self.taps, family_id=self.name)  # the parity check
+
+    @property
+    def family_id(self) -> str:
+        return self.name
 
     def mask_at_level(self, k: int) -> Mask:
         if k < 0:
             raise DomainError("level must be nonnegative")
-        return Mask(self._mask.taps, level=k, family_id=self.family_id)
+        return Mask(self.taps, level=k, family_id=self.name)
 
     def describe(self) -> dict:
         return {
             "kind": "stationary",
-            "name": self.family_id,
-            "offset": self._mask.taps.offset,
-            "taps": self._mask.taps.coeffs.tolist(),
+            "name": self.name,
+            "offset": self.taps.offset,
+            "taps": self.taps.coeffs.tolist(),
         }
 
 
@@ -297,7 +264,25 @@ def cubic_bspline_family() -> Stationary:
     return Stationary(cubic_bspline_mask(), name="cubic_bspline")
 
 
-class NS4Point(SchemeFamily):
+class _OneParameter(SchemeFamily):
+    """A family whose one field is its tension, kept as a float.
+
+    It is described as its kind, the family id, plus that field.
+    """
+
+    def __post_init__(self):
+        (param,) = fields(self)
+        object.__setattr__(self, param.name,
+                           float(getattr(self, param.name)))
+
+    def describe(self) -> dict:
+        (param,) = fields(self)
+        return {"kind": self.family_id,
+                param.name: getattr(self, param.name)}
+
+
+@dataclass(frozen=True)
+class NS4Point(_OneParameter):
     """Interpolating four-point family with trigonometric tension theta.
 
     The even rule copies the coarse point.  The inserted value uses the
@@ -309,9 +294,7 @@ class NS4Point(SchemeFamily):
     """
 
     family_id = "ns4pt"
-
-    def __init__(self, theta: float = 0.0):
-        self.theta = float(theta)
+    theta: float = 0.0
 
     def mask_at_level(self, k: int) -> Mask:
         if k < 0:
@@ -327,19 +310,40 @@ class NS4Point(SchemeFamily):
         taps = np.array([-w, 0.0, inner, 1.0, inner, 0.0, -w])
         return Mask(FinSeq(taps, -3), level=k, family_id=self.family_id)
 
-    def describe(self) -> dict:
-        return {"kind": "ns4pt", "theta": self.theta}
-
     @property
     def interpolating(self) -> bool:
         return True
 
 
-class NSCubic(SchemeFamily):
+@dataclass(frozen=True)
+class _IteratedTension(_OneParameter):
+    """A family whose level-k rules use the iterated tension ``v_k``.
+
+    ``v_k`` is k+1 applications of :func:`v_next` to ``v_init``, which
+    must exceed -1.
+    """
+
+    v_init: float
+
+    def __post_init__(self):
+        if self.v_init <= -1.0:
+            raise DomainError(f"v_init must exceed -1, got {self.v_init}")
+        super().__post_init__()
+
+    def tension_at_level(self, k: int) -> float:
+        if k < 0:
+            raise DomainError("level must be nonnegative")
+        v = self.v_init
+        for _ in range(k + 1):
+            v = v_next(v)
+        return v
+
+
+@dataclass(frozen=True)
+class NSCubic(_IteratedTension):
     """Exponential generalization of the cubic B-spline scheme.
 
-    The level-k rules use the iterated tension ``v_k`` (k+1 applications
-    of :func:`v_next` to ``v_init``):
+    The level-k rules at the iterated tension ``v = v_k``:
 
     * even: ``1/(2(v+1)^2)``, ``(4v^2+2)/(2(v+1)^2)``, ``1/(2(v+1)^2)``
     * odd:  ``2v/(v+1)^2`` on both neighbours.
@@ -351,16 +355,7 @@ class NSCubic(SchemeFamily):
     """
 
     family_id = "nscubic"
-
-    def __init__(self, v_init: float = 1.0):
-        if v_init <= -1.0:
-            raise DomainError(f"v_init must exceed -1, got {v_init}")
-        self.v_init = float(v_init)
-
-    def tension_at_level(self, k: int) -> float:
-        if k < 0:
-            raise DomainError("level must be nonnegative")
-        return _v_at(self.v_init, k)
+    v_init: float = 1.0
 
     def mask_at_level(self, k: int) -> Mask:
         v = self.tension_at_level(k)
@@ -375,34 +370,20 @@ class NSCubic(SchemeFamily):
         return Mask(FinSeq(taps, -2), level=k, family_id=self.family_id,
                     check_parity=False)
 
-    def describe(self) -> dict:
-        return {"kind": "nscubic", "v_init": self.v_init}
 
-
-class Conic(SchemeFamily):
+@dataclass(frozen=True)
+class Conic(_IteratedTension):
     """Family reproducing {1, x, e^{tx}, e^{-tx}} sampled data.
 
-    ``v_init`` is normally :func:`initial_v` of the data class; the
-    level-k mask evaluates the nine-tap rules at the iterated tension.
-    Both parity sums equal one identically in (a, b), so the masks pass
-    the parity check at every level.
+    ``v_init = cos(sigma)`` for data sampled at the angular step
+    ``sigma`` (``2*pi/N0`` for a closed curve of N0 coarse points), or
+    ``cosh(sigma)`` for hyperbolic data.  The level-k mask evaluates the
+    nine-tap rules at the iterated tension ``v_k``.  Both parity sums
+    equal one identically in (a, b), so the masks pass the parity check
+    at every level.
     """
 
     family_id = "conic"
-
-    def __init__(self, v_init: float):
-        if v_init <= -1.0:
-            raise DomainError(f"v_init must exceed -1, got {v_init}")
-        self.v_init = float(v_init)
-
-    @classmethod
-    def for_curve_class(cls, curve_class: CurveClass) -> "Conic":
-        return cls(initial_v(curve_class))
-
-    def tension_at_level(self, k: int) -> float:
-        if k < 0:
-            raise DomainError("level must be nonnegative")
-        return _v_at(self.v_init, k)
 
     def mask_at_level(self, k: int) -> Mask:
         v = self.tension_at_level(k)
@@ -417,8 +398,9 @@ class Conic(SchemeFamily):
                          e2])
         return Mask(FinSeq(taps, -4), level=k, family_id=self.family_id)
 
-    def describe(self) -> dict:
-        return {"kind": "conic", "v_init": self.v_init}
+
+# kind -> class of the families described by one parameter
+_ONE_PARAMETER = {cls.family_id: cls for cls in (NS4Point, NSCubic, Conic)}
 
 
 def family_from_description(desc: dict) -> SchemeFamily:
@@ -436,12 +418,12 @@ def family_from_description(desc: dict) -> SchemeFamily:
                                   "name": str}, ("name",))
         return Stationary(FinSeq(desc["taps"], desc["offset"]),
                           desc.get("name", "stationary"))
-    build, param = {"ns4pt": (NS4Point, "theta"), "conic": (Conic, "v_init"),
-                    "nscubic": (NSCubic, "v_init")}.get(kind, (None, None))
+    build = _ONE_PARAMETER.get(kind)
     if build is None:
         raise BadParamsError(f"unknown family kind {kind!r}")
-    _check_json(desc, where, {param: _NUMBER})
-    return build(desc[param])
+    (param,) = fields(build)
+    _check_json(desc, where, {param.name: _NUMBER})
+    return build(desc[param.name])
 
 
 def refine_n(family: SchemeFamily, c, steps: int):

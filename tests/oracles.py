@@ -22,9 +22,15 @@ def roll_cyclic_convolve(taps, offset, values):
 
 def kernel_tolerance(taps, values) -> float:
     """Bound on how far two summation orders of a convolution may differ:
-    ``64 eps ||taps||_1 max|values|``."""
-    return 64 * np.finfo(float).eps * np.abs(taps).sum() * np.abs(
-        values).max(initial=0.0)
+    ``64 eps ||taps||_1 max|values| + len(taps) * smallest subnormal``.
+
+    A product below the normal range rounds on the absolute grid of the
+    smallest subnormal, not relative to its size, so each tap adds that
+    grid step to the relative term.
+    """
+    info = np.finfo(float)
+    return (64 * info.eps * np.abs(taps).sum() * np.abs(values).max(
+        initial=0.0) + taps.size * info.smallest_subnormal)
 
 
 def add(a, b):

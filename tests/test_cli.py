@@ -95,7 +95,7 @@ class TestDecomposeReconstruct:
         else:
             code = run("gamma", "--out", tmp_path / "filters", *family)
         assert code == 3
-        assert "mask taps must be finite" in capsys.readouterr().err
+        assert "values must be finite" in capsys.readouterr().err
 
     def test_open_curve_rejected(self, tmp_path):
         path = tmp_path / "open.csv"
@@ -296,6 +296,7 @@ class TestConfigPrecedence:
         ({"family": 7}, "'family'"),
         ({"plot": "yes"}, "'plot'"),
         ([1, 2], "JSON object"),
+        ({"level": 2}, "unknown key 'level'"),
     ])
     def test_mistyped_config_exits_3(self, tmp_path, circle_csv, capsys,
                                      config, key):

@@ -305,7 +305,7 @@ def count_window_solves(monkeypatch):
     calls = []
     solve = decimation._solve_window
     monkeypatch.setattr(decimation, "_filter_cache", {})
-    monkeypatch.setattr(pyramid, "_level_cache", {})
+    pyramid._level_params.cache_clear()
     monkeypatch.setattr(decimation, "_solve_window",
                         lambda a, w: calls.append(w) or solve(a, w))
     return calls

@@ -343,6 +343,17 @@ class TestStability:
         second = residual_operator_norm_estimate(mask, filt, trials=50)
         assert first == second > 0.0
 
+    def test_opnorm_cache_stays_at_cap(self):
+        estimate = residual_operator_norm_estimate
+        estimate.cache_clear()
+        cap = estimate.cache_info().maxsize
+        assert cap == 2048
+        for k in range(cap + 10):
+            mask = NS4Point(0.2 + 1e-4 * k).mask_at_level(0)
+            estimate(mask, solve_gamma(mask), trials=1)
+        info = estimate.cache_info()
+        assert (info.currsize, info.misses) == (cap, cap + 10)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("boundary", ["periodic", "finite"])
@@ -756,8 +767,8 @@ class TestBlockLayout:
 
 class TestLevelCache:
     @pytest.fixture(autouse=True)
-    def empty_level_cache(self, monkeypatch):
-        monkeypatch.setattr(pyramid, "_level_cache", {})
+    def empty_level_cache(self):
+        pyramid._level_params.cache_clear()
 
     def test_equal_families_share_level_params(self, rng):
         x = rng.normal(size=(64, 2))
@@ -766,7 +777,8 @@ class TestLevelCache:
         first, *others = [analyze(x, fam, 3).level_params for fam in built]
         for params in others:
             assert all(a is b for a, b in zip(first, params))
-        assert len(pyramid._level_cache) == 3
+        info = pyramid._level_params.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
 
     def test_stationary_families_apart_by_name(self, rng):
         x = rng.normal(size=64)
@@ -776,6 +788,7 @@ class TestLevelCache:
             assert a is not b
             assert (a.mask.family_id, b.mask.family_id) == (
                 "cubic_bspline", "stationary")
+        assert pyramid._level_params.cache_info().currsize == 4
 
     def test_family_without_description_analyzes(self, rng):
         class Undescribed(SchemeFamily):
@@ -785,33 +798,40 @@ class TestLevelCache:
                 return Conic(0.9).mask_at_level(k)
 
         x = rng.normal(size=(64, 2))
-        p, q = (analyze(x, Undescribed(), 3) for _ in range(2))
-        assert pyramid._level_cache == {}
-        assert p.level_params[0] is not q.level_params[0]
-        assert p.level_params == q.level_params
+        family = Undescribed()
+        p, q = (analyze(x, family, 3) for _ in range(2))
+        assert all(a is b for a, b in zip(p.level_params, q.level_params))
+        # compared by identity: a second instance has levels of its own
+        r = analyze(x, Undescribed(), 3)
+        assert p.level_params[0] is not r.level_params[0]
+        assert p.level_params == r.level_params
+        assert pyramid._level_params.cache_info().currsize == 6
         assert np.abs(synthesize_array(p) - x).max() <= 1e-12
 
     def test_cache_stays_at_cap_over_a_tension_search(self, rng):
-        cap = pyramid._LEVEL_CACHE_MAX
+        cap = pyramid._level_params.cache_info().maxsize
+        assert cap == 2048
         x = rng.normal(size=16)
         thetas = [0.2 + 1e-4 * k for k in range(cap + 10)]
         for theta in thetas:
             analyze(x, NS4Point(theta), 1)
-        cache = pyramid._level_cache
-        assert len(cache) == cap
-        keys = [(NS4Point, "ns4pt", repr(NS4Point(t).describe()), 1, 1e-15)
-                for t in thetas]
-        assert not any(key in cache for key in keys[:10])
-        assert all(key in cache for key in keys[10:])
+        info = pyramid._level_params.cache_info()
+        assert (info.currsize, info.misses) == (cap, cap + 10)
+        # the latest cap tensions are cached, least recently used first
+        for theta in thetas[10:]:
+            pyramid._level_params(NS4Point(theta), 1, 1e-15)
+        assert pyramid._level_params.cache_info().hits == cap
+        pyramid._level_params(NS4Point(thetas[0]), 1, 1e-15)
+        assert pyramid._level_params.cache_info().misses == cap + 11
 
     @pytest.mark.parametrize("boundary", ["periodic", "finite"])
     @pytest.mark.parametrize("name, family", family_grid())
     def test_cold_and_warm_analyses_agree(self, rng, name, family, boundary):
         x = rng.normal(size=(128, 2))
         cold = analyze(x, family, 3, boundary=boundary).to_json()
-        size = len(pyramid._level_cache)
         assert analyze(x, family, 3, boundary=boundary).to_json() == cold
-        assert len(pyramid._level_cache) == size == 3
+        info = pyramid._level_params.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (3, 3, 3)
 
     def test_anomaly_flags_reuse_the_finest_level(self, monkeypatch):
         curve = perturb_wavy(sample_circle(128), 0.01, 7)

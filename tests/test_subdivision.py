@@ -1,6 +1,8 @@
 import copy
+import json
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,21 +19,17 @@ from nspyr import (
     DegenerateParameterError,
     DomainError,
     FinSeq,
-    Hyperbolic,
     Mask,
     NS4Point,
     NSCubic,
     PeriodicSeq,
     PeriodTooShortError,
-    Polynomial,
     Stationary,
-    Trigonometric,
     conic_params,
     cubic_bspline_family,
     cubic_bspline_mask,
     delta,
     family_from_description,
-    initial_v,
     operator_norm_inf,
     radial_deviation,
     refine,
@@ -86,12 +84,12 @@ class TestMask:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("check_parity", [True, False])
     def test_non_finite_taps_rejected(self, bad, check_parity):
-        # checked before parity: NaN sums would pass a parity check
-        with pytest.raises(DomainError, match="mask taps must be finite"):
+        # the taps never reach a parity check, where NaN sums would pass
+        with pytest.raises(DomainError, match="values must be finite"):
             Mask(FinSeq([0.5, bad, 0.5], -1), check_parity=check_parity)
 
     def test_nan_tension_rejected(self):
-        with pytest.raises(DomainError, match="mask taps must be finite"):
+        with pytest.raises(DomainError, match="values must be finite"):
             Conic(math.nan).mask_at_level(0)
 
     @pytest.mark.parametrize("clone", [
@@ -148,17 +146,6 @@ class TestTensionMachinery:
                 assert v >= previous - 1e-15
                 previous = v
             assert v == pytest.approx(1.0, abs=1e-10)
-
-    def test_initial_v_cases(self):
-        assert initial_v(Polynomial()) == 1.0
-        assert initial_v(Trigonometric(2 * math.pi / 9)) == pytest.approx(
-            0.766044443118978, rel=1e-12)
-        assert initial_v(Hyperbolic(1.0)) == pytest.approx(
-            1.5430806348152437, rel=1e-12)
-
-    def test_initial_v_needs_positive_sigma(self):
-        with pytest.raises(DomainError):
-            initial_v(Trigonometric(0.0))
 
 
 class TestConicParams:
@@ -364,7 +351,7 @@ class TestRefineN:
     def test_conic_circle_reproduction(self):
         curve = sample_circle(9)
         x, y = PeriodicSeq(curve.points[:, 0]), PeriodicSeq(curve.points[:, 1])
-        fam = Conic(initial_v(Trigonometric(2 * math.pi / 9)))
+        fam = Conic(math.cos(2 * math.pi / 9))
         rx, ry = refine_n(fam, x, 3), refine_n(fam, y, 3)
         assert rx.period == 72
         refined = PlanarCurve(np.stack([rx.values, ry.values], axis=1))
@@ -415,6 +402,64 @@ class TestStationary:
              "taps": cubic_bspline_mask().coeffs.tolist()})
         assert back.family_id == "stationary"
         assert back.mask_at_level(0).taps == cubic_bspline_mask()
+
+
+class TestFamilyValues:
+    """Families are immutable values compared by their parameters."""
+
+    @pytest.mark.parametrize("clone", [
+        lambda f: family_from_description(f.describe()),
+        lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy])
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_equal_when_built_separately(self, name, family, clone):
+        back = clone(family)
+        assert back is not family
+        assert back == family and hash(back) == hash(family)
+        assert back.describe() == family.describe()
+
+    def test_equal_parameters_equal_families(self):
+        v = math.cos(2 * math.pi / 16)
+        for build in (Conic, NSCubic, NS4Point):
+            assert build(v) == build(v)
+            assert hash(build(v)) == hash(build(v))
+            assert build(v) != build(v / 2)
+        taps = cubic_bspline_mask()
+        assert Stationary(taps) == Stationary(
+            FinSeq(taps.coeffs.copy(), taps.offset))
+        # kinds and names stay apart
+        assert NSCubic(0.5) != Conic(0.5)
+        assert NS4Point(0.5) != Conic(0.5)
+        assert cubic_bspline_family() != Stationary(cubic_bspline_mask())
+        assert len({cubic_bspline_family(), Stationary(cubic_bspline_mask()),
+                    Conic(0.5), NSCubic(0.5), NS4Point(0.5)}) == 5
+
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_immutable(self, name, family):
+        for field in fields(family):
+            with pytest.raises(AttributeError):
+                setattr(family, field.name, 0.5)
+
+    def test_descriptions_are_unchanged(self):
+        # pyramid documents written before keep loading and comparing
+        assert json.dumps(Conic(0.9).describe()) == (
+            '{"kind": "conic", "v_init": 0.9}')
+        assert json.dumps(NSCubic(1).describe()) == (
+            '{"kind": "nscubic", "v_init": 1.0}')
+        assert json.dumps(NS4Point(1).describe()) == (
+            '{"kind": "ns4pt", "theta": 1.0}')
+        assert json.dumps(cubic_bspline_family().describe()) == (
+            '{"kind": "stationary", "name": "cubic_bspline", "offset": -2, '
+            '"taps": [0.125, 0.5, 0.75, 0.5, 0.125]}')
+
+    @pytest.mark.parametrize("build", [Conic, NSCubic])
+    def test_iterated_tension(self, build):
+        for k in range(4):
+            assert build(0.3).tension_at_level(k) == pytest.approx(
+                math.cos(math.acos(0.3) / 2 ** (k + 1)), rel=1e-15)
+        with pytest.raises(DomainError, match="v_init must exceed -1"):
+            build(-1.0)
+        with pytest.raises(DomainError, match="level must be nonnegative"):
+            build(0.5).tension_at_level(-1)
 
 
 def test_mask_csv_dump(tmp_path):
