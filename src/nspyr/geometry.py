@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -289,6 +290,32 @@ def _point(text: str):
     return float(x), float(y)
 
 
+def _curve_lines(path, numbered):
+    """The ``# closed=`` flag and the ``(lineno, text)`` number rows.
+
+    ``numbered`` holds ``(lineno, line)`` pairs of a curve CSV file.
+    Blank lines and ``#`` lines other than the header are skipped.
+    """
+    closed = True
+    rows = []
+    for lineno, ln in numbered:
+        ln = ln.strip()
+        if not ln:
+            continue
+        if ln.startswith("#"):
+            header = ln.lstrip("#").strip()
+            if header.startswith("closed="):
+                value = header.split("=", 1)[1]
+                if value.lower() not in ("true", "false"):
+                    raise BadParamsError(
+                        f"{path}, line {lineno}: closed must be true "
+                        f"or false, got {value!r}")
+                closed = value.lower() == "true"
+            continue
+        rows.append((lineno, ln))
+    return closed, rows
+
+
 def read_curve_csv(path) -> PlanarCurve:
     """Inverse of :func:`write_curve_csv`.
 
@@ -296,25 +323,25 @@ def read_curve_csv(path) -> PlanarCurve:
     is not ``true`` or ``false`` (in any letter case), raises
     :class:`BadParamsError` naming the file and the 1-based line.
     """
-    closed = True
-    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, 1):
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                header = ln.lstrip("#").strip()
-                if header.startswith("closed="):
-                    value = header.split("=", 1)[1]
-                    if value.lower() not in ("true", "false"):
-                        raise BadParamsError(
-                            f"{path}, line {lineno}: closed must be true "
-                            f"or false, got {value!r}")
-                    closed = value.lower() == "true"
-                continue
-            lines.append((lineno, ln))
-    rows = _parse_rows(path, lines, _point)
-    if not rows:
-        raise BadParamsError(f"no points in {path}")
-    return PlanarCurve(np.asarray(rows), closed=closed)
+        lines = fh.read().split("\n")
+    # Lines starting with "#" are headers and the other nonempty ones
+    # rows.  Rows of one comma each are parsed by one numpy call, which
+    # converts text as float() does.  A file this does not fit (a row
+    # that is not two numbers, a line of blanks, an indented header) is
+    # read line by line, so an error names its line.
+    closed, _ = _curve_lines(path, [(no, ln) for no, ln in
+                                    enumerate(lines, 1) if ln[:1] == "#"])
+    rows = [ln for ln in lines if ln and ln[0] != "#"]
+    points = None
+    if rows and list(map(str.count, rows, repeat(","))) == [1] * len(rows):
+        try:
+            points = np.array(",".join(rows).split(","), dtype=float)
+        except ValueError:
+            pass
+    if points is None:
+        closed, numbered = _curve_lines(path, enumerate(lines, 1))
+        if not numbered:
+            raise BadParamsError(f"no points in {path}")
+        points = _parse_rows(path, numbered, _point)
+    return PlanarCurve(np.reshape(points, (-1, 2)), closed=closed)

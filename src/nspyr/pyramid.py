@@ -24,6 +24,7 @@ bound evaluators and checkers.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -148,9 +149,12 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.multiply(block, block, order="C").sum(axis=1))
 
 
-# Field types of a pyramid document and of its level_params entries.
+# Field types of a pyramid document, of its binary blocks and of its
+# level_params entries.
 _DOCUMENT_FIELDS = {"family": dict, "epsilon": _NUMBER, "boundary": str,
-                    "coarse": list, "details": list, "level_params": list}
+                    "coarse": (list, dict), "details": list,
+                    "level_params": list}
+_BLOCK_FIELDS = {"shape": [int], "float64le": str}
 _LEVEL_FIELDS = {
     "level": int, "mask_offset": int, "mask_taps": [_NUMBER],
     "mask_family": str, "zeta_offset": int, "zeta_taps": [_NUMBER],
@@ -158,6 +162,46 @@ _LEVEL_FIELDS = {
     "residual_l1": _NUMBER, "decay_C": _NUMBER + (type(None),),
     "decay_lambda": _NUMBER + (type(None),), "detail_offset": int,
     "coarse_offset": int}
+
+
+def _encode_block(block: np.ndarray) -> dict:
+    """The binary JSON form of a block: its shape and base64 payload.
+
+    The payload is the block's little-endian float64 bytes in column-major
+    order, one component after another.
+    """
+    raw = block.astype("<f8", copy=False).tobytes(order="F")
+    return {"shape": list(block.shape),
+            "float64le": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_block(value, where: str):
+    """The array of a binary JSON block; a list-form block is returned as is.
+
+    A malformed binary block raises :class:`ShapeMismatchError` naming
+    ``where``.
+    """
+    if not isinstance(value, dict):
+        return value
+    _check_json(value, where, _BLOCK_FIELDS)
+    if value.keys() != _BLOCK_FIELDS.keys():
+        extra = sorted(value.keys() - _BLOCK_FIELDS.keys())
+        raise ShapeMismatchError(f"{where} has unknown fields {extra}")
+    shape = value["shape"]
+    if len(shape) != 2 or min(shape) < 0:
+        raise ShapeMismatchError(
+            f"{where} shape must be two non-negative integers, got {shape}")
+    try:
+        raw = base64.b64decode(value["float64le"], validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ShapeMismatchError(
+            f"{where} payload is not base64: {exc}") from None
+    n, d = shape
+    if len(raw) != 8 * n * d:
+        raise ShapeMismatchError(
+            f"{where} payload holds {len(raw)} bytes, expected "
+            f"8*{n}*{d} = {8 * n * d}")
+    return np.frombuffer(raw, dtype="<f8").reshape(d, n).T
 
 
 class Pyramid:
@@ -264,9 +308,19 @@ class Pyramid:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def values(block):
-            return (block if block.shape[1] > 1 else block[:, 0]).tolist()
+        """The pyramid as a JSON-ready document.
 
+        ``coarse`` and each entry of ``details`` are binary blocks,
+        ``{"shape": [N, D], "float64le": <base64>}``: the little-endian
+        float64 bytes of the block, one component after another.  The
+        family must describe itself, or :class:`BadParamsError` is raised.
+        """
+        try:
+            family = self.family.describe()
+        except NotImplementedError:
+            raise BadParamsError(
+                f"family {type(self.family).__name__} has no description, "
+                f"so its pyramid cannot be serialized") from None
         level_params = []
         for lp in self.level_params:
             entry = {
@@ -288,11 +342,11 @@ class Pyramid:
                 entry["coarse_offset"] = self.offsets[0]
             level_params.append(entry)
         doc = {
-            "family": self.family.describe(),
+            "family": family,
             "epsilon": self.epsilon,
             "boundary": self.boundary,
-            "coarse": values(self.coarse),
-            "details": [values(self.details[lp.level - 1])
+            "coarse": _encode_block(self.coarse),
+            "details": [_encode_block(self.details[lp.level - 1])
                         for lp in self.level_params],
             "level_params": level_params,
         }
@@ -307,7 +361,10 @@ class Pyramid:
     def from_json_dict(cls, doc: dict) -> "Pyramid":
         """Rebuild a pyramid from :meth:`to_json_dict` output.
 
-        A missing or mistyped field raises :class:`ShapeMismatchError`.
+        Blocks may also be nested lists, ``[[x, y], ...]`` or ``[x, ...]``
+        for one component, as documents written before the binary form
+        hold them.  A missing or mistyped field, or a malformed binary
+        block, raises :class:`ShapeMismatchError` naming it.
         """
         _check_json(doc, "pyramid document", _DOCUMENT_FIELDS)
         family = family_from_description(doc["family"])
@@ -332,7 +389,10 @@ class Pyramid:
                 decay_lambda=entry["decay_lambda"])
             offsets.append(entry["detail_offset"])
             level_params.append(LevelParams(entry["level"], mask, filt))
-        return cls(doc["coarse"], doc["details"], family, doc["epsilon"],
+        coarse = _decode_block(doc["coarse"], "coarse")
+        details = [_decode_block(block, f"details[{i}]")
+                   for i, block in enumerate(doc["details"])]
+        return cls(coarse, details, family, doc["epsilon"],
                    doc["boundary"], level_params, offsets, doc.get("support"))
 
     @classmethod

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -33,3 +34,18 @@ def family_grid():
         ("nscubic", NSCubic(math.cos(2.0 * math.pi / 16.0))),
         ("conic", Conic(math.cos(2.0 * math.pi / 16.0))),
     ]
+
+
+def list_form_document(pyramid):
+    """The JSON document of ``pyramid`` with its blocks as nested lists.
+
+    That is the form documents written before the binary blocks hold:
+    ``[[x, y], ...]``, or ``[x, ...]`` for one component.
+    """
+    def values(block):
+        return (block if block.shape[1] > 1 else block[:, 0]).tolist()
+
+    doc = json.loads(pyramid.to_json())
+    doc["coarse"] = values(pyramid.coarse)
+    doc["details"] = [values(d) for d in pyramid.details]
+    return doc

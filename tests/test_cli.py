@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from nspyr import read_curve_csv, sample_circle, write_curve_csv
+from conftest import list_form_document
+
+from nspyr import Pyramid, read_curve_csv, sample_circle, write_curve_csv
 from nspyr.cli import main
 
 
@@ -130,7 +132,7 @@ class TestMalformedPyramid:
         return path
 
     def test_ragged_detail_row_exits_3(self, tmp_path, doc_path, capsys):
-        doc = json.loads(doc_path.read_text())
+        doc = list_form_document(Pyramid.from_json(doc_path.read_text()))
         doc["details"][1][7] = [0.5]
         doc_path.write_text(json.dumps(doc))
         out = tmp_path / "back.csv"
@@ -139,7 +141,7 @@ class TestMalformedPyramid:
         assert not out.exists()
 
     def test_nan_coarse_exits_3(self, tmp_path, doc_path, capsys):
-        doc = json.loads(doc_path.read_text())
+        doc = list_form_document(Pyramid.from_json(doc_path.read_text()))
         doc["coarse"][2][0] = float("nan")
         doc_path.write_text(json.dumps(doc))
         out = tmp_path / "back.csv"
@@ -147,6 +149,15 @@ class TestMalformedPyramid:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truncated_block_exits_3(self, tmp_path, doc_path, capsys):
+        doc = json.loads(doc_path.read_text())
+        payload = doc["details"][0]["float64le"]
+        doc["details"][0]["float64le"] = payload[:len(payload) // 8 * 4]
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "back.csv"
+        assert run("reconstruct", "--in", doc_path, "--out", out) == 3
+        assert "details[0] payload holds" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("corrupt, field", [
         (lambda d: {k: v for k, v in d.items() if k != "family"},

@@ -1,8 +1,8 @@
 """Smoke test of the demo scripts: each runs and writes its outputs.
 
-Each demo runs from a copy in a temporary directory, so the committed
-``demos/output`` (the indented ``wavy_pyramid.json`` among it) stays as
-it is.
+Each demo runs from a copy in a temporary directory, so a test run
+leaves the committed ``demos/output`` alone.  A demo run in place
+rewrites its outputs with the bytes committed there.
 """
 
 import os

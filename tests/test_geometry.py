@@ -311,6 +311,60 @@ class TestCurveCsv:
                            match=r"curve\.csv, line 2: closed must be"):
             read_curve_csv(path)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False,
+                                        allow_infinity=False),
+                              st.floats(allow_nan=False,
+                                        allow_infinity=False)),
+                    min_size=4, max_size=40),
+           st.booleans())
+    def test_roundtrip_bit_exact(self, tmp_path_factory, points, closed):
+        path = tmp_path_factory.mktemp("csv") / "curve.csv"
+        points = np.array(points + [(5e-324, -0.0)])
+        write_curve_csv(path, PlanarCurve(points, closed=closed))
+        back = read_curve_csv(path)
+        assert back.closed is closed
+        assert back.points.tobytes() == points.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 30), st.data())
+    def test_bad_row_names_its_line(self, tmp_path_factory, n, data):
+        # rows padded with blanks, blank lines, comments and the header,
+        # all among the rows, then one row spoiled
+        blank = st.sampled_from(["", " ", "\t", "  \t "])
+        lines = [f"{x!r},{y!r}" for x, y in
+                 np.random.default_rng(n).normal(size=(n, 2)).tolist()]
+        for _ in range(data.draw(st.integers(0, 4))):
+            extra = data.draw(st.sampled_from(
+                ["", " ", "# note", "  # closed=false", "#", "# closed=TRUE"]))
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        rows = [i for i, ln in enumerate(lines)
+                if ln.strip() and not ln.strip().startswith("#")]
+        spoiled = data.draw(st.sampled_from(rows))
+        bad = data.draw(st.sampled_from(
+            ["1.0", "1.0,2.0,3.0", "x,1.0", "1.0;2.0", "1.0,", ",1.0",
+             "1.0 2.0", "nan(1),0.0", "0x1p3,1.0", "1e,1"]))
+        lines[spoiled] = data.draw(blank) + bad + data.draw(blank)
+        path = tmp_path_factory.mktemp("csv") / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BadParamsError,
+                           match=rf"bad\.csv, line {spoiled + 1}: cannot"):
+            read_curve_csv(path)
+
+    def test_blank_lines_and_headers_among_rows(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("\n1.0,0.0\n  \n# note\n 0.0 , 1.0 \n"
+                        "  # closed=false\n-1.0,0.0\n\t\n0.0,-1.0")
+        back = read_curve_csv(path)
+        assert not back.closed
+        assert back.points.tolist() == [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                        [0.0, -1.0]]
+        path.write_text("# closed=false\n# closed=true\n" + "1.0,0.0\n" * 4)
+        assert read_curve_csv(path).closed
+        path.write_text("# closed=true\n\n \n# closed=false\n")
+        with pytest.raises(BadParamsError, match="no points"):
+            read_curve_csv(path)
+
     def test_writer_output_unchanged(self, tmp_path):
         # the repr of each coordinate, as float() of every numpy scalar gave
         path = tmp_path / "curve.csv"

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_grid
+from conftest import family_grid, list_form_document
 from oracles import decimate, refine, subtract
 
 from nspyr import (
@@ -47,6 +48,21 @@ from nspyr import (
 )
 from nspyr import pyramid
 from nspyr.pyramid import _row_norms
+
+
+def assert_same_pyramid(q, p):
+    """``q`` holds the blocks of ``p`` bit for bit and all its metadata."""
+    blocks = (p.coarse,) + p.details
+    assert [b.shape for b in (q.coarse,) + q.details] == [
+        b.shape for b in blocks]
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip((q.coarse,) + q.details, blocks))
+    assert (q.offsets, q.support) == (p.offsets, p.support)
+    assert (q.family, q.epsilon, q.boundary) == (
+        p.family, p.epsilon, p.boundary)
+    assert q.level_params == p.level_params
+    # the JSON of every number, offsets and operators included, is the same
+    assert q.to_json() == p.to_json()
 
 
 def roundtrip_error(data, family, levels, boundary):
@@ -406,14 +422,43 @@ class TestSerialization:
             Pyramid.from_json_dict(doc)
 
     def test_committed_indented_document_loads(self):
-        # written with indent=1 by demos/03_pyramid_roundtrip.py
-        path = (Path(__file__).parent.parent
-                / "demos" / "output" / "wavy_pyramid.json")
+        # list-form blocks, written with indent=1 by an early
+        # demos/03_pyramid_roundtrip.py
+        path = Path(__file__).parent / "data" / "wavy_pyramid_lists.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(doc["coarse"], list)
         p = Pyramid.from_json_dict(doc)
         curve = perturb_wavy(sample_circle(256), amplitude=0.02, frequency=9)
         assert np.abs(synthesize_array(p) - curve.points).max() <= 1e-12
-        assert json.loads(p.to_json()) == doc
+        binary = json.loads(p.to_json())
+        assert isinstance(binary["coarse"], dict)
+        assert_same_pyramid(Pyramid.from_json_dict(binary), p)
+        for key in ("family", "epsilon", "boundary", "level_params"):
+            assert binary[key] == doc[key]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(family_grid()), st.integers(1, 4),
+           st.integers(1, 3), st.sampled_from(["periodic", "finite"]),
+           st.integers(-9, 9), st.sampled_from([1e-300, 1.0, 1e250]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_binary_and_list_documents_round_trip(
+            self, named, levels, ncomp, boundary, offset, scale, seed):
+        _, family = named
+        rng = np.random.default_rng(seed)
+        if boundary == "periodic":
+            data = rng.normal(size=(2 ** levels * rng.integers(8, 17), ncomp))
+        else:
+            data = rng.normal(size=(rng.integers(1, 70), ncomp))
+        data *= scale
+        if boundary == "finite" and ncomp == 1:
+            data = FinSeq(data[:, 0], offset)
+        p = analyze(data, family, levels, boundary=boundary)
+        text = p.to_json()
+        doc = json.loads(text)
+        assert all(isinstance(b, dict)
+                   for b in [doc["coarse"]] + doc["details"])
+        assert_same_pyramid(Pyramid.from_json(text), p)
+        assert_same_pyramid(Pyramid.from_json_dict(list_form_document(p)), p)
 
     def test_deserialized_synthesis_matches_input(self, rng):
         data = rng.normal(size=64)
@@ -426,15 +471,15 @@ class TestSerialization:
 class TestPyramidValidation:
     def test_ragged_detail_rejected(self, rng):
         p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 3)
-        doc = json.loads(p.to_json())
+        doc = list_form_document(p)
         doc["details"][1][5] = [0.0]
         with pytest.raises(ShapeMismatchError, match="rectangular"):
             Pyramid.from_json_dict(doc)
 
     @pytest.mark.parametrize("bad", [{"x": 1.0}, "x", [1.0, [2.0]]])
     def test_non_numeric_coefficients_rejected(self, rng, bad):
-        doc = json.loads(analyze(rng.normal(size=(64, 2)),
-                                 cubic_bspline_family(), 3).to_json())
+        doc = list_form_document(analyze(rng.normal(size=(64, 2)),
+                                         cubic_bspline_family(), 3))
         doc["details"][0][4] = bad
         with pytest.raises(ShapeMismatchError, match="blocks of numbers"):
             Pyramid.from_json_dict(doc)
@@ -443,11 +488,60 @@ class TestPyramidValidation:
     @pytest.mark.parametrize("field", ["coarse", "details"])
     def test_non_finite_coefficients_rejected(self, rng, field, bad):
         p = analyze(rng.normal(size=64), cubic_bspline_family(), 3)
-        doc = json.loads(p.to_json())
+        doc = list_form_document(p)
         block = doc["coarse"] if field == "coarse" else doc["details"][2]
         block[3] = bad
         with pytest.raises(DomainError, match="finite"):
             Pyramid.from_json_dict(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coarse", "details"])
+    def test_non_finite_binary_coefficients_rejected(self, rng, field, bad):
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 3)
+        block = np.array(p.coarse if field == "coarse" else p.details[2])
+        block[3, 1] = bad
+        doc = json.loads(p.to_json())
+        if field == "coarse":
+            doc["coarse"] = pyramid._encode_block(block)
+        else:
+            doc["details"][2] = pyramid._encode_block(block)
+        with pytest.raises(DomainError, match="finite"):
+            Pyramid.from_json_dict(doc)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda b: b.update(float64le=b["float64le"][:-1]), "not base64"),
+        (lambda b: b.update(float64le=b["float64le"][:4] + "\n!!!"
+                            + b["float64le"][4:]), "not base64"),
+        (lambda b: b.update(float64le="\u00e9" + b["float64le"][1:]),
+         "not base64"),
+        (lambda b: b.update(float64le=b["float64le"][:-12]), "bytes"),
+        (lambda b: b.update(float64le=base64.b64encode(
+            base64.b64decode(b["float64le"]) + bytes(8)).decode()),
+         "bytes"),
+        (lambda b: b.update(shape=[b["shape"][0] + 1, 2]), "bytes"),
+        (lambda b: b.update(shape=b["shape"][:1]), "two non-negative"),
+        (lambda b: b.update(shape=b["shape"] + [1]), "two non-negative"),
+        (lambda b: b.update(shape=[-b["shape"][0], -2]), "two non-negative"),
+        (lambda b: b.update(shape=[16.0, 2]), "'shape'"),
+        (lambda b: b.update(shape=[True, 2]), "'shape'"),
+        (lambda b: b.update(shape="16x2"), "'shape'"),
+        (lambda b: b.update(float64le=[0.0]), "'float64le'"),
+        (lambda b: b.pop("shape"), "'shape'"),
+        (lambda b: b.pop("float64le"), "'float64le'"),
+        (lambda b: b.update(order="F"), r"unknown fields \['order'\]"),
+    ], ids=["truncated-base64", "bad-character", "non-ascii", "short",
+            "long", "shape-too-large", "shape-one-number", "shape-three",
+            "shape-negative", "shape-float", "shape-bool", "shape-string",
+            "payload-list", "no-shape", "no-payload", "extra-key"])
+    @pytest.mark.parametrize("field", ["coarse", "details[2]"])
+    def test_malformed_binary_block_names_the_field(self, rng, field,
+                                                    corrupt, message):
+        doc = json.loads(analyze(rng.normal(size=(64, 2)),
+                                 cubic_bspline_family(), 3).to_json())
+        corrupt(doc["coarse"] if field == "coarse" else doc["details"][2])
+        with pytest.raises(ShapeMismatchError, match=message) as info:
+            Pyramid.from_json_dict(doc)
+        assert str(info.value).startswith(field)
 
     def test_level_params_run_from_level_one(self, rng):
         p = analyze(rng.normal(size=64), cubic_bspline_family(), 3)
@@ -807,6 +901,9 @@ class TestLevelCache:
         assert p.level_params == r.level_params
         assert pyramid._level_params.cache_info().currsize == 6
         assert np.abs(synthesize_array(p) - x).max() <= 1e-12
+        # it cannot be saved, and says why with a typed error
+        with pytest.raises(BadParamsError, match="Undescribed"):
+            p.to_json()
 
     def test_cache_stays_at_cap_over_a_tension_search(self, rng):
         cap = pyramid._level_params.cache_info().maxsize
