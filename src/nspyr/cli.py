@@ -10,6 +10,7 @@ Set ``NSPYR_LOG`` to a level name (debug/info/warning) for logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -376,10 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.
+
+    Parsing leaves it unchanged: each call fills a new namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("NSPYR_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args = _merge_config(args)
         _validate(args)

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import BadParamsError
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
                       _row_norms, analyze, detail_decay_report)
-from .sequences import _CSV_ROWS, _parse_rows
+from .sequences import _parse_block, _parse_rows, _write_rows
 from .subdivision import Conic
 
 # Parameter window of the localized quadrant perturbation: a quarter arc
@@ -280,9 +279,7 @@ def anomaly_localize(curve: PlanarCurve, levels: int,
 def write_curve_csv(path, curve: PlanarCurve) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# closed={'true' if curve.closed else 'false'}\n")
-        for start in range(0, curve.n, _CSV_ROWS):
-            rows = curve.points[start:start + _CSV_ROWS].tolist()
-            fh.write("".join([f"{x!r},{y!r}\n" for x, y in rows]))
+        _write_rows(fh, curve.points)
 
 
 def _point(text: str):
@@ -316,6 +313,14 @@ def _curve_lines(path, numbered):
     return closed, rows
 
 
+def _read_curve_lines(path, lines) -> PlanarCurve:
+    """:func:`read_curve_csv` of a file's lines, one line at a time."""
+    closed, numbered = _curve_lines(path, enumerate(lines, 1))
+    if not numbered:
+        raise BadParamsError(f"no points in {path}")
+    return PlanarCurve(_parse_rows(path, numbered, _point), closed=closed)
+
+
 def read_curve_csv(path) -> PlanarCurve:
     """Inverse of :func:`write_curve_csv`.
 
@@ -324,24 +329,15 @@ def read_curve_csv(path) -> PlanarCurve:
     :class:`BadParamsError` naming the file and the 1-based line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    # Lines starting with "#" are headers and the other nonempty ones
-    # rows.  Rows of one comma each are parsed by one numpy call, which
-    # converts text as float() does.  A file this does not fit (a row
-    # that is not two numbers, a line of blanks, an indented header) is
-    # read line by line, so an error names its line.
-    closed, _ = _curve_lines(path, [(no, ln) for no, ln in
-                                    enumerate(lines, 1) if ln[:1] == "#"])
-    rows = [ln for ln in lines if ln and ln[0] != "#"]
-    points = None
-    if rows and list(map(str.count, rows, repeat(","))) == [1] * len(rows):
-        try:
-            points = np.array(",".join(rows).split(","), dtype=float)
-        except ValueError:
-            pass
+        text = fh.read()
+    # A header on line 1 and rows after it, or rows alone, parse in one
+    # call.  Any other file, and any file that call refuses, is read
+    # line by line, so an error names its line.
+    closed, body = True, text
+    if text[:1] == "#":
+        header, _, body = text.partition("\n")
+        closed, _ = _curve_lines(path, [(1, header)])
+    points = _parse_block(body, float, 2)
     if points is None:
-        closed, numbered = _curve_lines(path, enumerate(lines, 1))
-        if not numbered:
-            raise BadParamsError(f"no points in {path}")
-        points = _parse_rows(path, numbered, _point)
-    return PlanarCurve(np.reshape(points, (-1, 2)), closed=closed)
+        return _read_curve_lines(path, text.split("\n"))
+    return PlanarCurve(points, closed=closed)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import DecimationFilter, _decimate_block, solve_gamma
+from .decimation import (DecimationFilter, _decimate_block, residual_check,
+                         solve_gamma)
 from .errors import (
     BadParamsError,
     DomainError,
@@ -204,6 +205,35 @@ def _decode_block(value, where: str):
     return np.frombuffer(raw, dtype="<f8").reshape(d, n).T
 
 
+# Loaded operators may differ from recomputed ones by this many units of
+# rounding, relative to the l1 norm of the taps that produce them.
+_OPERATOR_ULPS = 64 * np.finfo(float).eps
+
+
+def _check_operators(family: SchemeFamily, lp: LevelParams,
+                     where: str) -> None:
+    """Check a loaded level's mask and residual against their sources.
+
+    The mask taps must be those of ``family.mask_at_level(level - 1)``,
+    and ``residual_l1`` that of the stored mask and zeta taps, each
+    within ``_OPERATOR_ULPS`` times the l1 norm of the taps it comes
+    from.  A mismatch raises :class:`ShapeMismatchError` naming ``where``.
+    """
+    taps, expected = lp.mask.taps, family.mask_at_level(lp.level - 1).taps
+    if (taps.support != expected.support
+            or np.abs(taps.coeffs - expected.coeffs).max()
+            > _OPERATOR_ULPS * norm_l1(expected)):
+        raise ShapeMismatchError(
+            f"{where} mask taps differ from the family's level "
+            f"{lp.level - 1} mask")
+    residual = residual_check(lp.filt, lp.mask)
+    tol = _OPERATOR_ULPS * max(1.0, norm_l1(taps) * norm_l1(lp.filt.zeta))
+    if not abs(lp.filt.residual_l1 - residual) <= tol:
+        raise ShapeMismatchError(
+            f"{where} residual_l1 is {lp.filt.residual_l1!r}, but its mask "
+            f"and zeta taps give {residual!r}")
+
+
 class Pyramid:
     """Coarse block plus detail blocks and full operator provenance.
 
@@ -363,18 +393,21 @@ class Pyramid:
 
         Blocks may also be nested lists, ``[[x, y], ...]`` or ``[x, ...]``
         for one component, as documents written before the binary form
-        hold them.  A missing or mistyped field, or a malformed binary
-        block, raises :class:`ShapeMismatchError` naming it.
+        hold them.  A missing or mistyped field, a malformed binary block,
+        or a level whose mask taps are not the family's or whose
+        ``residual_l1`` its taps do not give, raises
+        :class:`ShapeMismatchError` naming it.
         """
         _check_json(doc, "pyramid document", _DOCUMENT_FIELDS)
         family = family_from_description(doc["family"])
         for i, entry in enumerate(doc["level_params"]):
             _check_json(entry, f"level_params[{i}]", _LEVEL_FIELDS,
                         ("mask_family", "coarse_offset"))
-        params = sorted(doc["level_params"], key=lambda e: e["level"])
-        offsets = [params[0].get("coarse_offset", 0) if params else 0]
+        params = sorted(enumerate(doc["level_params"]),
+                        key=lambda item: item[1]["level"])
+        offsets = [params[0][1].get("coarse_offset", 0) if params else 0]
         level_params = []
-        for entry in params:
+        for _, entry in params:
             mask = Mask(FinSeq(entry["mask_taps"], entry["mask_offset"]),
                         level=entry["level"] - 1,
                         family_id=entry.get("mask_family", family.family_id),
@@ -392,8 +425,12 @@ class Pyramid:
         coarse = _decode_block(doc["coarse"], "coarse")
         details = [_decode_block(block, f"details[{i}]")
                    for i, block in enumerate(doc["details"])]
-        return cls(coarse, details, family, doc["epsilon"],
-                   doc["boundary"], level_params, offsets, doc.get("support"))
+        pyramid = cls(coarse, details, family, doc["epsilon"],
+                      doc["boundary"], level_params, offsets,
+                      doc.get("support"))
+        for (i, _), lp in zip(params, level_params):
+            _check_operators(family, lp, f"level_params[{i}]")
+        return pyramid
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":

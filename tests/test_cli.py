@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import list_form_document
 
+import nspyr
 from nspyr import Pyramid, read_curve_csv, sample_circle, write_curve_csv
 from nspyr.cli import main
 
@@ -21,6 +24,17 @@ def circle_csv(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_fresh(*argv, **env):
+    """``python -m nspyr.cli`` in a new process, with ``env`` set."""
+    # The child imports the package under test, wherever it was imported from.
+    src = str(Path(nspyr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "nspyr.cli", *map(str, argv)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 class TestDecomposeReconstruct:
@@ -319,6 +333,28 @@ class TestConfigPrecedence:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, circle_csv):
+        # main() builds its parser once; a later call in the same process
+        # sees only its own flags and config
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"levels": 3}))
+        first, here, fresh = (tmp_path / name for name in
+                              ("first", "here", "fresh"))
+        for outdir in (first, here, fresh):
+            outdir.mkdir()
+        assert run("decompose", "--in", circle_csv, "--out", first / "p.json",
+                   "--levels", 2, "--plot") == 0
+        assert (first / "p_details.svg").exists()
+        second = ("decompose", "--in", circle_csv, "--config", config)
+        assert run(*second, "--out", here / "p.json") == 0
+        result = run_fresh(*second, "--out", fresh / "p.json")
+        assert result.returncode == 0, result.stderr
+        assert Pyramid.from_json((here / "p.json").read_text()).levels == 3
+        assert sorted(p.name for p in here.iterdir()) == ["p.json",
+                                                          "p_norms.csv"]
+        for name in ("p.json", "p_norms.csv"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_invalid_epsilon_rejected(self, tmp_path, circle_csv):
         code = run("decompose", "--in", circle_csv,
                    "--out", tmp_path / "p.json", "--epsilon", 2.0)
@@ -326,18 +362,8 @@ class TestConfigPrecedence:
 
 
 def test_module_entry_point(tmp_path):
-    import os
-    from pathlib import Path
-
-    import nspyr
-    # The child imports the package under test, wherever it was imported from.
-    src = str(Path(nspyr.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, NSPYR_LOG="info", PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-m", "nspyr.cli", "gamma", "--family", "nscubic",
-         "--theta", "0", "--levels", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env)
+    result = run_fresh("gamma", "--family", "nscubic", "--theta", "0",
+                       "--levels", "1", "--out", tmp_path, NSPYR_LOG="info")
     assert result.returncode == 0
     assert (tmp_path / "zeta_level_1.json").exists()
     # NSPYR_LOG=info surfaces the per-level summary on stderr

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NUMBER_CELLS, csv_text
+
 from nspyr import (
     BadParamsError,
+    NspyrError,
     PlanarCurve,
     anomaly_localize,
     anomaly_flags,
@@ -20,6 +23,7 @@ from nspyr import (
     sample_circle,
     write_curve_csv,
 )
+from nspyr import geometry
 from nspyr.geometry import WAVY_PRESETS
 
 
@@ -278,6 +282,15 @@ class TestFinestLevelFlags:
         assert anomaly_localize(sample_circle(n), levels) == []
 
 
+def curve_outcome(read, *args):
+    """The points' bytes and the flag ``read(*args)`` gives, or its error."""
+    try:
+        curve = read(*args)
+    except NspyrError as exc:
+        return type(exc).__name__, str(exc)
+    return curve.points.shape, curve.points.tobytes(), curve.closed
+
+
 class TestCurveCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -364,6 +377,33 @@ class TestCurveCsv:
         path.write_text("# closed=true\n\n \n# closed=false\n")
         with pytest.raises(BadParamsError, match="no points"):
             read_curve_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_text((NUMBER_CELLS, NUMBER_CELLS),
+                    st.sampled_from(["# closed=true", "# closed=FALSE",
+                                     "#closed=false", "# closed=maybe",
+                                     "# note", "#"])))
+    def test_one_call_parse_agrees_with_the_line_loop(self, tmp_path_factory,
+                                                      text):
+        path = tmp_path_factory.mktemp("csv") / "curve.csv"
+        path.write_bytes(text.encode("utf-8"))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert (curve_outcome(read_curve_csv, path)
+                == curve_outcome(geometry._read_curve_lines, path, lines))
+
+    def test_written_files_skip_the_line_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(geometry, "_read_curve_lines", refuse)
+        path = tmp_path / "curve.csv"
+        for closed in (True, False):
+            curve = PlanarCurve(np.random.default_rng(5).normal(size=(600, 2)),
+                                closed=closed)
+            write_curve_csv(path, curve)
+            back = read_curve_csv(path)
+            assert back.closed is closed
+            assert back.points.tobytes() == curve.points.tobytes()
 
     def test_writer_output_unchanged(self, tmp_path):
         # the repr of each coordinate, as float() of every numpy scalar gave

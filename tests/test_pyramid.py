@@ -621,6 +621,43 @@ class TestPyramidValidation:
         with pytest.raises(ShapeMismatchError, match=field):
             Pyramid.from_json_dict(doc)
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda e: e["mask_taps"].__setitem__(4, e["mask_taps"][4] + 1e-9),
+         "mask taps differ"),
+        (lambda e: e.update(mask_taps=e["mask_taps"] + [1e-3]),
+         "mask taps differ"),
+        (lambda e: e.update(mask_offset=e["mask_offset"] - 2),
+         "mask taps differ"),
+        (lambda e: e.update(residual_l1=e["residual_l1"] + 1e-9),
+         "residual_l1 is"),
+        (lambda e: e["zeta_taps"].__setitem__(0, e["zeta_taps"][0] + 1e-9),
+         "residual_l1 is"),
+        (lambda e: e.update(zeta_offset=e["zeta_offset"] + 1),
+         "residual_l1 is"),
+    ], ids=["mask-tap", "mask-extra-tap", "mask-offset", "residual",
+            "zeta-tap", "zeta-offset"])
+    def test_tampered_operators_name_the_entry(self, rng, tamper, message):
+        doc = json.loads(analyze(rng.normal(size=(64, 2)), Conic(0.9),
+                                 3).to_json())
+        # entries in reverse level order: the error names the list index
+        doc["level_params"].reverse()
+        tamper(doc["level_params"][1])
+        with pytest.raises(ShapeMismatchError, match=message) as info:
+            Pyramid.from_json_dict(doc)
+        assert str(info.value).startswith("level_params[1] ")
+
+    def test_masks_of_another_level_rejected(self, rng):
+        # each level of a nonstationary family has its own mask
+        doc = json.loads(analyze(rng.normal(size=(64, 2)), Conic(0.9),
+                                 3).to_json())
+        first, second = doc["level_params"][:2]
+        first["mask_taps"], second["mask_taps"] = (second["mask_taps"],
+                                                   first["mask_taps"])
+        with pytest.raises(ShapeMismatchError,
+                           match=r"level_params\[0\] mask taps differ "
+                                 r"from the family's level 0 mask"):
+            Pyramid.from_json_dict(doc)
+
     def test_document_must_be_an_object(self):
         with pytest.raises(ShapeMismatchError, match="JSON object"):
             Pyramid.from_json_dict([1, 2])
