@@ -332,7 +332,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.
+
+    Parsing leaves it unchanged: each call fills a new namespace.
+    """
     ap = argparse.ArgumentParser(
         prog="nspyr",
         description="Nonstationary subdivision pyramids and "
@@ -377,19 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process.
-
-    Parsing leaves it unchanged: each call fills a new namespace.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
     level = os.environ.get("NSPYR_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args = _merge_config(args)
         _validate(args)

@@ -11,6 +11,7 @@ ranges on the curve.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import BadParamsError
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
                       _row_norms, analyze, detail_decay_report)
-from .sequences import _parse_block, _parse_rows, _write_rows
+from .sequences import _CSV_ROWS, _parse_rows
 from .subdivision import Conic
 
 # Parameter window of the localized quadrant perturbation: a quarter arc
@@ -279,7 +280,33 @@ def anomaly_localize(curve: PlanarCurve, levels: int,
 def write_curve_csv(path, curve: PlanarCurve) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# closed={'true' if curve.closed else 'false'}\n")
-        _write_rows(fh, curve.points)
+        for start in range(0, curve.n, _CSV_ROWS):
+            rows = curve.points[start:start + _CSV_ROWS].tolist()
+            fh.write("".join([f"{x!r},{y!r}\n" for x, y in rows]))
+
+
+# The ASCII separators 0x1c-0x1f: numpy's text parser strips them around
+# a number as blanks, float() refuses them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_points(text: str):
+    """The ``x,y`` rows of ``text`` as an ``(N, 2)`` array, or None.
+
+    One numpy call parses every row, converting numbers as float() does.
+    It gives None, for the per-line path to read, on text without a
+    nonblank character, on text holding a separator character
+    (0x1c-0x1f), on a line it cannot convert (a blank or ``#`` line, an
+    underscore, a stray comma), and on rows of another width.
+    """
+    if not text.strip() or any(ch in text for ch in _SEPARATORS):
+        return None
+    try:
+        points = np.loadtxt(io.StringIO(text), dtype=float, delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return points if points.shape[1] == 2 else None
 
 
 def _point(text: str):
@@ -337,7 +364,7 @@ def read_curve_csv(path) -> PlanarCurve:
     if text[:1] == "#":
         header, _, body = text.partition("\n")
         closed, _ = _curve_lines(path, [(1, header)])
-    points = _parse_block(body, float, 2)
+    points = _parse_points(body)
     if points is None:
         return _read_curve_lines(path, text.split("\n"))
     return PlanarCurve(points, closed=closed)

@@ -217,7 +217,8 @@ def _check_operators(family: SchemeFamily, lp: LevelParams,
     The mask taps must be those of ``family.mask_at_level(level - 1)``,
     and ``residual_l1`` that of the stored mask and zeta taps, each
     within ``_OPERATOR_ULPS`` times the l1 norm of the taps it comes
-    from.  A mismatch raises :class:`ShapeMismatchError` naming ``where``.
+    from.  A mismatch, or empty zeta taps, raises
+    :class:`ShapeMismatchError` naming ``where``.
     """
     taps, expected = lp.mask.taps, family.mask_at_level(lp.level - 1).taps
     if (taps.support != expected.support
@@ -226,6 +227,8 @@ def _check_operators(family: SchemeFamily, lp: LevelParams,
         raise ShapeMismatchError(
             f"{where} mask taps differ from the family's level "
             f"{lp.level - 1} mask")
+    if lp.filt.zeta.is_empty:
+        raise ShapeMismatchError(f"{where} zeta taps are empty")
     residual = residual_check(lp.filt, lp.mask)
     tol = _OPERATOR_ULPS * max(1.0, norm_l1(taps) * norm_l1(lp.filt.zeta))
     if not abs(lp.filt.residual_l1 - residual) <= tol:

@@ -32,8 +32,6 @@ wide enough for the kernel to compute linear convolutions.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -337,66 +335,20 @@ def k_const(c: FinSeq) -> float:
 # ``tolist()`` of a curve would hold about 2 MB).
 _CSV_ROWS = 256
 
-# The ASCII separators 0x1c-0x1f: numpy's text parser strips them around
-# a number as blanks, float() and int() refuse them.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
-
-# A finite sequence CSV row as one record.
-_INDEX_VALUE = np.dtype([("index", np.int64), ("value", np.float64)])
-
-
-def _write_rows(fh, block: np.ndarray, first_index=None) -> None:
-    """Write the rows of a 2-D block as CSV lines of its values' ``repr``.
-
-    With ``first_index``, the block has one column and each line leads
-    with its row's index, counting up from ``first_index``.  Each chunk
-    of ``_CSV_ROWS`` rows is one ``repr`` map and one join.
-    """
-    width = 2 * (block.shape[1] + (first_index is not None))
-    row = [","] * width
-    row[-1] = "\n"
-    for start in range(0, block.shape[0], _CSV_ROWS):
-        chunk = block[start:start + _CSV_ROWS]
-        cells = row * chunk.shape[0]
-        values = map(repr, chunk.ravel().tolist())
-        if first_index is None:
-            cells[0::2] = values
-        else:
-            first = first_index + start
-            cells[0::4] = map(str, range(first, first + chunk.shape[0]))
-            cells[2::4] = values
-        fh.write("".join(cells))
-
 
 def write_sequence_csv(path, c) -> None:
     """Write ``index,value`` rows (FinSeq) or a period header plus values."""
-    values = _data(c)[:, None]
+    values = _data(c)
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(c, PeriodicSeq):
             fh.write(f"# period={c.period}\n")
-            _write_rows(fh, values)
-        else:
-            _write_rows(fh, values, c.offset)
-
-
-def _parse_block(text: str, dtype, columns: int):
-    """The rows of ``text`` as an ``(N, columns)`` array, or None.
-
-    One numpy call parses every comma-separated row, converting numbers
-    as float() and int() do.  It gives None, for the caller's per-line
-    path to read, on text without a nonblank character, on text holding
-    a separator character (0x1c-0x1f), on a line it cannot convert (a
-    blank or ``#`` line, an underscore, a stray comma), and on rows of
-    another width.
-    """
-    if not text.strip() or any(ch in text for ch in _SEPARATORS):
-        return None
-    try:
-        block = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
-                           comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return block if block.shape[1] == columns else None
+        for start in range(0, values.size, _CSV_ROWS):
+            chunk = values[start:start + _CSV_ROWS].tolist()
+            if isinstance(c, PeriodicSeq):
+                fh.write("".join([f"{v!r}\n" for v in chunk]))
+            else:
+                fh.write("".join([f"{i},{v!r}\n" for i, v in
+                                  enumerate(chunk, c.offset + start)]))
 
 
 def _parse_rows(path, lines, parse) -> list:
@@ -420,21 +372,21 @@ def _index_value(text: str):
     return int(index), float(value)
 
 
-def _period(path, lineno: int, line: str) -> int:
-    """The period of a stripped ``# period=N`` header line."""
-    header = line.lstrip("#").strip()
-    if not header.startswith("period="):
-        raise BadParamsError(f"unrecognized sequence header: {header!r}")
-    return _parse_rows(path, [(lineno, line)],
-                       lambda text: int(text.split("=", 1)[1]))[0]
+def read_sequence_csv(path):
+    """Inverse of :func:`write_sequence_csv`.
 
-
-def _read_sequence_lines(path, lines):
-    """:func:`read_sequence_csv` of a file's lines, one line at a time."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(lines, 1)
-             if ln.strip()]
+    A line that does not parse, or repeats an index of an earlier line,
+    raises :class:`BadParamsError` naming the file and the 1-based line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
+                 if ln.strip()]
     if lines and lines[0][1].startswith("#"):
-        period = _period(path, *lines[0])
+        header = lines[0][1].lstrip("#").strip()
+        if not header.startswith("period="):
+            raise BadParamsError(f"unrecognized sequence header: {header!r}")
+        period = _parse_rows(path, lines[:1],
+                             lambda text: int(text.split("=", 1)[1]))[0]
         values = _parse_rows(path, lines[1:], float)
         if len(values) != period:
             raise BadParamsError(
@@ -456,32 +408,3 @@ def _read_sequence_lines(path, lines):
     for i, v in pairs:
         out[i - lo] = v
     return FinSeq(out, lo)
-
-
-def read_sequence_csv(path):
-    """Inverse of :func:`write_sequence_csv`.
-
-    A line that does not parse, or repeats an index of an earlier line,
-    raises :class:`BadParamsError` naming the file and the 1-based line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # A header on line 1 and rows after it, or rows alone, parse in one
-    # call; any other file, and any file that call refuses or that
-    # repeats an index, is read line by line, so an error names its line.
-    if text[:1] == "#":
-        header, _, body = text.partition("\n")
-        period = _period(path, 1, header.strip())
-        values = _parse_block(body, float, 1)
-        if values is not None and values.shape[0] == period:
-            return PeriodicSeq(values[:, 0])
-    else:
-        rows = _parse_block(text, _INDEX_VALUE, 1)
-        if rows is not None:
-            index, values = rows["index"][:, 0], rows["value"][:, 0]
-            if np.unique(index).size == index.size:
-                lo, hi = int(index.min()), int(index.max())
-                out = np.zeros(hi - lo + 1)
-                out[index - lo] = values
-                return FinSeq(out, lo)
-    return _read_sequence_lines(path, text.split("\n"))

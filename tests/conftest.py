@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from nspyr import Conic, NS4Point, NSCubic, cubic_bspline_family, sequences
 
@@ -50,51 +49,3 @@ def list_form_document(pyramid):
     doc["coarse"] = values(pyramid.coarse)
     doc["details"] = [values(d) for d in pyramid.details]
     return doc
-
-
-# Number cells of a CSV row that float() and numpy's parser both read:
-# repr'd floats, signed zero, a subnormal, non-finite spellings, padding.
-NUMBER_CELLS = st.one_of(
-    st.floats().map(repr),
-    st.sampled_from(["-0.0", "5e-324", "nan", "-nan", "inf", "-Infinity",
-                     "1e400", "+2", " 1.5", "2.5\t"]))
-
-# Index cells of a finite sequence row that int() and numpy both read.
-INDEX_CELLS = st.one_of(st.integers(-40, 40).map(str),
-                        st.sampled_from(["+3", " -2 ", "-0"]))
-
-# Cells that only float() and int() read (an underscore, non-ASCII
-# digits), or that neither reads.
-ODD_CELLS = st.sampled_from(["1_0", "\uff13", "\u0663", "1.0", "0x1p3",
-                             "1e", "", "x", "\x1c3.0", "2\x1f",
-                             "1.0 2.0"])
-
-
-@st.composite
-def csv_text(draw, cells, header=None):
-    """The text of a CSV file of rows drawn from the ``cells`` tuple.
-
-    A few rows may be spoiled (an odd cell, one cell fewer or one more),
-    rows may be padded with blanks, and blank, blank-only, ``# note``
-    and three-column lines may fall among them.  ``header``, when given,
-    may lead the file.  Lines end in LF or CRLF.
-    """
-    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=12))
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
-        row = draw(st.sampled_from(rows))
-        spoil = draw(st.sampled_from(["odd", "short", "long"]))
-        if spoil == "odd" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
-        elif spoil == "short":
-            del row[-1:]
-        else:
-            row.append(draw(NUMBER_CELLS))
-    pad = st.sampled_from(["", "", " ", "\t"])
-    lines = [draw(pad) + ",".join(row) + draw(pad) for row in rows]
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        extra = draw(st.sampled_from(["", "  ", "# note", "1,2,3"]))
-        lines.insert(draw(st.integers(0, len(lines))), extra)
-    if header is not None and draw(st.booleans()):
-        lines.insert(0, draw(header))
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
-                   for line in lines)

@@ -181,10 +181,14 @@ class TestMalformedPyramid:
         (lambda d: {**d, "level_params": [
             {k: v for k, v in d["level_params"][0].items()
              if k != "zeta_taps"}] + d["level_params"][1:]}, "'zeta_taps'"),
+        (lambda d: {**d, "level_params": d["level_params"][:2] + [
+            {**d["level_params"][2], "zeta_taps": []}]},
+         "level_params[2] zeta taps are empty"),
         (lambda d: {**d, "details": 5}, "'details'"),
         (lambda d: [d], "JSON object"),
     ], ids=["no-family", "family-without-tension", "epsilon-string",
-            "no-zeta-taps", "details-number", "top-level-list"])
+            "no-zeta-taps", "empty-zeta-taps", "details-number",
+            "top-level-list"])
     def test_malformed_document_exits_3(self, tmp_path, doc_path, capsys,
                                         corrupt, field):
         doc = corrupt(json.loads(doc_path.read_text()))

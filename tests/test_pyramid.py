@@ -634,8 +634,11 @@ class TestPyramidValidation:
          "residual_l1 is"),
         (lambda e: e.update(zeta_offset=e["zeta_offset"] + 1),
          "residual_l1 is"),
+        (lambda e: e.update(zeta_taps=[]), "zeta taps are empty"),
+        (lambda e: e.update(zeta_taps=[0.0] * len(e["zeta_taps"])),
+         "zeta taps are empty"),
     ], ids=["mask-tap", "mask-extra-tap", "mask-offset", "residual",
-            "zeta-tap", "zeta-offset"])
+            "zeta-tap", "zeta-offset", "zeta-empty", "zeta-zeros"])
     def test_tampered_operators_name_the_entry(self, rng, tamper, message):
         doc = json.loads(analyze(rng.normal(size=(64, 2)), Conic(0.9),
                                  3).to_json())

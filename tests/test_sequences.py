@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import INDEX_CELLS, NUMBER_CELLS, csv_text
 from oracles import (
     add,
     convolve,
@@ -24,7 +23,6 @@ from nspyr import (
     BadParamsError,
     DomainError,
     FinSeq,
-    NspyrError,
     OddPeriodError,
     PeriodicSeq,
     delta,
@@ -417,17 +415,6 @@ class TestArithmetic:
             add(delta(), PeriodicSeq([1.0, 2.0]))
 
 
-def sequence_outcome(read, *args):
-    """The sequence ``read(*args)`` gives, bit for bit, or its error."""
-    try:
-        seq = read(*args)
-    except NspyrError as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(seq, PeriodicSeq):
-        return "periodic", seq.values.tobytes()
-    return "finite", seq.offset, seq.coeffs.tobytes()
-
-
 class TestCsv:
     def test_finseq_roundtrip(self, tmp_path, rng):
         path = tmp_path / "seq.csv"
@@ -466,38 +453,6 @@ class TestCsv:
         same = path.read_text() == "# period=9000\n" + "".join(
             f"{float(v)!r}\n" for v in values)
         assert same
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["finite", "periodic"]), st.data())
-    def test_one_call_parse_agrees_with_the_line_loop(self, tmp_path_factory,
-                                                      kind, data):
-        if kind == "finite":
-            text = data.draw(csv_text((INDEX_CELLS, NUMBER_CELLS)))
-        else:
-            text = data.draw(csv_text((NUMBER_CELLS,)))
-            rows = sum(1 for line in text.split("\n") if line.strip())
-            header = data.draw(st.sampled_from(
-                [f"# period={rows}"] * 3 + [f"#period={rows + 1}",
-                 "# period=x", "# size=3"]))
-            text = data.draw(st.sampled_from(["", "\n", " "])) + \
-                header + "\n" + text
-        path = tmp_path_factory.mktemp("csv") / "seq.csv"
-        path.write_bytes(text.encode("utf-8"))
-        lines = path.read_text(encoding="utf-8").split("\n")
-        assert (sequence_outcome(read_sequence_csv, path)
-                == sequence_outcome(sequences._read_sequence_lines, path,
-                                    lines))
-
-    def test_written_files_skip_the_line_loop(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("read line by line")
-
-        monkeypatch.setattr(sequences, "_read_sequence_lines", refuse)
-        path = tmp_path / "seq.csv"
-        values = np.random.default_rng(6).normal(size=600)
-        for s in (FinSeq(values, -300), PeriodicSeq(values)):
-            write_sequence_csv(path, s)
-            assert read_sequence_csv(path) == s
 
     def test_periodic_roundtrip(self, tmp_path, rng):
         path = tmp_path / "per.csv"
