@@ -48,9 +48,7 @@ from .subdivision import (
 )
 from .decimation import (
     DecimationFilter,
-    decay_fit,
     decimate,
-    even_mask,
     filter_metadata,
     residual_check,
     solve_gamma,

@@ -114,12 +114,24 @@ def _build_family(kind: str, theta, data_n=None, levels=None):
 
 
 def _read_input(path):
-    """Sniff the CSV kind: curve, periodic sequence, or finite sequence."""
+    """Sniff the CSV kind: curve, periodic sequence, or finite sequence.
+
+    The first nonblank line decides.  A ``#`` header holding ``closed=``
+    marks a curve and any other header a periodic sequence.  With no
+    header, a first field that ``int()`` reads marks a finite sequence
+    (``index,value`` rows), any other first field a curve (``x,y`` rows).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().strip()
-    if head.startswith("#") and "closed=" in head:
-        return read_curve_csv(path)
-    return read_sequence_csv(path)
+        first = next((ln.strip() for ln in fh if ln.strip()), "")
+    if first.startswith("#"):
+        curve = "closed=" in first
+    else:
+        try:
+            int(first.split(",", 1)[0])
+            curve = False
+        except ValueError:
+            curve = bool(first)  # an empty file stays an empty sequence
+    return read_curve_csv(path) if curve else read_sequence_csv(path)
 
 
 def _norms_csv(path, report) -> None:
@@ -346,7 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="analyze a CSV into a pyramid")
     _add_common(p)
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", required=True,
+                   help="curve or sequence CSV, told apart by its first "
+                        "nonblank line: a '# closed=' header marks a curve, "
+                        "a '# period=' header a periodic sequence; with no "
+                        "header, an integer first field marks a finite "
+                        "sequence (index,value) and any other a curve (x,y)")
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--plot", action="store_true", default=None)
     p.set_defaults(func=cmd_decompose)

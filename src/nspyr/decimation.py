@@ -34,7 +34,6 @@ from scipy.linalg import get_lapack_funcs
 from .errors import (
     BadParamsError,
     EmptyEvenPartError,
-    FitFailedError,
     NoConvergenceError,
     OddPeriodError,
     SymbolZeroOnCircleError,
@@ -57,7 +56,7 @@ _gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
 
 def _even_taps(mask: Mask):
-    """The even part's coefficients and offset, as in :func:`even_mask`.
+    """The even part's coefficients and offset: entry j is alpha_{2j}.
 
     Read by slicing the mask taps and trimming zero ends, with no
     sequence built: this is the filter cache's key.
@@ -71,11 +70,6 @@ def _even_taps(mask: Mask):
             f"mask {mask.family_id!r} level {mask.level} has no even taps")
     return (even[kept[0]: kept[-1] + 1],
             (taps.offset + first) // 2 + int(kept[0]))
-
-
-def even_mask(mask: Mask) -> FinSeq:
-    """Even-indexed taps of the mask as a sequence: entry j is alpha_{2j}."""
-    return FinSeq(*_even_taps(mask))
 
 
 def _merge_close_roots(roots: np.ndarray) -> np.ndarray:
@@ -196,28 +190,6 @@ class DecimationFilter:
     @property
     def is_trivial(self) -> bool:
         return self.zeta == delta()
-
-
-def decay_fit(gamma_raw: FinSeq) -> tuple[float, float]:
-    """Fit a geometric envelope ``|gamma_j| <= C * lambda^|j|``.
-
-    The rate comes from a least-squares fit of ``log|gamma_j|`` against
-    ``|j|`` over the nonzero entries; the constant is then raised so the
-    envelope actually dominates every sample.  Needs at least five
-    nonzero entries and a fitted rate below one.  Kept as a cross-check
-    of the exact rate :func:`solve_gamma` reads from the roots.
-    """
-    mask = gamma_raw.coeffs != 0.0
-    if np.count_nonzero(mask) < 5:
-        raise FitFailedError("fewer than 5 nonzero coefficients to fit")
-    j = np.abs(gamma_raw.indices()[mask]).astype(float)
-    logs = np.log(np.abs(gamma_raw.coeffs[mask]))
-    slope, intercept = np.polyfit(j, logs, 1)
-    lam = float(np.exp(slope))
-    if not lam < 1.0:
-        raise FitFailedError(f"fitted rate {lam:.6g} is not below 1")
-    c_envelope = float(np.max(np.abs(gamma_raw.coeffs[mask]) * lam ** (-j)))
-    return c_envelope, lam
 
 
 def _residual_l1(even: np.ndarray, even_offset: int, zeta: FinSeq) -> float:

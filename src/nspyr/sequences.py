@@ -9,18 +9,29 @@ otherwise).  Besides them the module holds the norms and the
 moment constant the pyramid's bounds read, and the sequence CSV format.
 
 Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
-It works along axis 0 of an ``(N,)`` or ``(N, D)`` array.  It
-wrap-extends each column by the filter length (by slicing when the
-filter reaches at most one period past either end, else with
-``np.take(mode="wrap")``, so a filter longer than the period wraps
-correctly too) and correlates it with the reversed taps, in one of two
-ways.  A filter of 12 to 65 taps on a block of at least 4096 entries
-(rows times columns) runs as a blocked Toeplitz product: two BLAS GEMMs
-per run of 64-row blocks, for all columns at once.  Every other call
-runs ``np.correlate(..., "valid")`` one column at a time.  That
-crossover was measured on a 2-core x86 host: below it, the per-call
-set-up of the products outweighs what they save; above it, they ran
-1.04-5.9 times faster than the loop.  The two ways agree to rounding.
+It works along axis 0 of an ``(N,)`` or ``(N, D)`` array.  Each output
+row correlates the reversed taps with the column wrap-extended by the
+filter length (by slicing when the filter reaches at most one period
+past either end, else with ``np.take(mode="wrap")``, so a filter longer
+than the period wraps correctly too), in one of three ways:
+
+- A filter of 12 to 65 taps on a block of at least 4096 entries (rows
+  times columns) runs as a blocked Toeplitz product: two BLAS GEMMs per
+  run of 64-row blocks, for all columns at once.  Below that crossover
+  the per-call set-up of the products outweighs what they save; above
+  it, they ran 1.04-5.9 times faster than the loop.  They agree with
+  the loop to rounding.
+- Any other filter on a contiguous column of at least 2^14 rows, when
+  it reaches at most one period past either end, is correlated in
+  place, without the extended copy; only the seam rows, where the output
+  wraps, read a short extension of the column's two ends.  From 2^14
+  rows on this ran 1.02-1.47 times faster than the loop; at 8192 rows
+  it broke even, below that and on strided columns it lost.  The
+  results are the loop's bit for bit.
+- Every other call copies each wrap-extended column and runs
+  ``np.correlate(..., "valid")`` on it, one column at a time.
+
+The crossovers were measured on a 2-core x86 host.
 
 Refinement and decimation in :mod:`nspyr.subdivision` and
 :mod:`nspyr.decimation` call the kernel on whole ``(N, D)`` blocks,
@@ -183,10 +194,17 @@ def delta() -> FinSeq:
 # beat the per-column np.correlate loop, whose cost per output row jumps
 # between 10 and 12 taps (crossover table in CHANGES.md).  A block of
 # _GEMM_BLOCK output rows reads only the next block past its own, so
-# filters longer than _GEMM_BLOCK + 1 taps keep the loop.
+# filters longer than _GEMM_BLOCK + 1 taps stay on the per-column paths.
 _GEMM_MIN_TAPS = 12
 _GEMM_MIN_WORK = 4096
 _GEMM_BLOCK = 64
+# Contiguous columns of at least _SEAM_MIN_ROWS rows are correlated where
+# they lie, and only the K-1 seam rows read a short wrap-extended copy.
+# On shorter columns the extra calls outweigh the copy saved; a strided
+# column (decimation's every other row) is copied inside np.correlate
+# anyway, and there the split lost at every size (crossover tables in
+# CHANGES.md).
+_SEAM_MIN_ROWS = 16384
 
 
 def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray,
@@ -199,11 +217,21 @@ def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray,
     result goes into ``out`` (any view of ``values``' shape) or into a new
     column-major array.
 
-    Each column is wrap-extended by the filter length, then correlated
-    with the reversed taps.  Blocks of at least ``_GEMM_MIN_WORK`` entries
-    under a filter of ``_GEMM_MIN_TAPS`` to ``_GEMM_BLOCK + 1`` taps go
-    through :func:`_toeplitz_convolve`; every other call runs
-    ``np.correlate`` one column at a time.
+    Every output row is the dot product of the reversed taps with K
+    consecutive entries of the column wrap-extended by the filter length
+    (K the tap count).  One of three strategies computes them:
+
+    - *GEMM*: a filter of ``_GEMM_MIN_TAPS`` (12) to ``_GEMM_BLOCK + 1``
+      (65) taps on a block of at least ``_GEMM_MIN_WORK`` (4096) entries
+      goes through :func:`_toeplitz_convolve`, all columns at once.
+    - *Seam split*: otherwise, a contiguous column of at least
+      ``_SEAM_MIN_ROWS`` (16384) rows, under at most N taps that reach
+      at most one period past either end, goes through
+      :func:`_seam_correlate`: no extended copy, only a ``2(K-1)``-entry
+      one of the column's two ends for the seam rows.  Its bits are the
+      loop's.
+    - *Loop*: every other call wrap-extends each column into a copy and
+      runs ``np.correlate(..., "valid")`` on it, one column at a time.
     """
     n = values.shape[0]
     head, tail = offset + taps.size - 1, -offset
@@ -220,12 +248,36 @@ def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray,
     # np.convolve(ext, taps) is np.correlate(ext, taps[::-1]) behind a
     # wrapper; ext is never shorter than taps, so the two agree bit for bit.
     rtaps = taps[::-1]
+    seam = (wrap is None and _SEAM_MIN_ROWS <= n and taps.size <= n
+            and values.strides[0] == values.itemsize)
     for d in range(cols.shape[1]):
         col = cols[:, d]
+        if seam:
+            _seam_correlate(rtaps, head, tail, col, out_cols[:, d])
+            continue
         ext = (np.concatenate((col[n - head:], col, col[:tail]))
                if wrap is None else np.take(col, wrap, mode="wrap"))
         out_cols[:, d] = np.correlate(ext, rtaps, "valid")
     return out
+
+
+def _seam_correlate(rtaps, head, tail, col, out_col) -> None:
+    """The seam-split strategy of :func:`_cyclic_convolve` for one column.
+
+    Rows ``head`` to ``N - tail`` correlate the column where it lies.  The
+    K-1 seam rows, where the output wraps, correlate one copy of the
+    column's last and first K-1 entries: output rows ``N - tail`` to N,
+    then 0 to ``head``.  Each row is the dot product of the same K
+    entries as on the wrap-extended column, so the bits agree.  The copy
+    is made before ``out_col``, which may alias ``col``, is written.
+    """
+    n = col.shape[0]
+    edge = np.concatenate((col[n - head - tail:], col[:head + tail]))
+    out_col[head:n - tail] = np.correlate(col, rtaps, "valid")
+    if edge.size:  # a one-tap filter has no seam
+        edge = np.correlate(edge, rtaps, "valid")
+        out_col[n - tail:] = edge[:tail]
+        out_col[:head] = edge[tail:]
 
 
 def _toeplitz_convolve(taps, head, wrap, cols, out_cols) -> None:

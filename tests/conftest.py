@@ -26,6 +26,20 @@ def gemm_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def seam_calls(monkeypatch):
+    """Rows of the columns that take the seam-split strategy."""
+    calls = []
+    real = sequences._seam_correlate
+
+    def spy(*args):
+        calls.append(args[3].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(sequences, "_seam_correlate", spy)
+    return calls
+
+
 def family_grid():
     """One representative of each family, usable in periodic pyramids."""
     return [

@@ -9,7 +9,8 @@ instead of mirroring it.  Every operation returns a new sequence.
 
 import numpy as np
 
-from nspyr import BadParamsError, FinSeq, OddPeriodError, PeriodicSeq
+from nspyr import (BadParamsError, FinSeq, FitFailedError, OddPeriodError,
+                   PeriodicSeq)
 
 
 def roll_cyclic_convolve(taps, offset, values):
@@ -18,6 +19,23 @@ def roll_cyclic_convolve(taps, offset, values):
     for tap, j in zip(taps, range(offset, offset + taps.size)):
         out += tap * np.roll(values, j, axis=0)
     return out
+
+
+def extended_correlate(taps, offset, values):
+    """The loop strategy of the cyclic kernel written out: each column
+    wrap-extended in full with ``np.take``, then one ``np.correlate``.
+
+    It sums each output row as the kernel's per-column strategies do, so
+    they must match it bit for bit.
+    """
+    n = values.shape[0]
+    wrap = np.arange(-(offset + taps.size - 1), n - offset)
+    cols = values.reshape(n, -1)
+    out = np.empty(cols.shape)
+    for d in range(cols.shape[1]):
+        ext = np.take(cols[:, d], wrap, mode="wrap")
+        out[:, d] = np.correlate(ext, taps[::-1], "valid")
+    return out.reshape(values.shape)
 
 
 def kernel_tolerance(taps, values) -> float:
@@ -119,6 +137,33 @@ def downsample2(c):
 def norm_inf(c) -> float:
     d = c.coeffs if isinstance(c, FinSeq) else c.values
     return float(np.abs(d).max()) if d.size else 0.0
+
+
+def even_mask(mask) -> FinSeq:
+    """Even-indexed taps of the mask as a sequence: entry j is alpha_{2j}."""
+    return downsample2(mask.taps)
+
+
+def decay_fit(gamma_raw: FinSeq) -> tuple[float, float]:
+    """Fit a geometric envelope ``|gamma_j| <= C * lambda^|j|``.
+
+    The rate comes from a least-squares fit of ``log|gamma_j|`` against
+    ``|j|`` over the nonzero entries; the constant is then raised so the
+    envelope actually dominates every sample.  Needs at least five
+    nonzero entries and a fitted rate below one.  A cross-check of the
+    exact rate ``solve_gamma`` reads from the roots.
+    """
+    mask = gamma_raw.coeffs != 0.0
+    if np.count_nonzero(mask) < 5:
+        raise FitFailedError("fewer than 5 nonzero coefficients to fit")
+    j = np.abs(gamma_raw.indices()[mask]).astype(float)
+    logs = np.log(np.abs(gamma_raw.coeffs[mask]))
+    slope, intercept = np.polyfit(j, logs, 1)
+    lam = float(np.exp(slope))
+    if not lam < 1.0:
+        raise FitFailedError(f"fitted rate {lam:.6g} is not below 1")
+    c_envelope = float(np.max(np.abs(gamma_raw.coeffs[mask]) * lam ** (-j)))
+    return c_envelope, lam
 
 
 def refine(mask, c):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import family_grid
+from oracles import even_mask
 
 from nspyr import (
     Conic,
@@ -26,7 +27,6 @@ from nspyr import (
     cubic_bspline_family,
     detail_bound,
     detail_decay_report,
-    even_mask,
     perturb_quadrant,
     perturb_wavy,
     quadrant_window,

@@ -20,8 +20,8 @@ PUBLIC_NAMES = [
     "check_decomposition_stability", "check_reconstruction_stability",
     "circularity_report", "conic_family_for", "conic_params",
     "cubic_bspline_family", "cubic_bspline_mask", "curve_pyramid",
-    "decay_fit", "decimate", "delta", "detail_bound", "detail_decay_report",
-    "even_mask", "family_from_description", "filter_metadata", "k_const",
+    "decimate", "delta", "detail_bound", "detail_decay_report",
+    "family_from_description", "filter_metadata", "k_const",
     "norm_l1", "operator_norm_inf", "perturb_quadrant", "perturb_wavy",
     "quadrant_window", "radial_deviation", "read_curve_csv",
     "read_sequence_csv", "reconstruction_stability_bound", "refine",
@@ -38,4 +38,4 @@ def test_public_names_are_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 69
+    assert len(PUBLIC_NAMES) == 67

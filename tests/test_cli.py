@@ -136,6 +136,39 @@ class TestDecomposeReconstruct:
         err = max(abs(back[i] - v) for i, v in enumerate(map(float, values)))
         assert err <= 1e-12 * (1 + np.abs(values).max())
 
+    @pytest.mark.parametrize("lead", ["", "\n", "  \n\n"],
+                             ids=["first-line", "blank-line", "blank-lines"])
+    def test_headerless_curve_is_read_as_a_curve(self, tmp_path, lead):
+        # x,y rows with no '# closed=' header: read_curve_csv takes them as
+        # a closed curve, and so does decompose
+        points = sample_circle(64).points
+        path = tmp_path / "nohdr.csv"
+        path.write_text(lead + "".join(f"{x!r},{y!r}\n"
+                                       for x, y in points.tolist()))
+        pyr_path = tmp_path / "p.json"
+        out_path = tmp_path / "back.csv"
+        assert run("decompose", "--in", path, "--out", pyr_path,
+                   "--levels", 2) == 0
+        pyr = Pyramid.from_json(pyr_path.read_text())
+        assert (pyr.boundary, pyr.n_components) == ("periodic", 2)
+        assert run("reconstruct", "--in", pyr_path, "--out", out_path) == 0
+        back = read_curve_csv(out_path).points
+        assert np.abs(back - points).max() <= 1e-12
+
+    @pytest.mark.parametrize("lead", ["", "\n"],
+                             ids=["first-line", "blank-line"])
+    def test_integer_first_field_stays_a_finite_sequence(self, tmp_path,
+                                                         lead):
+        path = tmp_path / "seq.csv"
+        path.write_text(lead + "".join(f"{i},{float(i % 5)!r}\n"
+                                       for i in range(-3, 37)))
+        pyr_path = tmp_path / "p.json"
+        assert run("decompose", "--in", path, "--out", pyr_path,
+                   "--family", "nscubic", "--levels", 2) == 0
+        pyr = Pyramid.from_json(pyr_path.read_text())
+        assert (pyr.boundary, pyr.n_components) == ("finite", 1)
+        assert pyr.support == (-3, 37)
+
 
 class TestMalformedPyramid:
     @pytest.fixture

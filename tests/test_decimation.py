@@ -9,7 +9,8 @@ from scipy.linalg import solve_banded
 
 import oracles
 from conftest import family_grid
-from oracles import convolve, downsample2, norm_inf, subtract
+from oracles import (convolve, decay_fit, downsample2, even_mask, norm_inf,
+                     subtract)
 
 from nspyr import (
     BadParamsError,
@@ -26,10 +27,8 @@ from nspyr import (
     analyze,
     cubic_bspline_family,
     cubic_bspline_mask,
-    decay_fit,
     decimate,
     delta,
-    even_mask,
     norm_l1,
     refine,
     residual_check,

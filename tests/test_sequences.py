@@ -11,6 +11,7 @@ from oracles import (
     add,
     convolve,
     downsample2,
+    extended_correlate,
     kernel_tolerance,
     norm_inf,
     roll_cyclic_convolve,
@@ -341,6 +342,101 @@ class TestLongFilterKernel:
         for d in range(ncomp):
             assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
                              want[:, d])
+
+
+@st.composite
+def tall_cases(draw):
+    """Columns from just below the seam crossover to 300 rows above it.
+
+    Filters have 1-11 or 66-200 taps, so no block takes the GEMM path.
+    The offset makes ``head`` 0 or ``tail`` 0, falls anywhere between,
+    or reaches past the period, so that the extension wraps and the call
+    stays on the loop.  Values span ten orders of magnitude; blocks are
+    column-major, as the pyramid keeps them.
+    """
+    rows = draw(st.integers(sequences._SEAM_MIN_ROWS - 2,
+                            sequences._SEAM_MIN_ROWS + 300))
+    ntaps = draw(st.one_of(st.integers(1, 11), st.integers(66, 200)))
+    offset = draw(st.one_of(
+        st.just(1 - ntaps), st.just(0), st.integers(1 - ntaps, 0),
+        st.integers(rows - ntaps + 2, rows + 50)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    taps = rng.normal(size=ntaps)
+    block = rng.normal(size=(rows, draw(st.integers(1, 3))))
+    block *= 10.0 ** rng.integers(-5, 6, size=block.shape)
+    return taps, offset, np.asfortranarray(block)
+
+
+_SEAM = sequences._SEAM_MIN_ROWS
+
+
+class TestTallColumnKernel:
+    """The seam split on tall columns: the loop's bits in every layout."""
+
+    @pytest.mark.parametrize("shape, ntaps, offset, layout, strategy", [
+        ((_SEAM - 1,), 3, -1, "F", "loop"),
+        ((_SEAM,), 3, -1, "F", "seam"),
+        ((_SEAM, 2), 5, -4, "F", "seam"),             # head 0
+        ((_SEAM, 2), 5, 0, "F", "seam"),              # tail 0
+        ((_SEAM, 2), 1, 0, "F", "seam"),              # one tap: no seam rows
+        ((_SEAM, 2), 66, -33, "F", "seam"),
+        ((_SEAM, 2), 33, -16, "F", "gemm"),
+        ((_SEAM, 2), 3, -1, "C", "loop"),             # strided columns
+        ((_SEAM,), 3, -1, "every other row", "loop"),  # as in decimation
+        ((_SEAM,), 3, _SEAM, "F", "loop"),            # the extension wraps
+        ((_SEAM,), _SEAM + 1, -_SEAM // 2, "F", "loop"),  # taps > rows
+    ])
+    def test_strategy_by_shape_and_filter(self, rng, gemm_calls, seam_calls,
+                                          shape, ntaps, offset, layout,
+                                          strategy):
+        taps = rng.normal(size=ntaps)
+        values = {"F": np.asfortranarray, "C": np.ascontiguousarray,
+                  "every other row": lambda b: np.repeat(b, 2, axis=0)[::2],
+                  }[layout](rng.normal(size=shape))
+        got = _cyclic_convolve(taps, offset, values)
+        columns = values.reshape(shape[0], -1).shape[1]
+        assert seam_calls == ([shape[0]] * columns if strategy == "seam"
+                              else [])
+        assert len(gemm_calls) == int(strategy == "gemm")
+        if strategy != "gemm":
+            assert same_bits(got, extended_correlate(taps, offset, values))
+        assert np.abs(got - roll_cyclic_convolve(taps, offset, values)).max(
+        ) <= kernel_tolerance(taps, values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tall_cases())
+    def test_every_layout_gives_the_loop_bits(self, case):
+        taps, offset, block = case
+        want = _cyclic_convolve(taps, offset, block)
+        assert want.flags.f_contiguous
+        assert same_bits(want, extended_correlate(taps, offset, block))
+        for values in (np.ascontiguousarray(block),
+                       np.repeat(block, 2, axis=0)[::2],
+                       np.repeat(block, 2, axis=1)[:, ::2]):
+            assert same_bits(_cyclic_convolve(taps, offset, values), want)
+        for d in range(block.shape[1]):
+            assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
+                             want[:, d])
+        assert np.abs(want - roll_cyclic_convolve(taps, offset, block)).max(
+        ) <= kernel_tolerance(taps, block)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tall_cases(), st.integers(0, 1), st.booleans())
+    def test_out_views_and_aliased_out(self, case, parity, one_d):
+        taps, offset, block = case
+        values = block[:, 0] if one_d else block
+        want = extended_correlate(taps, offset, values)
+        buf = np.full((2 * values.shape[0],) + values.shape[1:], np.nan,
+                      order="F")
+        out = buf[parity::2]
+        assert _cyclic_convolve(taps, offset, values, out=out) is out
+        assert same_bits(out, want)
+        assert np.isnan(buf[1 - parity::2]).all()
+        # out may be the input itself: each column's seam is copied
+        # before the column is overwritten
+        alias = values.copy(order="F")
+        assert _cyclic_convolve(taps, offset, alias, out=alias) is alias
+        assert same_bits(alias, want)
 
 
 class TestResampling:
