@@ -11,7 +11,6 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     EmptyEvenPartError,
-    FitFailedError,
     NoConvergenceError,
     NspyrError,
     OddPeriodError,

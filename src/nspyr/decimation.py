@@ -15,21 +15,24 @@ of the matrix ``np.roots`` builds): the symbol is tested for zeros on
 the unit circle at the roots' angles, the exact decay rate ``lambda`` is
 the root modulus nearest the circle (inverted outside it; roots that
 the eigenvalue solver splits off a repeated root are merged first), and
-a partial-fraction bound fixes the window ``[-W, W]`` of one banded
-Toeplitz solve, whose outer half must fall below ``epsilon / 10``.  The
-solve calls the LAPACK driver ``scipy.linalg.solve_banded`` would pick,
-``dgtsv`` for one band on each side of the diagonal and ``dgbsv``
-otherwise, directly.  The filter records the threshold, the l1 residual
-of the convolution equation and the decay envelope.
+a partial-fraction bound fixes the window ``[-W, W]``, whose outer half
+must fall below ``epsilon / 10``.  With no zero on the circle the
+inverse is the Fourier inverse of the symbol, so ``gamma`` is read from
+the FFT of ``1 / a`` on a grid of m >= 2W + 1 points, then corrected
+once by the FFT inverse of the residual ``delta - a * gamma``, itself
+computed by direct convolution, which gives the small tail
+coefficients their relative accuracy back.  The filter records the
+threshold, the l1 residual of the convolution equation and the decay
+envelope.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     BadParamsError,
@@ -52,7 +55,6 @@ _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
 _ROOT_MERGE = 1e-3  # relative distance below which roots count as one
 _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
-_gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
 
 def _even_taps(mask: Mask):
@@ -64,7 +66,7 @@ def _even_taps(mask: Mask):
     taps = mask.taps
     first = taps.offset % 2
     even = taps.coeffs[first::2]
-    kept = np.flatnonzero(even)
+    kept = even.nonzero()[0]
     if kept.size == 0:
         raise EmptyEvenPartError(
             f"mask {mask.family_id!r} level {mask.level} has no even taps")
@@ -72,19 +74,19 @@ def _even_taps(mask: Mask):
             (taps.offset + first) // 2 + int(kept[0]))
 
 
-def _merge_close_roots(roots: np.ndarray) -> np.ndarray:
+def _merge_close_roots(roots, size, gaps) -> np.ndarray:
     """Roots with each group closer than 1e-3 (relative) set to its mean.
 
+    ``size`` and ``gaps`` are ``|roots|`` and the pairwise ``|r_i - r_k|``.
     The eigenvalue solver splits a root of multiplicity m into m roots
     about eps^(1/m) apart; their mean, fixed by the coefficients, is
     accurate.
-    Roots farther apart pass through unchanged.  Only the reported decay
-    rate reads the merged roots: the symbol test and the window keep the
-    roots as found, so two distinct roots near the circle still fail.
+    Roots farther apart pass through unchanged (``roots`` itself comes
+    back when no two are close).  Only the reported decay rate reads the
+    merged roots: the symbol test and the window keep the roots as
+    found, so two distinct roots near the circle still fail.
     """
-    size = np.abs(roots)
-    close = (np.abs(roots[:, None] - roots[None, :])
-             <= _ROOT_MERGE * np.maximum.outer(size, size))
+    close = gaps <= _ROOT_MERGE * np.maximum.outer(size, size)
     if np.count_nonzero(close) == roots.size:  # the diagonal alone
         return roots
     merged = roots.copy()
@@ -100,9 +102,9 @@ def _merge_close_roots(roots: np.ndarray) -> np.ndarray:
     return merged
 
 
-def _decay_rate(roots: np.ndarray) -> float:
+def _decay_rate(size: np.ndarray) -> float:
     """Root modulus nearest the unit circle, inverted outside it."""
-    return float(np.minimum(np.abs(roots), 1.0 / np.abs(roots)).max())
+    return float(np.minimum(size, 1.0 / size).max())
 
 
 def _roots(coeffs: np.ndarray) -> np.ndarray:
@@ -116,52 +118,56 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def _half_width(a, roots, lam: float, epsilon: float) -> int:
+def _half_width(a, gaps, lam: float, epsilon: float) -> int:
     """Window half-width W with ``|gamma_j| < epsilon / 10`` for |j| > W/2.
 
-    ``a`` is the pair ``(coeffs, lo)`` of taps and first index.  Partial
-    fractions over the roots r_i of ``z^-lo a(z)`` bound
-    ``|gamma_j|`` by ``S / lambda * lambda^|j + lo|`` with
+    ``a`` is the pair ``(coeffs, lo)`` of taps and first index, ``gaps``
+    the pairwise distances of the roots r_i of ``z^-lo a(z)``.  Partial
+    fractions bound ``|gamma_j|`` by ``S / lambda * lambda^|j + lo|`` with
     ``S = sum 1 / |a_hi prod_(k != i) (r_i - r_k)|``; root gaps are floored
     at 1e-4 so that (nearly) repeated roots give a finite, larger bound.
     """
     coeffs, offset = a
-    gaps = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    residues = 1.0 / np.maximum(gaps, 1e-4).prod(axis=1)
-    bound = residues.sum() / (abs(coeffs[-1]) * lam)
-    reach = abs(offset) + np.log(epsilon / (10.0 * bound)) / np.log(lam)
-    return 2 * max(int(np.ceil(reach)), coeffs.size)
+    floored = np.maximum(gaps, 1e-4)
+    floored.flat[::gaps.shape[0] + 1] = 1.0  # the diagonal
+    residues = 1.0 / floored.prod(axis=1)
+    bound = float(residues.sum()) / (abs(float(coeffs[-1])) * lam)
+    reach = abs(offset) + math.log(epsilon / (10.0 * bound)) / math.log(lam)
+    return 2 * max(math.ceil(reach), coeffs.size)
 
 
 def _solve_window(a, half_width: int) -> np.ndarray:
-    """Banded Toeplitz solve of gamma * a = delta on [-W, W].
+    """``gamma`` with ``gamma * a = delta``, on ``[-W, W]``, by FFT.
 
     ``a`` is the pair ``(coeffs, lo)`` with ``lo <= 0 <= lo + len - 1``.
-    The bands are laid out as ``scipy.linalg.solve_banded`` lays them out
-    for the driver it picks, which is called directly: ``dgtsv`` for one
-    sub- and one super-diagonal, else ``dgbsv``.  A nonzero LAPACK
-    ``info`` raises :class:`NoConvergenceError`.
+    The taps are wrapped onto m points, m the least power of two with
+    m >= 2W + 1, and ``g = irfft(1 / rfft(a))``.  One correction adds the
+    FFT inverse of the residual ``delta - a * g``, which a direct
+    convolution of the wrapped ``g`` computes to the relative accuracy
+    of each entry.  A spectrum with an exact zero on the grid raises
+    :class:`NoConvergenceError`.
     """
-    coeffs, offset = a
-    upper, lower = -offset, coeffs.size - 1 + offset
-    n = 2 * half_width + 1
-    rhs = np.zeros(n)
-    rhs[half_width] = 1.0
-    if lower == upper == 1:
-        *_, gamma, info = _gtsv(
-            np.full(n - 1, coeffs[2]), np.full(n, coeffs[1]),
-            np.full(n - 1, coeffs[0]), rhs, True, True, True, True)
-    else:
-        bands = np.zeros((2 * lower + upper + 1, n), order="F")
-        bands[lower:] = coeffs[:, None]
-        *_, gamma, info = _gbsv(lower, upper, bands, rhs,
-                                overwrite_ab=True, overwrite_b=True)
-    if info != 0:
+    coeffs, lo = a
+    hi = lo + coeffs.size - 1
+    m = 1 << (2 * half_width).bit_length()
+    taps = np.zeros(m)
+    taps[:hi + 1] = coeffs[-lo:]
+    taps[m + lo:] = coeffs[:-lo]
+    spectrum = np.fft.rfft(taps)
+    if not spectrum.all():
+        k = int(np.flatnonzero(spectrum == 0.0)[0])
         raise NoConvergenceError(
-            f"banded solve of the {n}-point window failed "
-            f"(LAPACK info {info})")
-    return gamma
+            f"even-part spectrum vanishes at frequency "
+            f"{2.0 * np.pi * k / m:.6g} (bin {k} of {m})")
+    inverse = 1.0 / spectrum
+    g = np.fft.irfft(inverse, m)
+    # (a * g)_j - delta_j for j = 0..m-1, from g extended by its cyclic
+    # wrap: the negated residual.
+    excess = np.convolve(np.concatenate((g[m - hi:], g, g[:-lo])), coeffs,
+                         mode="valid")
+    excess[0] -= 1.0
+    g -= np.fft.irfft(np.fft.rfft(excess) * inverse, m)
+    return np.concatenate((g[m - half_width:], g[:half_width + 1]))
 
 
 @dataclass(frozen=True)
@@ -218,6 +224,13 @@ _filter_cache: dict[tuple, DecimationFilter] = {}
 def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     """Compute the truncated, normalized reverse filter for ``mask``.
 
+    The even part's roots fix the decay rate and the window ``[-W, W]``.
+    ``gamma`` on it is ``irfft(1 / rfft(a))`` on m >= 2W + 1 points, plus
+    one correction: the same FFT inverse of the residual
+    ``delta - a * gamma``, which is computed by direct convolution.
+    Coefficients of magnitude at most ``epsilon`` are dropped and the
+    rest scaled to unit sum.
+
     ``epsilon`` must lie in (0, 1).  Raises :class:`SymbolZeroOnCircleError`
     when the even-part symbol at its roots' angles is within 1e-9 of zero
     (no summable inverse) and :class:`NoConvergenceError` when the roots
@@ -244,36 +257,43 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         c_env, lam = None, None
     else:
         roots = _roots(even)
-        lam = _decay_rate(roots)
-        indices = even_offset + np.arange(even.size)
-        symbol = np.exp(-1j * np.outer(np.angle(roots), indices)) @ even
+        size = np.abs(roots)
+        lam = _decay_rate(size)
+        # |symbol| at a root's angle is |sum_k even[k] u^k|, u = root / |root|.
+        symbol = ((roots / size)[:, None] ** np.arange(even.size)) @ even
         if lam >= 1.0 or np.abs(symbol).min() <= _SYMBOL_MIN:
             raise SymbolZeroOnCircleError(
                 "even-part symbol vanishes on the unit circle; "
                 "no summable inverse filter exists")
-        # Finite sections converge only for winding number 0 about the
-        # origin, so solve for the even part shifted by z^-wind.
-        wind = even_offset + int(np.count_nonzero(np.abs(roots) < 1.0))
+        # Solve for the even part shifted by z^-wind, whose winding number
+        # about the origin is 0: its inverse is centred on the window.
+        wind = even_offset + int(np.count_nonzero(size < 1.0))
         centred = (even, even_offset - wind)
-        width = _half_width(centred, roots, lam, epsilon)
+        gaps = np.abs(roots[:, None] - roots[None, :])
+        width = _half_width(centred, gaps, lam, epsilon)
         if width > _MAX_WINDOW:
             raise NoConvergenceError(
                 f"decay rate {lam:.6g} needs a window above {_MAX_WINDOW}")
         gamma_full = _solve_window(centred, width)
-        j = np.arange(-width, width + 1)
-        if np.abs(gamma_full[np.abs(j) > width // 2]).max() >= epsilon / 10:
+        mags = np.abs(gamma_full)
+        half = width // 2  # entry i holds index i - width
+        if max(mags[:width - half].max(),
+               mags[width + half + 1:].max()) >= epsilon / 10:
             raise NoConvergenceError(
-                f"filter tail beyond {width // 2} is not below epsilon/10")
-        kept = np.abs(gamma_full) > epsilon
-        if not kept.any():
+                f"filter tail beyond {half} is not below epsilon/10")
+        keep = mags > epsilon
+        kept = keep.nonzero()[0]
+        if kept.size == 0:
             raise BadParamsError(
                 f"epsilon {epsilon:g} truncates every reverse-filter "
-                f"coefficient (largest {np.abs(gamma_full).max():.3g})")
-        gamma_raw = FinSeq(np.where(kept, gamma_full, 0.0), -width - wind)
+                f"coefficient (largest {mags.max():.3g})")
+        gamma_raw = FinSeq(np.where(keep, gamma_full, 0.0), -width - wind)
         # The reported rate and envelope read repeated roots merged.
-        lam = _decay_rate(_merge_close_roots(roots))
-        c_env = float(np.max(np.abs(gamma_full[kept])
-                             * lam ** -np.abs(j[kept] - wind), initial=0.0))
+        merged = _merge_close_roots(roots, size, gaps)
+        if merged is not roots:
+            lam = _decay_rate(np.abs(merged))
+        c_env = float((mags[kept]
+                       * lam ** -np.abs(kept - (width + wind))).max())
 
     zeta = FinSeq(gamma_raw.coeffs / gamma_raw.coeffs.sum(), gamma_raw.offset)
     residual = _residual_l1(even, even_offset, zeta)

@@ -49,10 +49,6 @@ class NoConvergenceError(NspyrError):
     """Reverse-filter solve needs too wide a window or leaves a large tail."""
 
 
-class FitFailedError(NspyrError):
-    """Geometric decay fit is impossible (too few samples or no decay)."""
-
-
 class ShapeMismatchError(NspyrError):
     """Pyramid pieces are mutually inconsistent (lengths or components)."""
 

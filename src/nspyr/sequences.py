@@ -86,7 +86,7 @@ class FinSeq:
 
     def __init__(self, coeffs=(), offset: int = 0):
         arr = _clean(coeffs)
-        nz = np.nonzero(arr)[0]
+        nz = arr.nonzero()[0]
         if nz.size == 0:
             arr = arr[:0]
         else:

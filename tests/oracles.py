@@ -9,8 +9,11 @@ instead of mirroring it.  Every operation returns a new sequence.
 
 import numpy as np
 
-from nspyr import (BadParamsError, FinSeq, FitFailedError, OddPeriodError,
-                   PeriodicSeq)
+from nspyr import BadParamsError, FinSeq, OddPeriodError, PeriodicSeq
+
+
+class FitFailedError(Exception):
+    """``decay_fit`` has too few samples or finds no decay."""
 
 
 def roll_cyclic_convolve(taps, offset, values):

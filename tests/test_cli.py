@@ -26,15 +26,19 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_fresh(*argv, **env):
-    """``python -m nspyr.cli`` in a new process, with ``env`` set."""
+def run_python(*argv, **env):
+    """``python *argv`` in a new process, with ``env`` set."""
     # The child imports the package under test, wherever it was imported from.
     src = str(Path(nspyr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "nspyr.cli", *map(str, argv)],
-        capture_output=True, text=True,
+        [sys.executable, *map(str, argv)], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def run_fresh(*argv, **env):
+    """``python -m nspyr.cli`` in a new process, with ``env`` set."""
+    return run_python("-m", "nspyr.cli", *argv, **env)
 
 
 class TestDecomposeReconstruct:
@@ -405,3 +409,14 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "zeta_level_1.json").exists()
     # NSPYR_LOG=info surfaces the per-level summary on stderr
     assert "nonzero coefficients" in result.stderr
+
+
+@pytest.mark.parametrize("mode", [[], ["--open"]],
+                         ids=["scipy-blocked", "scipy-importable"])
+def test_round_trips_without_scipy(tmp_path, mode):
+    # numpy is the only runtime dependency: the CLI round trips work with
+    # scipy blocked, and nothing imports scipy when it is installed
+    script = Path(__file__).with_name("scipy_free_round_trip.py")
+    result = run_python(script, tmp_path, *mode)
+    assert result.returncode == 0, result.stderr
+    assert "sequence round-trip error" in result.stdout
