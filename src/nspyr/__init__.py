@@ -43,7 +43,6 @@ from .subdivision import (
     refine,
     refine_n,
     v_next,
-    write_mask_csv,
 )
 from .decimation import (
     DecimationFilter,

@@ -1,10 +1,16 @@
 """Command line front end.
 
-Subcommands: ``decompose``, ``reconstruct``, ``gamma``, ``circle-demo``,
-``anomaly-demo``.  Flag values override config-file values, which
-override defaults.  Exit codes: 0 success, 2 I/O or usage error, 3
-numerical precondition failure (the message names the precondition).
-Set ``NSPYR_LOG`` to a level name (debug/info/warning) for logging.
+Subcommands and their flags, where the family pair is ``--family``,
+``--theta`` and the depth trio ``--levels/-J``, ``--epsilon``,
+``--config``: ``decompose --in --out --plot`` + pair + trio (the boundary
+comes from the input: curves and ``# period=`` sequences are periodic,
+``index,value`` rows finite); ``reconstruct --in --out``; ``gamma --out``
++ pair + trio; ``circle-demo --out --n --radius`` + trio; ``anomaly-demo
+--out --n --radius --amplitude --frequency --threshold-ratio`` + trio.
+Flag values override config-file values, which override defaults.  Exit
+codes: 0 success, 2 I/O or usage error, 3 numerical precondition failure
+(the message names the precondition).  Set ``NSPYR_LOG`` to a level name
+(debug/info/warning) for logging.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .errors import _NUMBER, BadParamsError, NspyrError, _check_json
 from .geometry import (
     PlanarCurve,
     WAVY_PRESETS,
-    circularity_report,
     conic_family_for,
     curve_pyramid,
     perturb_quadrant,
@@ -37,8 +42,7 @@ from .geometry import (
 )
 from .pyramid import (Pyramid, analyze, detail_decay_report, synthesize,
                       synthesize_array)
-from .sequences import (FinSeq, PeriodicSeq, read_sequence_csv,
-                        write_sequence_csv)
+from .sequences import FinSeq, read_sequence_csv, write_sequence_csv
 from .subdivision import Conic, NS4Point, NSCubic, Stationary
 
 log = logging.getLogger("nspyr")
@@ -49,7 +53,6 @@ _DEFAULTS = {
     "theta": (None, _NUMBER + (type(None),)),
     "levels": (4, int),
     "epsilon": (1e-15, _NUMBER),
-    "boundary": ("periodic", str),
     "plot": (False, bool),
     "n": (256, int),
     "radius": (1.0, _NUMBER),
@@ -153,22 +156,12 @@ def cmd_decompose(args) -> int:
         if not data.closed:
             raise BadParamsError(
                 "open curve: periodic analysis needs closed=true")
-        boundary = "periodic"
-        family = _build_family(args.family, args.theta, data.n, args.levels)
-        payload = data.points
-    elif isinstance(data, PeriodicSeq):
-        boundary = "periodic"
-        family = _build_family(args.family, args.theta, data.period,
-                               args.levels)
-        payload = data
-    else:
-        boundary = "finite"
-        family = _build_family(args.family, args.theta)
-        payload = data
-    if args.boundary != boundary:
-        log.info("boundary %s inferred from input, overriding flag",
-                 boundary)
-    pyr = analyze(payload, family, args.levels, args.epsilon, boundary)
+        data = data.points
+    periodic = not isinstance(data, FinSeq)
+    family = _build_family(args.family, args.theta,
+                           len(data) if periodic else None, args.levels)
+    pyr = analyze(data, family, args.levels, args.epsilon,
+                  "periodic" if periodic else "finite")
     out = Path(args.outfile)
     out.write_text(pyr.to_json(), encoding="utf-8")
     report = detail_decay_report(pyr)
@@ -218,68 +211,38 @@ def cmd_circle_demo(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     n, levels, eps, radius = args.n, args.levels, args.epsilon, args.radius
 
-    clean = sample_circle(n, radius)
-    clean_pyr = curve_pyramid(clean, levels, eps)
-    clean_report = circularity_report(clean, levels, eps)
-
-    wavy = []
-    for name, amp, freq in WAVY_PRESETS:
-        curve = perturb_wavy(sample_circle(n, radius), amp, freq)
-        wavy.append((name, amp, freq, curve,
-                     circularity_report(curve, levels, eps)))
-
-    report = {
-        "n": n,
-        "levels": levels,
-        "epsilon": eps,
-        "radius": radius,
-        "clean": {
-            "per_level_l1": clean_report.per_level_l1,
-            "per_level_avg_l2": clean_report.per_level_avg_l2,
-            "verdict_scale": clean_report.verdict_scale,
-        },
-        "wavy": [
-            {
-                "name": name,
-                "amplitude": amp,
-                "frequency": freq,
-                "per_level_l1": rep.per_level_l1,
-                "per_level_avg_l2": rep.per_level_avg_l2,
-                "verdict_scale": rep.verdict_scale,
-            }
-            for name, amp, freq, _, rep in wavy
-        ],
-    }
-    (outdir / "circle_report.json").write_text(
-        json.dumps(report, indent=1), encoding="utf-8")
-
-    (outdir / "clean_curve.svg").write_text(
-        svgplot.curve_overlay_svg(clean.points,
-                                  clean_pyr.coarse_array(),
-                                  title=f"circle, {n} samples, "
-                                        f"{clean_pyr.coarse_array().shape[0]}"
-                                        " coarse points"),
-        encoding="utf-8")
-    (outdir / "clean_details.svg").write_text(
-        svgplot.bar_chart_svg(clean_report.per_level_avg_l2,
-                              title="clean circle: avg detail norm"),
-        encoding="utf-8")
-    for name, amp, freq, curve, rep in wavy:
+    entries, l1_series, avg_series = [], {}, {}
+    for name, amp, freq in [("clean", None, None), *WAVY_PRESETS]:
+        curve = sample_circle(n, radius)
+        if amp is None:
+            entry, label = {}, "clean circle"
+            # the coarse count: analysis needs n divisible by 2**levels
+            title = f"circle, {n} samples, {n // 2 ** levels} coarse points"
+        else:
+            curve = perturb_wavy(curve, amp, freq)
+            entry = {"name": name, "amplitude": amp, "frequency": freq}
+            label, title = name, f"{name} (a={amp}, f={freq})"
         pyr = curve_pyramid(curve, levels, eps)
+        rep = detail_decay_report(pyr)
+        entry.update(per_level_l1=rep.per_level_l1,
+                     per_level_avg_l2=rep.per_level_avg_l2,
+                     verdict_scale=max(rep.per_level_avg_l2))
+        entries.append(entry)
+        l1_series[name] = rep.per_level_l1
+        avg_series[name] = rep.per_level_avg_l2
         (outdir / f"{name}_curve.svg").write_text(
             svgplot.curve_overlay_svg(curve.points, pyr.coarse_array(),
-                                      title=f"{name} (a={amp}, f={freq})"),
+                                      title=title),
             encoding="utf-8")
         (outdir / f"{name}_details.svg").write_text(
             svgplot.bar_chart_svg(rep.per_level_avg_l2,
-                                  title=f"{name}: avg detail norm"),
+                                  title=f"{label}: avg detail norm"),
             encoding="utf-8")
 
-    l1_series = {"clean": clean_report.per_level_l1}
-    avg_series = {"clean": clean_report.per_level_avg_l2}
-    for name, _, _, _, rep in wavy:
-        l1_series[name] = rep.per_level_l1
-        avg_series[name] = rep.per_level_avg_l2
+    report = {"n": n, "levels": levels, "epsilon": eps, "radius": radius,
+              "clean": entries[0], "wavy": entries[1:]}
+    (outdir / "circle_report.json").write_text(
+        json.dumps(report, indent=1), encoding="utf-8")
     (outdir / "log_l1.svg").write_text(
         svgplot.log_lines_svg(l1_series, title="detail decay (l1 norms)"),
         encoding="utf-8")
@@ -333,14 +296,16 @@ def cmd_anomaly_demo(args) -> int:
 # parser and dispatch
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_family(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", default=None,
                    help="ns4pt | nscubic | conic | stationary:<maskfile>")
     p.add_argument("--theta", type=float, default=None,
                    help="tension angle; conic/nscubic use cos(theta)")
+
+
+def _add_depth(p: argparse.ArgumentParser) -> None:
     p.add_argument("--levels", "-J", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--boundary", choices=("finite", "periodic"), default=None)
     p.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -357,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="analyze a CSV into a pyramid")
-    _add_common(p)
+    _add_family(p)
+    _add_depth(p)
     p.add_argument("--in", dest="infile", required=True,
                    help="curve or sequence CSV, told apart by its first "
                         "nonblank line: a '# closed=' header marks a curve, "
@@ -366,28 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
                         "sequence (index,value) and any other a curve (x,y)")
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--plot", action="store_true", default=None)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="synthesize a pyramid JSON")
-    _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("gamma", help="export decimation filters")
-    _add_common(p)
+    _add_family(p)
+    _add_depth(p)
     p.add_argument("--out", dest="outdir", required=True)
-    p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("circle-demo", help="circle and wavy-circle reports")
-    _add_common(p)
+    _add_depth(p)
     p.add_argument("--out", dest="outdir", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--radius", type=float, default=None)
-    p.set_defaults(func=cmd_circle_demo)
 
     p = sub.add_parser("anomaly-demo", help="quadrant-anomaly localization")
-    _add_common(p)
+    _add_depth(p)
     p.add_argument("--out", dest="outdir", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--radius", type=float, default=None)
@@ -395,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frequency", type=int, default=None)
     p.add_argument("--threshold-ratio", dest="threshold_ratio",
                    type=float, default=None)
-    p.set_defaults(func=cmd_anomaly_demo)
     return ap
 
 
@@ -406,7 +367,9 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         _validate(args)
-        return args.func(args)
+        # Looked up at call time, so a handler rebound on the module (a
+        # tracer's wrapper, a test's spy) is the one that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NspyrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

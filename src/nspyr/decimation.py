@@ -60,18 +60,15 @@ _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
 def _even_taps(mask: Mask):
     """The even part's coefficients and offset: entry j is alpha_{2j}.
 
-    Read by slicing the mask taps and trimming zero ends, with no
+    Read from the mask's even phase with its zero ends trimmed, with no
     sequence built: this is the filter cache's key.
     """
-    taps = mask.taps
-    first = taps.offset % 2
-    even = taps.coeffs[first::2]
+    even, offset = mask._phases[0]
     kept = even.nonzero()[0]
     if kept.size == 0:
         raise EmptyEvenPartError(
             f"mask {mask.family_id!r} level {mask.level} has no even taps")
-    return (even[kept[0]: kept[-1] + 1],
-            (taps.offset + first) // 2 + int(kept[0]))
+    return even[kept[0]: kept[-1] + 1], offset + int(kept[0])
 
 
 def _merge_close_roots(roots, size, gaps) -> np.ndarray:

@@ -88,11 +88,11 @@ class Mask:
 
     @property
     def even_sum(self) -> float:
-        return float(self.taps.coeffs[self.taps.offset % 2::2].sum())
+        return float(self._phases[0][0].sum())
 
     @property
     def odd_sum(self) -> float:
-        return float(self.taps.coeffs[(self.taps.offset + 1) % 2::2].sum())
+        return float(self._phases[1][0].sum())
 
     @property
     def parity_deviation(self):
@@ -106,10 +106,7 @@ class Mask:
 
 def operator_norm_inf(mask: Mask) -> float:
     """Sup-norm of the refinement operator: max of the two parity l1 sums."""
-    idx = mask.taps.indices()
-    even = np.abs(mask.taps.coeffs[idx % 2 == 0]).sum()
-    odd = np.abs(mask.taps.coeffs[idx % 2 == 1]).sum()
-    return float(max(even, odd))
+    return float(max(np.abs(coeffs).sum() for coeffs, _ in mask._phases))
 
 
 def _polyphase(taps: FinSeq):
@@ -434,13 +431,3 @@ def refine_n(family: SchemeFamily, c, steps: int):
     for k in range(steps):
         out = refine(family.mask_at_level(k), out)
     return out
-
-
-def write_mask_csv(path, family: SchemeFamily, levels: int) -> None:
-    """Dump masks for levels 0..levels-1 as ``k,index,tap`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,index,tap\n")
-        for k in range(levels):
-            mask = family.mask_at_level(k)
-            for i, t in zip(mask.taps.indices(), mask.taps.coeffs):
-                fh.write(f"{k},{int(i)},{float(t)!r}\n")

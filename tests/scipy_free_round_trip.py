@@ -63,7 +63,7 @@ def main(workdir):
                lambda path: nspyr.write_sequence_csv(
                    path, nspyr.FinSeq(values, -7)),
                sequence_error,
-               "--family", "nscubic", "--levels", "2", "--boundary", "finite")
+               "--family", "nscubic", "--levels", "2")
     if BLOCKED:
         del sys.modules["scipy"]
     loaded = sorted(name for name in sys.modules

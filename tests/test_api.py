@@ -27,8 +27,7 @@ PUBLIC_NAMES = [
     "read_sequence_csv", "reconstruction_stability_bound", "refine",
     "refine_n", "residual_check", "residual_operator_norm_estimate",
     "sample_circle", "solve_gamma", "synthesize", "synthesize_array",
-    "v_next", "write_curve_csv", "write_filter_csv", "write_mask_csv",
-    "write_sequence_csv",
+    "v_next", "write_curve_csv", "write_filter_csv", "write_sequence_csv",
 ]
 
 
@@ -38,4 +37,4 @@ def test_public_names_are_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 65

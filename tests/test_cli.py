@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,21 @@ from conftest import list_form_document
 
 import nspyr
 from nspyr import Pyramid, read_curve_csv, sample_circle, write_curve_csv
-from nspyr.cli import main
+from nspyr.cli import build_parser, main
+
+# Each subcommand's option strings in the order its parser adds them.
+# Adding or removing a flag changes this table on purpose.
+FAMILY = [["--family"], ["--theta"]]
+DEPTH = [["--levels", "-J"], ["--epsilon"], ["--config"]]
+SUBCOMMAND_OPTIONS = {
+    "decompose": FAMILY + DEPTH + [["--in"], ["--out"], ["--plot"]],
+    "reconstruct": [["--in"], ["--out"]],
+    "gamma": FAMILY + DEPTH + [["--out"]],
+    "circle-demo": DEPTH + [["--out"], ["--n"], ["--radius"]],
+    "anomaly-demo": DEPTH + [["--out"], ["--n"], ["--radius"],
+                             ["--amplitude"], ["--frequency"],
+                             ["--threshold-ratio"]],
+}
 
 
 @pytest.fixture
@@ -39,6 +54,32 @@ def run_python(*argv, **env):
 def run_fresh(*argv, **env):
     """``python -m nspyr.cli`` in a new process, with ``env`` set."""
     return run_python("-m", "nspyr.cli", *argv, **env)
+
+
+def test_option_strings_are_pinned():
+    (sub,) = (action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction))
+    found = {name: [action.option_strings for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)]
+             for name, parser in sub.choices.items()}
+    assert found == SUBCOMMAND_OPTIONS
+    assert sum(map(len, found.values())) == 31
+
+
+def test_handlers_are_looked_up_at_call_time(tmp_path, circle_csv,
+                                             monkeypatch):
+    # main() builds its parser once; a handler rebound on the module after
+    # that (a tracer's wrapper, this spy) is the one that runs
+    pyr_path = tmp_path / "p.json"
+    assert run("decompose", "--in", circle_csv, "--out", pyr_path,
+               "--levels", 2) == 0
+    calls = []
+    monkeypatch.setattr("nspyr.cli.cmd_reconstruct",
+                        lambda args: calls.append(args.infile) or 0)
+    out = tmp_path / "back.csv"
+    assert run("reconstruct", "--in", pyr_path, "--out", out) == 0
+    assert calls == [str(pyr_path)]
+    assert not out.exists()
 
 
 class TestDecomposeReconstruct:
@@ -132,8 +173,7 @@ class TestDecomposeReconstruct:
         pyr_path = tmp_path / "p.json"
         out_path = tmp_path / "back.csv"
         assert run("decompose", "--in", seq_path, "--out", pyr_path,
-                   "--family", "nscubic", "--levels", 2,
-                   "--boundary", "finite") == 0
+                   "--family", "nscubic", "--levels", 2) == 0
         assert run("reconstruct", "--in", pyr_path, "--out", out_path) == 0
         from nspyr import read_sequence_csv
         back = read_sequence_csv(out_path)
@@ -363,6 +403,7 @@ class TestConfigPrecedence:
         ({"plot": "yes"}, "'plot'"),
         ([1, 2], "JSON object"),
         ({"level": 2}, "unknown key 'level'"),
+        ({"boundary": "finite"}, "unknown key 'boundary'"),
     ])
     def test_mistyped_config_exits_3(self, tmp_path, circle_csv, capsys,
                                      config, key):

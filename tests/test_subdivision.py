@@ -36,7 +36,6 @@ from nspyr import (
     refine_n,
     sample_circle,
     v_next,
-    write_mask_csv,
 )
 from nspyr.geometry import PlanarCurve
 from nspyr import subdivision
@@ -460,12 +459,3 @@ class TestFamilyValues:
             build(-1.0)
         with pytest.raises(DomainError, match="level must be nonnegative"):
             build(0.5).tension_at_level(-1)
-
-
-def test_mask_csv_dump(tmp_path):
-    path = tmp_path / "masks.csv"
-    write_mask_csv(path, NS4Point(0.0), levels=2)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,index,tap"
-    assert len(lines) == 1 + 2 * 7
-    assert lines[1].startswith("0,-3,")
