@@ -7,10 +7,11 @@ comes from the input: curves and ``# period=`` sequences are periodic,
 ``index,value`` rows finite); ``reconstruct --in --out``; ``gamma --out``
 + pair + trio; ``circle-demo --out --n --radius`` + trio; ``anomaly-demo
 --out --n --radius --amplitude --frequency --threshold-ratio`` + trio.
-Flag values override config-file values, which override defaults.  Exit
-codes: 0 success, 2 I/O or usage error, 3 numerical precondition failure
-(the message names the precondition).  Set ``NSPYR_LOG`` to a level name
-(debug/info/warning) for logging.
+Flag values override config-file values, which override defaults; a
+config key that the subcommand has no flag for is logged at info level.
+Exit codes: 0 success, 2 I/O or usage error, 3 numerical precondition
+failure (the message names the precondition).  Set ``NSPYR_LOG`` to a
+level name (debug/info/warning) for logging.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ _DEFAULTS = {
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Apply precedence flags > config file > defaults.
 
-    An unknown config key or a value of the wrong JSON type raises
-    :class:`BadParamsError`.
+    One key table serves every subcommand, so one file can configure
+    several.  An unknown config key or a value of the wrong JSON type
+    raises :class:`BadParamsError`; a known key that the subcommand has
+    no flag for is logged at info level, as it changes nothing.
     """
     file_conf = {}
     if getattr(args, "config", None):
@@ -79,6 +82,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if unknown:
             raise BadParamsError(
                 f"config {args.config} has the unknown key {unknown[0]!r}")
+        # the parser gives the namespace an entry for each of its flags
+        for key in sorted(file_conf.keys() - vars(args).keys()):
+            log.info("config %s: %s does not read %r; ignored",
+                     args.config, args.command, key)
     for key, (default, _) in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_conf.get(key, default))
@@ -261,9 +268,12 @@ def cmd_anomaly_demo(args) -> int:
     curve = perturb_quadrant(sample_circle(n, args.radius),
                              args.amplitude, args.frequency)
     pyr = curve_pyramid(curve, levels, eps)
+    # anomaly_localize's ranges from the norms it would threshold, which
+    # are these bit for bit, without analyzing the curve again
     norms = pyr.detail_norms(levels)
-    ranges = geometry.anomaly_localize(
-        curve, levels, eps, threshold_ratio=args.threshold_ratio)
+    flags, _ = geometry._threshold_flags(norms, args.threshold_ratio,
+                                         geometry._FLOOR)
+    ranges = geometry._merge_flags(flags, geometry._MERGE_GAP, wrap=True)
     window = geometry.quadrant_window(n) > 0.0
 
     report = {

@@ -28,6 +28,7 @@ envelope.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .sequences import (
     _cyclic_convolve,
     _frame,
     _reach,
+    _stencil,
     delta,
 )
 from .subdivision import Mask
@@ -194,6 +196,11 @@ class DecimationFilter:
     def is_trivial(self) -> bool:
         return self.zeta == delta()
 
+    @functools.cached_property
+    def _stencils(self):
+        """``zeta`` in the form the cyclic kernel reads, derived once."""
+        return (_stencil(self.zeta.coeffs, self.zeta.offset),)
+
 
 def _residual_l1(even: np.ndarray, even_offset: int, zeta: FinSeq) -> float:
     """``||delta - a * zeta||_1``, ``a`` the even taps from ``even_offset``.
@@ -313,7 +320,9 @@ def _decimate_block(filt: DecimationFilter, values: np.ndarray) -> np.ndarray:
     if values.shape[0] % 2 != 0:
         raise OddPeriodError(
             f"decimation needs an even period, got {values.shape[0]}")
-    return _cyclic_convolve(filt.zeta.coeffs, filt.zeta.offset, values[0::2])
+    out = np.empty((values.shape[0] // 2,) + values.shape[1:], order="F")
+    _cyclic_convolve(filt._stencils, values[0::2], (out,))
+    return out
 
 
 def decimate(filt: DecimationFilter, c):

@@ -198,6 +198,12 @@ def circularity_report(curve: PlanarCurve, levels: int,
 # anomaly localization
 
 
+# The default absolute floor of the flag threshold and gap bridged when
+# flags merge into ranges.
+_FLOOR = 1e-10
+_MERGE_GAP = 2
+
+
 def _merge_flags(flags: np.ndarray, gap: int, wrap: bool):
     """Group flagged indices into ranges, bridging gaps up to ``gap``.
 
@@ -228,10 +234,33 @@ def _merge_flags(flags: np.ndarray, gap: int, wrap: bool):
     return ranges
 
 
+def _median(norms: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D array of norms, bit for bit.
+
+    The partition is ``np.median``'s own; of two middle values it takes
+    ``(p[k-1] + p[k]) / 2``, the sum and division ``np.median`` makes
+    (they differ only for two -0.0, which no norm is).  A NaN, which the
+    partition puts last, is returned as ``np.median`` returns it.
+    """
+    k = norms.size // 2
+    odd = norms.size % 2
+    part = np.partition(norms, (k, -1) if odd else (k - 1, k, -1))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[k] if odd else (part[k - 1] + part[k]) / 2)
+
+
+def _threshold_flags(norms: np.ndarray, threshold_ratio: float,
+                     floor: float):
+    """The flags and threshold of :func:`anomaly_flags` on detail norms."""
+    threshold = max(threshold_ratio * _median(norms), floor)
+    return norms > threshold, threshold
+
+
 def anomaly_flags(curve: PlanarCurve, levels: int,
                   epsilon: float = 1e-15,
                   threshold_ratio: float = 50.0,
-                  floor: float = 1e-10):
+                  floor: float = _FLOOR):
     """Per-index anomaly flags at the finest detail level.
 
     A coefficient is flagged when its Euclidean norm exceeds
@@ -244,22 +273,22 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     :func:`curve_pyramid` bit for bit and the errors are its errors, except
     that a coarsest level shorter than the mask stencil (64 points at
     ``levels=4``, say) is accepted instead of raising
-    :class:`PeriodTooShortError`.
+    :class:`PeriodTooShortError`.  The norms thresholded are therefore
+    ``curve_pyramid(curve, levels, epsilon).detail_norms(levels)``, bit
+    for bit.
     """
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
     params = _level_params(family, levels, epsilon)
     _, detail = _analysis_step(params.mask, params.filt, block)
-    e = _row_norms(detail)
-    threshold = max(threshold_ratio * float(np.median(e)), floor)
-    return e > threshold, threshold
+    return _threshold_flags(_row_norms(detail), threshold_ratio, floor)
 
 
 def anomaly_localize(curve: PlanarCurve, levels: int,
                      epsilon: float = 1e-15,
                      threshold_ratio: float = 50.0,
-                     floor: float = 1e-10,
-                     merge_gap: int = 2):
+                     floor: float = _FLOOR,
+                     merge_gap: int = _MERGE_GAP):
     """Flag index ranges of the curve that break its circular structure.
 
     Thresholds the finest-level detail norms as in :func:`anomaly_flags`,

@@ -113,8 +113,8 @@ def _read_only_block(values) -> np.ndarray:
     """Read-only column-major 2-D float copy of ``values``.
 
     A 1-D ``values`` becomes ``(N, 1)``.  A float array that is already
-    2-D, column-major, read-only and owns its data, as :func:`analyze`
-    leaves its periodic blocks, is kept uncopied.
+    2-D, column-major, read-only and owns its data, as a pyramid keeps
+    its blocks, is kept uncopied.
     """
     if (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.ndim == 2 and values.flags.f_contiguous
@@ -145,9 +145,15 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-D block.
 
     The squares are summed from a row-major copy, so the rounding is the
-    same for every layout of ``block``.
+    same for every layout of ``block``.  Two squares sum alike in either
+    order, so a planar block adds its two columns instead: a reduction
+    over an axis that short costs a loop call per row.
     """
-    return np.sqrt(np.multiply(block, block, order="C").sum(axis=1))
+    if block.shape[1] == 2:
+        x, y = block[:, 0], block[:, 1]
+        return np.sqrt(x * x + y * y)
+    return np.sqrt(np.add.reduce(np.multiply(block, block, order="C"),
+                                 axis=1))
 
 
 # Field types of a pyramid document, of its binary blocks and of its
@@ -291,7 +297,35 @@ class Pyramid:
                     raise ShapeMismatchError(
                         f"level {level} details have period "
                         f"{block.shape[0]}, expected {2 * below.shape[0]}")
-        if not all(np.isfinite(block).all() for block in blocks):
+        self._fill(blocks, offsets, family, epsilon, boundary, level_params,
+                   support)
+
+    @classmethod
+    def _of_analysis(cls, blocks, offsets, family, epsilon, boundary,
+                     level_params, support) -> "Pyramid":
+        """The pyramid of the blocks :func:`analyze` built.
+
+        They are read-only, column-major, owned and consistent in shape
+        and offset by construction, so only their finiteness is checked.
+        """
+        pyramid = cls.__new__(cls)
+        pyramid._fill(blocks, tuple(offsets), family, epsilon, boundary,
+                      tuple(level_params), support)
+        return pyramid
+
+    def _fill(self, blocks, offsets, family, epsilon, boundary, level_params,
+              support) -> None:
+        """Set the fields of valid blocks; non-finite values raise.
+
+        Finite input can overflow to infinite details, so every caller's
+        blocks are checked.  A finite sum means finite values; only a block
+        whose sum is not finite, which finite values can also give, is
+        scanned.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(math.isfinite(np.add.reduce(block, axis=None))
+                         or np.isfinite(block).all() for block in blocks)
+        if not finite:
             raise DomainError(
                 "pyramid coefficients must be finite: found NaN or infinity")
         self.coarse = blocks[0]
@@ -492,20 +526,21 @@ def analyze(data, family: SchemeFamily, levels: int,
             block, start = _frame(block, offset, offset - pad,
                                   offset + block.shape[0] + pad)
         coarse, detail = _analysis_step(mask, filt, block)
-        if periodic:
-            # Fresh blocks: read-only, the Pyramid keeps them uncopied.
-            detail.setflags(write=False)
-        else:
+        if not periodic:
             detail, offsets[level] = _trim(detail, start)
             coarse, offset = _trim(coarse, start // 2)
+            # Owned copies, not views that would keep the frame alive.
+            detail = np.array(detail, order="F")
+        detail.setflags(write=False)
         details[level - 1] = detail
         level_params[level - 1] = params
         block = coarse
-    if periodic:
-        block.setflags(write=False)
+    if not periodic:
+        block = np.array(block, order="F")
+    block.setflags(write=False)
     offsets[0] = offset
-    return Pyramid(block, details, family, epsilon, boundary, level_params,
-                   offsets, support)
+    return Pyramid._of_analysis([block] + details, offsets, family, epsilon,
+                                boundary, level_params, support)
 
 
 def _synthesize_block(pyramid: Pyramid):
@@ -593,10 +628,13 @@ def detail_decay_report(pyramid: Pyramid) -> DetailDecayReport:
     """
     inf_norms, l1_norms, avg_norms = [], [], []
     for level in range(1, pyramid.levels + 1):
+        # the reductions e.max() and e.sum() make, without their wrappers;
+        # the mean is the division np.mean makes of that sum
         e = pyramid.detail_norms(level)
-        inf_norms.append(float(e.max()) if e.size else 0.0)
-        l1_norms.append(float(e.sum()))
-        avg_norms.append(float(e.mean()) if e.size else 0.0)
+        total = float(np.add.reduce(e))
+        inf_norms.append(float(np.maximum.reduce(e)) if e.size else 0.0)
+        l1_norms.append(total)
+        avg_norms.append(total / e.size if e.size else 0.0)
     ratios = []
     for l in range(pyramid.levels - 1):
         hi, lo = inf_norms[l], inf_norms[l + 1]

@@ -9,11 +9,13 @@ otherwise).  Besides them the module holds the norms and the
 moment constant the pyramid's bounds read, and the sequence CSV format.
 
 Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
-It works along axis 0 of an ``(N,)`` or ``(N, D)`` array.  Each output
-row correlates the reversed taps with the column wrap-extended by the
-filter length (by slicing when the filter reaches at most one period
-past either end, else with ``np.take(mode="wrap")``, so a filter longer
-than the period wraps correctly too), in one of three ways:
+It works along axis 0 of an ``(N,)`` or ``(N, D)`` array and takes every
+filter that reads it: refinement's two polyphase phases in one call,
+decimation's one filter in another.  Each output row correlates the
+reversed taps with the column wrap-extended by the filter's reach (by
+slicing when the reach is at most one period past either end, else with
+``np.take(mode="wrap")``, so a filter longer than the period wraps
+correctly too), in one of three ways:
 
 - A filter of 12 to 65 taps on a block of at least 4096 entries (rows
   times columns) runs as a blocked Toeplitz product: two BLAS GEMMs per
@@ -28,8 +30,11 @@ than the period wraps correctly too), in one of three ways:
   rows on this ran 1.02-1.47 times faster than the loop; at 8192 rows
   it broke even, below that and on strided columns it lost.  The
   results are the loop's bit for bit.
-- Every other call copies each wrap-extended column and runs
-  ``np.correlate(..., "valid")`` on it, one column at a time.
+- Every other filter runs ``np.correlate(..., "valid")`` on a
+  wrap-extended copy of the columns.  Each column is extended once for
+  all the filters that read it, by their largest reach; the extended
+  columns lie end to end in one buffer, and one ``np.correlate`` per
+  filter over it gives the rows of every column.
 
 The crossovers were measured on a 2-core x86 host.
 
@@ -207,19 +212,32 @@ _GEMM_BLOCK = 64
 _SEAM_MIN_ROWS = 16384
 
 
-def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Cyclic convolution along axis 0 of an ``(N,)`` or ``(N, D)`` array.
+def _stencil(taps: np.ndarray, offset: int):
+    """A filter in the form the cyclic kernel reads.
 
-    ``out[n] = sum_i taps[i] * values[(n - offset - i) mod N]``: ``taps``
-    holds a filter's coefficients from index ``offset`` on and must not be
-    empty.  Any filter length works, including one longer than N.  The
-    result goes into ``out`` (any view of ``values``' shape) or into a new
-    column-major array.
+    ``taps`` holds the filter's coefficients from index ``offset`` on and
+    must not be empty.  Returns the reversed taps, the head reach
+    ``offset + K - 1`` and the tail reach ``-offset`` (K the tap count):
+    output row n reads the column from row ``n - head`` to ``n + tail``.
+    """
+    return taps[::-1], offset + taps.size - 1, -offset
+
+
+def _cyclic_convolve(stencils, values: np.ndarray, outs) -> None:
+    """Cyclic convolutions along axis 0 of an ``(N,)`` or ``(N, D)`` array.
+
+    ``stencils`` holds one :func:`_stencil` per filter, every one of which
+    reads ``values``.  For a filter of taps ``taps`` from index
+    ``offset`` on, ``out[n] = sum_i taps[i] * values[(n - offset - i) mod
+    N]``.  Any filter length works, including one longer than N.  Each
+    result goes into its entry of ``outs``: arrays or views of
+    ``values``' shape, of which one may alias ``values`` only in a call
+    with one filter.
 
     Every output row is the dot product of the reversed taps with K
-    consecutive entries of the column wrap-extended by the filter length
-    (K the tap count).  One of three strategies computes them:
+    consecutive entries of the column wrap-extended by the filter's
+    reach (K the tap count).  One of three strategies computes each
+    filter's rows:
 
     - *GEMM*: a filter of ``_GEMM_MIN_TAPS`` (12) to ``_GEMM_BLOCK + 1``
       (65) taps on a block of at least ``_GEMM_MIN_WORK`` (4096) entries
@@ -230,35 +248,51 @@ def _cyclic_convolve(taps: np.ndarray, offset: int, values: np.ndarray,
       :func:`_seam_correlate`: no extended copy, only a ``2(K-1)``-entry
       one of the column's two ends for the seam rows.  Its bits are the
       loop's.
-    - *Loop*: every other call wrap-extends each column into a copy and
-      runs ``np.correlate(..., "valid")`` on it, one column at a time.
+    - *Loop*: every other filter runs one ``np.correlate(..., "valid")``
+      over a buffer of the columns, each wrap-extended once by the
+      largest reach of these filters, end to end.  A row reads the K
+      entries the filter's own extension would hold, so the bits are
+      those of one filter and one column at a time.
     """
     n = values.shape[0]
-    head, tail = offset + taps.size - 1, -offset
-    wrap = (None if 0 <= head <= n and 0 <= tail <= n
-            else np.arange(-head, n + tail))
-    if out is None:
-        out = np.empty(values.shape, order="F")
-    cols, out_cols = ((values[:, None], out[:, None]) if values.ndim == 1
-                      else (values, out))
-    if (values.size >= _GEMM_MIN_WORK
-            and _GEMM_MIN_TAPS <= taps.size <= _GEMM_BLOCK + 1):
-        _toeplitz_convolve(taps, head, wrap, cols, out_cols)
-        return out
+    cols = values[:, None] if values.ndim == 1 else values
+    gemm = values.size >= _GEMM_MIN_WORK
+    seam = _SEAM_MIN_ROWS <= n and values.strides[0] == values.itemsize
+    # The loop's filters, and the reach of the one extension they share:
+    # it covers rows -head to n + tail, so it holds each filter's own.
+    loop, head, tail = [], 0, 0
+    for (rtaps, h, t), out in zip(stencils, outs):
+        out_cols = out[:, None] if out.ndim == 1 else out
+        fits = 0 <= h <= n and 0 <= t <= n
+        if gemm and _GEMM_MIN_TAPS <= rtaps.size <= _GEMM_BLOCK + 1:
+            _toeplitz_convolve(rtaps[::-1], h, None if fits
+                               else np.arange(-h, n + t), cols, out_cols)
+        elif seam and fits and rtaps.size <= n:
+            for d in range(cols.shape[1]):
+                _seam_correlate(rtaps, h, t, cols[:, d], out_cols[:, d])
+        else:
+            loop.append((rtaps, h, t, out_cols))
+            if h > head:
+                head = h
+            if t > tail:
+                tail = t
+    if not loop:
+        return
+    # buf is a view of ext when ext is column-major, as it is for
+    # column-major input.  Column d's rows are the n windows from
+    # d * (head + n + tail) + head - h on, each inside column d's part.
+    ext = (np.concatenate((cols[n - head:], cols, cols[:tail]))
+           if head <= n and tail <= n
+           else np.take(cols, np.arange(-head, n + tail), axis=0,
+                        mode="wrap"))
+    buf = ext.T.reshape(-1)
     # np.convolve(ext, taps) is np.correlate(ext, taps[::-1]) behind a
-    # wrapper; ext is never shorter than taps, so the two agree bit for bit.
-    rtaps = taps[::-1]
-    seam = (wrap is None and _SEAM_MIN_ROWS <= n and taps.size <= n
-            and values.strides[0] == values.itemsize)
-    for d in range(cols.shape[1]):
-        col = cols[:, d]
-        if seam:
-            _seam_correlate(rtaps, head, tail, col, out_cols[:, d])
-            continue
-        ext = (np.concatenate((col[n - head:], col, col[:tail]))
-               if wrap is None else np.take(col, wrap, mode="wrap"))
-        out_cols[:, d] = np.correlate(ext, rtaps, "valid")
-    return out
+    # wrapper; buf is never shorter than taps, so the two agree bit for bit.
+    for rtaps, h, t, out_cols in loop:
+        windows = np.correlate(buf, rtaps, "valid")
+        for d in range(cols.shape[1]):
+            first = d * ext.shape[0] + head - h
+            out_cols[:, d] = windows[first:first + n]
 
 
 def _seam_correlate(rtaps, head, tail, col, out_col) -> None:
@@ -347,7 +381,8 @@ def _trim(block: np.ndarray, start: int):
 
     Returns the rest and its first index, 0 for an all-zero block.
     """
-    rows = np.flatnonzero(block.any(axis=1))
+    # block.any(axis=1) without the wrapper of ndarray.any
+    rows = np.logical_or.reduce(block, axis=1).nonzero()[0]
     if rows.size == 0:
         return block[:0], 0
     return block[rows[0]: rows[-1] + 1], start + int(rows[0])

@@ -35,7 +35,7 @@ from .errors import (
     _check_json,
 )
 from .sequences import (FinSeq, PeriodicSeq, _cyclic_convolve, _frame,
-                        _reach)
+                        _reach, _stencil)
 
 _PARITY_TOL = 1e-12
 _DENOM_GUARD = 1e-12
@@ -52,7 +52,8 @@ class Mask:
     taps are finite, as every :class:`FinSeq` is.
     """
 
-    __slots__ = ("taps", "level", "family_id", "_phases")
+    __slots__ = ("taps", "level", "family_id", "_phases", "_parities",
+                 "_stencils", "_stencil_reach")
 
     def __init__(self, taps: FinSeq, level: int = 0, family_id: str = "custom",
                  check_parity: bool = True):
@@ -61,10 +62,19 @@ class Mask:
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "level", int(level))
         object.__setattr__(self, "family_id", str(family_id))
-        # The polyphase split every refinement reads.
-        object.__setattr__(self, "_phases", _polyphase(taps))
+        # The polyphase split, and what every refinement reads of it: the
+        # parities with taps, their kernel stencils, the stencil reach.
+        phases = _polyphase(taps)
+        parities = tuple([p for p in (0, 1) if phases[p][0].size])
+        object.__setattr__(self, "_phases", phases)
+        object.__setattr__(self, "_parities", parities)
+        object.__setattr__(self, "_stencils",
+                           tuple([_stencil(*phases[p]) for p in parities]))
+        object.__setattr__(self, "_stencil_reach",
+                           max(phases[0][0].size, phases[1][0].size))
         if check_parity:
-            dev = max(abs(d) for d in self.parity_deviation)
+            even, odd = self.parity_deviation
+            dev = max(abs(even), abs(odd))
             if dev > _PARITY_TOL:
                 raise BadParamsError(
                     f"mask parity sums deviate from 1 by {dev:.3e}")
@@ -77,7 +87,7 @@ class Mask:
         return Mask, (self.taps, self.level, self.family_id, False)
 
     def __eq__(self, other) -> bool:
-        # _phases is derived from the taps, so it takes no part.
+        # The fields derived from the taps take no part.
         if not isinstance(other, Mask):
             return NotImplemented
         return (self.taps, self.level, self.family_id) == (
@@ -88,11 +98,12 @@ class Mask:
 
     @property
     def even_sum(self) -> float:
-        return float(self._phases[0][0].sum())
+        # the sum ndarray.sum() makes, without its wrapper
+        return float(np.add.reduce(self._phases[0][0]))
 
     @property
     def odd_sum(self) -> float:
-        return float(self._phases[1][0].sum())
+        return float(np.add.reduce(self._phases[1][0]))
 
     @property
     def parity_deviation(self):
@@ -126,21 +137,20 @@ def _refine_block(mask: Mask, values: np.ndarray) -> np.ndarray:
     """Periodic refinement of an ``(N,)`` or ``(N, D)`` block along axis 0.
 
     Polyphase: output ``[p::2]`` is the coarse data cyclically convolved
-    with the parity-p taps, so no inserted zero is ever multiplied.  The
-    kernel writes each phase straight into the column-major result.
+    with the parity-p taps, so no inserted zero is ever multiplied.  One
+    kernel call computes both phases from one extension of each column
+    and writes them straight into the column-major result; a phase
+    without taps stays zero.
     """
-    phases = mask._phases
     n = values.shape[0]
-    reach = max(coeffs.size for coeffs, _ in phases)
-    if n < reach:
+    if n < mask._stencil_reach:
         raise PeriodTooShortError(
-            f"period {n} shorter than stencil reach {reach}")
-    out = np.empty((2 * n,) + values.shape[1:], order="F")
-    for parity, (coeffs, offset) in enumerate(phases):
-        if coeffs.size:
-            _cyclic_convolve(coeffs, offset, values, out=out[parity::2])
-        else:
-            out[parity::2] = 0.0
+            f"period {n} shorter than stencil reach {mask._stencil_reach}")
+    shape = (2 * n,) + values.shape[1:]
+    out = (np.empty(shape, order="F") if len(mask._parities) == 2
+           else np.zeros(shape, order="F"))
+    _cyclic_convolve(mask._stencils, values,
+                     [out[p::2] for p in mask._parities])
     return out
 
 

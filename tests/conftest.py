@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nspyr import Conic, NS4Point, NSCubic, cubic_bspline_family, sequences
+from nspyr import (Conic, NS4Point, NSCubic, cubic_bspline_family, decimation,
+                   sequences, subdivision)
 
 
 @pytest.fixture
@@ -37,6 +38,21 @@ def seam_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sequences, "_seam_correlate", spy)
+    return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Filter counts of the cyclic kernel calls of refinement and decimation."""
+    calls = []
+    real = sequences._cyclic_convolve
+
+    def spy(stencils, values, outs):
+        calls.append(len(stencils))
+        return real(stencils, values, outs)
+
+    for module in (subdivision, decimation):
+        monkeypatch.setattr(module, "_cyclic_convolve", spy)
     return calls
 
 

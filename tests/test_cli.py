@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import math
 import os
 import subprocess
@@ -436,6 +437,26 @@ class TestConfigPrecedence:
                                                           "p_norms.csv"]
         for name in ("p.json", "p_norms.csv"):
             assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_keys_the_subcommand_does_not_read_are_logged(self, tmp_path,
+                                                          caplog):
+        # one file may serve several subcommands: the keys circle-demo has
+        # no flag for are named at info level, and change nothing
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"family": "ns4pt", "theta": 0.3,
+                                      "plot": True, "levels": 3, "n": 64}))
+        with caplog.at_level(logging.INFO, logger="nspyr"):
+            assert run("circle-demo", "--out", tmp_path / "a",
+                       "--config", config) == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno == logging.INFO and "ignored" in r.getMessage()
+                ] == [f"config {config}: circle-demo does not read {key!r}; "
+                      f"ignored" for key in ("family", "plot", "theta")]
+        assert run("circle-demo", "--out", tmp_path / "b", "--levels", 3,
+                   "--n", 64) == 0
+        for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
     def test_invalid_epsilon_rejected(self, tmp_path, circle_csv):
         code = run("decompose", "--in", circle_csv,

@@ -280,6 +280,30 @@ class TestFinestLevelFlags:
         assert anomaly_localize(sample_circle(n), levels) == []
 
 
+# Detail norms: zero, magnitudes from 1e-300 to 1e300, a few repeated
+# values for ties, and NaN.
+NORMS = st.one_of(st.floats(1e-300, 1e300), st.just(0.0),
+                  st.sampled_from([1e-300, 0.5, 1.0, 3.0, 1e300]),
+                  st.just(math.nan))
+
+
+class TestMedian:
+    """The flags' median is np.median's, from one partition."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(NORMS, min_size=1, max_size=80))
+    @example([3.0, 1.0, 3.0, 1.0])
+    @example([2.0, 3.0])
+    @example([1.0, math.nan, 2.0])
+    def test_bits_of_np_median(self, values):
+        norms = np.array(values)
+        want = np.median(norms)
+        got = geometry._median(norms)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert norms.tobytes() == np.array(values).tobytes()  # unchanged
+
+
 # Number cells of a CSV row that float() and numpy's parser both read:
 # repr'd floats, signed zero, a subnormal, non-finite spellings, padding.
 NUMBER_CELLS = st.one_of(

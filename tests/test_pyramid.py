@@ -134,6 +134,19 @@ class TestLongFilterPath:
         assert report.verdict_scale <= 1e-9 * radius
 
 
+class TestKernelCalls:
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    @pytest.mark.parametrize("name,family", family_grid())
+    def test_one_call_per_decimation_and_refinement(self, rng, kernel_calls,
+                                                    name, family, boundary):
+        # a level decimates with its one filter, then refines both phases
+        # in one call; synthesis refines once per level
+        p = analyze(rng.normal(size=(128, 2)), family, 3, boundary=boundary)
+        assert kernel_calls == [1, 2] * 3
+        synthesize_array(p)
+        assert kernel_calls == [1, 2] * 3 + [2] * 3
+
+
 class TestAnalyzeContracts:
     def test_period_not_divisible(self):
         with pytest.raises(PeriodNotDivisibleError) as excinfo:
@@ -596,6 +609,39 @@ class TestPyramidValidation:
         with pytest.raises(DomainError, match="pyramid coefficients"):
             analyze(np.tile([1.7e308, -1.7e308], 32), Conic(0.9), 2,
                     boundary=boundary)
+
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coarse", "details"])
+    def test_finiteness_of_blocks_whose_sum_overflows(self, rng, field, bad):
+        # a finite block may sum to infinity: such a block is scanned, and
+        # accepted, by every way a pyramid is built; one value that is not
+        # finite is still rejected
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 3)
+        blocks = [np.array(p.coarse)] + [np.array(d) for d in p.details]
+        at = 0 if field == "coarse" else 3
+        blocks[at][:2, 1] = 1e308
+        with np.errstate(over="ignore"):
+            assert blocks[at].sum() == np.inf
+        if bad is not None:
+            blocks[at][5, 0] = bad
+        doc = json.loads(p.to_json())
+        doc["coarse"] = pyramid._encode_block(blocks[0])
+        doc["details"] = [pyramid._encode_block(b) for b in blocks[1:]]
+        builds = [
+            lambda: Pyramid(blocks[0], blocks[1:], p.family, p.epsilon,
+                            p.boundary, p.level_params),
+            lambda: Pyramid.from_json_dict(doc),
+        ]
+        for build in builds:
+            if bad is not None:
+                with pytest.raises(DomainError, match="pyramid coefficients"):
+                    build()
+                continue
+            q = build()
+            kept = q.coarse if field == "coarse" else q.details[2]
+            assert kept.tobytes() == blocks[at].tobytes()
+            again = pickle.loads(pickle.dumps(q))
+            assert again.details[2].tobytes() == q.details[2].tobytes()
 
     @pytest.mark.parametrize("corrupt, field", [
         (lambda d: d.pop("family"), "'family'"),

@@ -33,7 +33,18 @@ from nspyr import (
     write_sequence_csv,
 )
 from nspyr import sequences
-from nspyr.sequences import _cyclic_convolve
+from nspyr.sequences import _cyclic_convolve, _stencil
+
+
+def kernel(taps, offset, values, out=None):
+    """The cyclic kernel on one filter, taps from index ``offset`` on.
+
+    The result goes into ``out``, or into a new column-major array.
+    """
+    if out is None:
+        out = np.empty(values.shape, order="F")
+    _cyclic_convolve([_stencil(taps, offset)], values, [out])
+    return out
 
 
 def max_step(c: FinSeq) -> float:
@@ -148,7 +159,7 @@ class TestConvolve:
     def test_cyclic_against_rolled_sum(self, rng):
         taps = FinSeq([0.25, 0.5, 0.25], -1)
         c = PeriodicSeq(rng.normal(size=8))
-        out = _cyclic_convolve(taps.coeffs, taps.offset, c.values)
+        out = kernel(taps.coeffs, taps.offset, c.values)
         expected = np.zeros(8)
         for j, t in zip(taps.indices(), taps.coeffs):
             expected += t * np.roll(c.values, j)
@@ -193,7 +204,7 @@ class TestCyclicKernel:
         # covers taps longer than the period; the bound is fixed from the
         # dtype: the two sum the same products in different orders
         taps, offset, values = case
-        got = _cyclic_convolve(taps, offset, values)
+        got = kernel(taps, offset, values)
         want = roll_cyclic_convolve(taps, offset, values)
         assert got.shape == values.shape
         assert np.abs(got - want).max() <= kernel_tolerance(taps, values)
@@ -221,7 +232,7 @@ class TestKernelLayout:
     @given(block_cases())
     def test_every_layout_gives_the_same_bits(self, case):
         taps, offset, block = case
-        want = _cyclic_convolve(taps, offset, block)
+        want = kernel(taps, offset, block)
         assert want.flags.f_contiguous
         layouts = [
             np.asfortranarray(block),
@@ -229,11 +240,11 @@ class TestKernelLayout:
             np.repeat(block, 2, axis=1)[:, ::2],    # strided columns
         ]
         for values in layouts:
-            assert same_bits(_cyclic_convolve(taps, offset, values), want)
-        flipped = _cyclic_convolve(taps, offset, block[:, ::-1])
+            assert same_bits(kernel(taps, offset, values), want)
+        flipped = kernel(taps, offset, block[:, ::-1])
         assert same_bits(flipped, want[:, ::-1])
         for d in range(block.shape[1]):
-            assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
+            assert same_bits(kernel(taps, offset, block[:, d]),
                              want[:, d])
         assert np.abs(want - roll_cyclic_convolve(taps, offset, block)).max(
             initial=0.0) <= kernel_tolerance(taps, block)
@@ -243,11 +254,11 @@ class TestKernelLayout:
     def test_out_view_is_filled_in_place(self, case, parity, one_d):
         taps, offset, block = case
         values = block[:, 0] if one_d else block
-        want = _cyclic_convolve(taps, offset, values)
+        want = kernel(taps, offset, values)
         buf = np.full((2 * values.shape[0],) + values.shape[1:], np.nan,
                       order="F")
         out = buf[parity::2]
-        assert _cyclic_convolve(taps, offset, values, out=out) is out
+        assert kernel(taps, offset, values, out=out) is out
         assert same_bits(out, want)
         assert np.isnan(buf[1 - parity::2]).all()
 
@@ -284,7 +295,7 @@ class TestLongFilterKernel:
     def test_matches_roll_loop(self, case, parity):
         taps, offset, values = case
         want = roll_cyclic_convolve(taps, offset, values)
-        got = _cyclic_convolve(taps, offset, values)
+        got = kernel(taps, offset, values)
         assert got.flags.f_contiguous
         assert np.abs(got - want).max() <= kernel_tolerance(taps, values)
         # a strided out= view of every other row; the rows between keep
@@ -292,7 +303,7 @@ class TestLongFilterKernel:
         buf = np.full((2 * values.shape[0], values.shape[1]), np.nan,
                       order="F")
         out = buf[parity::2]
-        assert _cyclic_convolve(taps, offset, values, out=out) is out
+        assert kernel(taps, offset, values, out=out) is out
         assert out.tobytes() == np.ascontiguousarray(got).tobytes()
         assert np.isnan(buf[1 - parity::2]).all()
 
@@ -304,7 +315,7 @@ class TestLongFilterKernel:
         # above 65 taps a 64-row block would need more than one next block
         taps = rng.normal(size=ntaps)
         values = rng.normal(size=(4096, 2))
-        got = _cyclic_convolve(taps, -ntaps // 2, values)
+        got = kernel(taps, -ntaps // 2, values)
         assert gemm_calls == ([ntaps] if takes_gemm else [])
         assert np.abs(got - roll_cyclic_convolve(
             taps, -ntaps // 2, values)).max() <= kernel_tolerance(
@@ -317,7 +328,7 @@ class TestLongFilterKernel:
                                     takes_gemm):
         taps = rng.normal(size=33)
         values = rng.normal(size=shape)
-        got = _cyclic_convolve(taps, -16, values)
+        got = kernel(taps, -16, values)
         assert len(gemm_calls) == int(takes_gemm)
         assert np.abs(got - roll_cyclic_convolve(taps, -16, values)).max(
         ) <= kernel_tolerance(taps, values)
@@ -332,15 +343,15 @@ class TestLongFilterKernel:
         rng = np.random.default_rng(seed)
         taps = rng.normal(size=ntaps)
         block = rng.normal(size=(rows, ncomp))
-        want = _cyclic_convolve(taps, offset, block)
+        want = kernel(taps, offset, block)
         for values in (np.asfortranarray(block),
                        np.repeat(block, 2, axis=0)[::2],
                        np.repeat(block, 2, axis=1)[:, ::2]):
-            assert same_bits(_cyclic_convolve(taps, offset, values), want)
-        assert same_bits(_cyclic_convolve(taps, offset, block[:, ::-1]),
+            assert same_bits(kernel(taps, offset, values), want)
+        assert same_bits(kernel(taps, offset, block[:, ::-1]),
                          want[:, ::-1])
         for d in range(ncomp):
-            assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
+            assert same_bits(kernel(taps, offset, block[:, d]),
                              want[:, d])
 
 
@@ -393,7 +404,7 @@ class TestTallColumnKernel:
         values = {"F": np.asfortranarray, "C": np.ascontiguousarray,
                   "every other row": lambda b: np.repeat(b, 2, axis=0)[::2],
                   }[layout](rng.normal(size=shape))
-        got = _cyclic_convolve(taps, offset, values)
+        got = kernel(taps, offset, values)
         columns = values.reshape(shape[0], -1).shape[1]
         assert seam_calls == ([shape[0]] * columns if strategy == "seam"
                               else [])
@@ -407,15 +418,15 @@ class TestTallColumnKernel:
     @given(tall_cases())
     def test_every_layout_gives_the_loop_bits(self, case):
         taps, offset, block = case
-        want = _cyclic_convolve(taps, offset, block)
+        want = kernel(taps, offset, block)
         assert want.flags.f_contiguous
         assert same_bits(want, extended_correlate(taps, offset, block))
         for values in (np.ascontiguousarray(block),
                        np.repeat(block, 2, axis=0)[::2],
                        np.repeat(block, 2, axis=1)[:, ::2]):
-            assert same_bits(_cyclic_convolve(taps, offset, values), want)
+            assert same_bits(kernel(taps, offset, values), want)
         for d in range(block.shape[1]):
-            assert same_bits(_cyclic_convolve(taps, offset, block[:, d]),
+            assert same_bits(kernel(taps, offset, block[:, d]),
                              want[:, d])
         assert np.abs(want - roll_cyclic_convolve(taps, offset, block)).max(
         ) <= kernel_tolerance(taps, block)
@@ -429,14 +440,66 @@ class TestTallColumnKernel:
         buf = np.full((2 * values.shape[0],) + values.shape[1:], np.nan,
                       order="F")
         out = buf[parity::2]
-        assert _cyclic_convolve(taps, offset, values, out=out) is out
+        assert kernel(taps, offset, values, out=out) is out
         assert same_bits(out, want)
         assert np.isnan(buf[1 - parity::2]).all()
         # out may be the input itself: each column's seam is copied
         # before the column is overwritten
         alias = values.copy(order="F")
-        assert _cyclic_convolve(taps, offset, alias, out=alias) is alias
+        assert kernel(taps, offset, alias, out=alias) is alias
         assert same_bits(alias, want)
+
+
+@st.composite
+def shared_block_cases(draw):
+    """One to three filters reading one block of 1-300 rows, 1-3 columns.
+
+    Filters have 1-11 taps (np.correlate's short-filter sums) or 12-70
+    (its dot products); the block is too small for the GEMM and seam
+    strategies, so every filter shares the loop's one extension.  Offsets
+    reach two periods past either end, so that the extension often wraps
+    past the period.  The block comes C- or F-ordered or with strided
+    rows, one column often 1-D; outputs are new arrays or interleaved
+    rows of one buffer, as in refinement.
+    """
+    rows = draw(st.integers(1, 300))
+    ncols = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    filters = []
+    for _ in range(draw(st.integers(1, 3))):
+        ntaps = draw(st.one_of(st.integers(1, 11), st.integers(12, 70)))
+        offset = draw(st.integers(-2 * rows - ntaps, 2 * rows))
+        filters.append((rng.normal(size=ntaps), offset))
+    block = rng.normal(size=(rows, ncols))
+    block *= 10.0 ** rng.integers(-5, 6, size=block.shape)
+    values = draw(st.sampled_from([
+        np.ascontiguousarray,
+        np.asfortranarray,
+        lambda b: np.repeat(b, 2, axis=0)[::2],     # as in decimation
+    ]))(block)
+    if ncols == 1 and draw(st.booleans()):
+        values = values[:, 0]
+    return filters, values, draw(st.booleans())
+
+
+class TestSharedExtension:
+    """Filters sharing one block get the bits of each filter alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_block_cases())
+    def test_each_filter_as_if_alone(self, case):
+        filters, values, interleaved = case
+        count = len(filters)
+        if interleaved:
+            buf = np.full((count * values.shape[0],) + values.shape[1:],
+                          np.nan, order="F")
+            outs = [buf[i::count] for i in range(count)]
+        else:
+            outs = [np.empty(values.shape, order="F") for _ in filters]
+        _cyclic_convolve([_stencil(taps, offset) for taps, offset in filters],
+                         values, outs)
+        for (taps, offset), out in zip(filters, outs):
+            assert same_bits(out, extended_correlate(taps, offset, values))
 
 
 class TestResampling:

@@ -293,6 +293,19 @@ class TestRefine:
         monkeypatch.setattr(subdivision, "_polyphase", None)
         assert refine(mask, c) == want
 
+    @pytest.mark.parametrize("name, family", family_grid())
+    def test_one_kernel_call_per_refinement(self, rng, kernel_calls, name,
+                                            family):
+        # both phases come from one call, periodic or finite
+        mask = family.mask_at_level(1)
+        refine(mask, PeriodicSeq(rng.normal(size=32)))
+        refine(mask, FinSeq(rng.normal(size=9), -3))
+        _refine_block(mask, rng.normal(size=(4096, 2)))
+        assert kernel_calls == [2, 2, 2]
+        refine(Mask(FinSeq([1.5], 0), check_parity=False),
+               PeriodicSeq(rng.normal(size=8)))
+        assert kernel_calls == [2, 2, 2, 1]
+
     @pytest.mark.parametrize("offset", [0, 1, -3])
     def test_phase_without_taps_refines_to_zero(self, rng, offset):
         # one tap, so one parity has no taps and its output phase is zero
