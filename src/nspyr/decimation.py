@@ -24,6 +24,17 @@ computed by direct convolution, which gives the small tail
 coefficients their relative accuracy back.  The filter records the
 threshold, the l1 residual of the convolution equation and the decay
 envelope.
+
+A cold solve, one that no cached filter answers, costs its eigensolve,
+its four transforms on m points and about 80 numpy calls on arrays of
+at most m entries; the eigensolve and the transforms call numpy's
+gufuncs directly (:func:`_gufuncs`).  On a 2-core x86 host a shipped
+family's cold solve took 85-95 us, about 10 us of it the eigensolve and
+12-13 us the transforms.  The scalars the roots fix (decay rate,
+winding count, window bound, root-merge test) run on Python floats in
+the order of the numpy expressions ``tests/oracles.py`` keeps, and the
+filter's sequences are built by ``sequences._finseq``: the filters keep
+their bits.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +57,9 @@ from .errors import (
 from .sequences import (
     FinSeq,
     PeriodicSeq,
+    _add_reduce,
     _cyclic_convolve,
+    _finseq,
     _frame,
     _reach,
     _stencil,
@@ -57,6 +71,79 @@ _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
 _ROOT_MERGE = 1e-3  # relative distance below which roots count as one
 _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
+
+
+# The eigensolve and the transforms run as the gufuncs behind
+# np.linalg.eigvals, np.fft.rfft and np.fft.irfft: on a solve's small
+# arrays the public functions' argument handling cost about as much as
+# the work.  The gufuncs live in numpy's private modules, so each is used
+# only when it imports and gives its public function's bits on a probe;
+# otherwise (numpy before 2.0 has no FFT gufuncs) that function runs.
+_CORE_AXES = [(0,), (), (0,)]  # axes= of a 1-D transform
+
+
+def _gufuncs():
+    """numpy's eigvals, rfft (even length) and irfft gufuncs, or None each.
+
+    The probe matrix, the companion of (z - 1/2)(z^2 + 1/4), has complex
+    eigenvalues, which the public function returns as found.
+    """
+    probe = np.array([[0.5, -0.25, 0.125], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    eig = rfft = irfft = None
+    try:
+        from numpy.linalg import _umath_linalg
+        got = _umath_linalg.eigvals(probe, signature="d->D")
+        if got.tobytes() == np.linalg.eigvals(probe).tobytes():
+            eig = _umath_linalg.eigvals
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass
+    try:
+        from numpy.fft import _pocketfft_umath
+        x = probe.ravel()[:8]
+        spec = _pocketfft_umath.rfft_n_even(x, 1.0, axes=_CORE_AXES,
+                                            out=np.empty(5, complex))
+        back = _pocketfft_umath.irfft(spec, 1.0 / 8, axes=_CORE_AXES,
+                                      out=np.empty(8))
+        if (spec.tobytes() == np.fft.rfft(x).tobytes()
+                and back.tobytes() == np.fft.irfft(spec, 8).tobytes()):
+            rfft, irfft = _pocketfft_umath.rfft_n_even, _pocketfft_umath.irfft
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass
+    return eig, rfft, irfft
+
+
+_EIGVALS, _RFFT_EVEN, _IRFFT = _gufuncs()
+
+
+def _eigvals(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals`` of a real square matrix, bit for bit.
+
+    A matrix that is not finite, or whose eigenvalues do not converge,
+    goes to ``np.linalg.eigvals``, which raises ``LinAlgError`` for it.
+    """
+    if _EIGVALS is None or np.count_nonzero(np.isfinite(matrix)) < matrix.size:
+        return np.linalg.eigvals(matrix)
+    with np.errstate(invalid="ignore"):  # set by a failed convergence
+        w = _EIGVALS(matrix, signature="d->D")
+    if np.count_nonzero(np.isfinite(w)) < w.size:
+        return np.linalg.eigvals(matrix)
+    # the public function's real result when no eigenvalue is complex
+    return w if np.count_nonzero(w.imag) else w.real
+
+
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft(x)`` of a real array of even length."""
+    if _RFFT_EVEN is None:
+        return np.fft.rfft(x)
+    return _RFFT_EVEN(x, 1.0, axes=_CORE_AXES,
+                      out=np.empty(x.size // 2 + 1, complex))
+
+
+def _irfft(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """``np.fft.irfft(spectrum, n)``."""
+    if _IRFFT is None:
+        return np.fft.irfft(spectrum, n)
+    return _IRFFT(spectrum, 1.0 / n, axes=_CORE_AXES, out=np.empty(n))
 
 
 def _even_taps(mask: Mask):
@@ -76,18 +163,20 @@ def _even_taps(mask: Mask):
 def _merge_close_roots(roots, size, gaps) -> np.ndarray:
     """Roots with each group closer than 1e-3 (relative) set to its mean.
 
-    ``size`` and ``gaps`` are ``|roots|`` and the pairwise ``|r_i - r_k|``.
-    The eigenvalue solver splits a root of multiplicity m into m roots
-    about eps^(1/m) apart; their mean, fixed by the coefficients, is
-    accurate.
+    ``size`` and ``gaps`` are ``|roots|`` and the pairwise ``|r_i - r_k|``
+    (arrays, or a list and nested lists of floats).  The eigenvalue
+    solver splits a root of multiplicity m into m roots about eps^(1/m)
+    apart; their mean, fixed by the coefficients, is accurate.
     Roots farther apart pass through unchanged (``roots`` itself comes
-    back when no two are close).  Only the reported decay rate reads the
-    merged roots: the symbol test and the window keep the roots as
-    found, so two distinct roots near the circle still fail.
+    back when no two are close; that test runs on Python floats).  Only
+    the reported decay rate reads the merged roots: the symbol test and
+    the window keep the roots as found, so two distinct roots near the
+    circle still fail.
     """
-    close = gaps <= _ROOT_MERGE * np.maximum.outer(size, size)
-    if np.count_nonzero(close) == roots.size:  # the diagonal alone
+    if not _any_close(size, gaps):
         return roots
+    size = np.asarray(size)
+    close = np.asarray(gaps) <= _ROOT_MERGE * np.maximum.outer(size, size)
     merged = roots.copy()
     left = np.ones(roots.size, dtype=bool)
     for i in range(roots.size):
@@ -101,9 +190,30 @@ def _merge_close_roots(roots, size, gaps) -> np.ndarray:
     return merged
 
 
-def _decay_rate(size: np.ndarray) -> float:
-    """Root modulus nearest the unit circle, inverted outside it."""
-    return float(np.minimum(size, 1.0 / size).max())
+def _any_close(size, gaps) -> bool:
+    """Whether two roots lie within 1e-3 (relative) of each other."""
+    n = len(size)
+    for i in range(n):
+        for k in range(i + 1, n):
+            if gaps[i][k] <= _ROOT_MERGE * max(size[i], size[k]):
+                return True
+    return False
+
+
+def _decay_rate(size) -> float:
+    """Root modulus nearest the unit circle, inverted outside it.
+
+    ``size`` holds the moduli, nonzero, as floats or an array.
+    """
+    return float(max([min(s, 1.0 / s) for s in size]))
+
+
+@functools.lru_cache(maxsize=64)
+def _shift(degree: int) -> np.ndarray:
+    """The companion matrix's subdiagonal of ones, built once per degree."""
+    shift = np.eye(degree, k=-1)
+    shift.setflags(write=False)
+    return shift
 
 
 def _roots(coeffs: np.ndarray) -> np.ndarray:
@@ -112,9 +222,28 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
     The eigenvalues of the companion matrix ``np.roots`` builds; its
     trimming of zero end taps is skipped, which trimmed taps never need.
     """
-    companion = np.eye(coeffs.size - 1, k=-1)
-    companion[0] = -coeffs[-2::-1] / coeffs[-1]
-    return np.linalg.eigvals(companion)
+    companion = _shift(coeffs.size - 1).copy()
+    # -c / d as c / -d, which rounds alike, straight into the first row
+    np.divide(coeffs[-2::-1], -coeffs[-1], out=companion[0])
+    return _eigvals(companion)
+
+
+def _residue_sum(gaps) -> float:
+    """``sum_i 1 / prod_(k != i) max(|r_i - r_k|, 1e-4)`` of the roots r_i.
+
+    ``gaps`` holds the pairwise ``|r_i - r_k|`` (nested lists of floats,
+    or an array).  The floor keeps (nearly) repeated roots finite.  Runs
+    on Python floats in numpy's order: each row's product left to right,
+    then :func:`_add_reduce`.
+    """
+    residues = []
+    for i, row in enumerate(gaps):
+        prod = 1.0
+        for k, gap in enumerate(row):
+            if k != i:
+                prod *= 1e-4 if gap < 1e-4 else gap  # max(gap, 1e-4)
+        residues.append(1.0 / prod)
+    return _add_reduce(residues)
 
 
 def _half_width(a, gaps, lam: float, epsilon: float) -> int:
@@ -124,13 +253,11 @@ def _half_width(a, gaps, lam: float, epsilon: float) -> int:
     the pairwise distances of the roots r_i of ``z^-lo a(z)``.  Partial
     fractions bound ``|gamma_j|`` by ``S / lambda * lambda^|j + lo|`` with
     ``S = sum 1 / |a_hi prod_(k != i) (r_i - r_k)|``; root gaps are floored
-    at 1e-4 so that (nearly) repeated roots give a finite, larger bound.
+    at 1e-4 (:func:`_residue_sum`) so that (nearly) repeated roots give a
+    finite, larger bound.
     """
     coeffs, offset = a
-    floored = np.maximum(gaps, 1e-4)
-    floored.flat[::gaps.shape[0] + 1] = 1.0  # the diagonal
-    residues = 1.0 / floored.prod(axis=1)
-    bound = float(residues.sum()) / (abs(float(coeffs[-1])) * lam)
+    bound = _residue_sum(gaps) / (abs(float(coeffs[-1])) * lam)
     reach = abs(offset) + math.log(epsilon / (10.0 * bound)) / math.log(lam)
     return 2 * max(math.ceil(reach), coeffs.size)
 
@@ -152,20 +279,22 @@ def _solve_window(a, half_width: int) -> np.ndarray:
     taps = np.zeros(m)
     taps[:hi + 1] = coeffs[-lo:]
     taps[m + lo:] = coeffs[:-lo]
-    spectrum = np.fft.rfft(taps)
-    if not spectrum.all():
+    spectrum = _rfft(taps)
+    if np.count_nonzero(spectrum) < spectrum.size:
         k = int(np.flatnonzero(spectrum == 0.0)[0])
         raise NoConvergenceError(
             f"even-part spectrum vanishes at frequency "
             f"{2.0 * np.pi * k / m:.6g} (bin {k} of {m})")
     inverse = 1.0 / spectrum
-    g = np.fft.irfft(inverse, m)
+    g = _irfft(inverse, m)
     # (a * g)_j - delta_j for j = 0..m-1, from g extended by its cyclic
-    # wrap: the negated residual.
-    excess = np.convolve(np.concatenate((g[m - hi:], g, g[:-lo])), coeffs,
-                         mode="valid")
+    # wrap: the negated residual.  np.correlate with the reversed taps is
+    # np.convolve without its wrapper, bit for bit, the extension being
+    # the longer operand.
+    excess = np.correlate(np.concatenate((g[m - hi:], g, g[:-lo])),
+                          coeffs[::-1], "valid")
     excess[0] -= 1.0
-    g -= np.fft.irfft(np.fft.rfft(excess) * inverse, m)
+    g -= _irfft(_rfft(excess) * inverse, m)
     return np.concatenate((g[m - half_width:], g[:half_width + 1]))
 
 
@@ -212,8 +341,8 @@ def _residual_l1(even: np.ndarray, even_offset: int, zeta: FinSeq) -> float:
     at_zero = -(even_offset + zeta.offset)
     if 0 <= at_zero < product.size:
         product[at_zero] -= 1.0
-        return float(np.abs(product).sum())
-    return float(np.abs(product).sum()) + 1.0
+        return float(np.add.reduce(np.abs(product)))
+    return float(np.add.reduce(np.abs(product))) + 1.0
 
 
 def residual_check(filt: DecimationFilter, mask: Mask) -> float:
@@ -222,7 +351,9 @@ def residual_check(filt: DecimationFilter, mask: Mask) -> float:
 
 
 _cache_lock = threading.Lock()
-_filter_cache: dict[tuple, DecimationFilter] = {}
+# Its first key, the one to evict, is found in constant time; a plain
+# dict's takes longer to find as deleted entries pile up at its front.
+_filter_cache: OrderedDict[tuple, DecimationFilter] = OrderedDict()
 
 
 def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
@@ -257,23 +388,27 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         # One even tap c at offset m inverts exactly to 1/c at -m; for an
         # interpolating mask this is the Kronecker delta and decimation
         # reduces to plain downsampling.
-        gamma_raw = FinSeq([1.0 / even[0]], -even_offset)
+        gamma_raw = _finseq(np.array([1.0 / even[0]]), -even_offset)
         c_env, lam = None, None
     else:
         roots = _roots(even)
         size = np.abs(roots)
-        lam = _decay_rate(size)
+        # The scalars the roots fix run on Python floats; the moduli and
+        # gaps keep numpy's complex modulus, which rounds unlike abs().
+        sizes = size.tolist()
+        lam = _decay_rate(sizes)
         # |symbol| at a root's angle is |sum_k even[k] u^k|, u = root / |root|.
         symbol = ((roots / size)[:, None] ** np.arange(even.size)) @ even
-        if lam >= 1.0 or np.abs(symbol).min() <= _SYMBOL_MIN:
+        symbol = np.abs(symbol)
+        if lam >= 1.0 or symbol[symbol.argmin()] <= _SYMBOL_MIN:
             raise SymbolZeroOnCircleError(
                 "even-part symbol vanishes on the unit circle; "
                 "no summable inverse filter exists")
         # Solve for the even part shifted by z^-wind, whose winding number
         # about the origin is 0: its inverse is centred on the window.
-        wind = even_offset + int(np.count_nonzero(size < 1.0))
+        wind = even_offset + len([s for s in sizes if s < 1.0])
         centred = (even, even_offset - wind)
-        gaps = np.abs(roots[:, None] - roots[None, :])
+        gaps = np.abs(roots[:, None] - roots[None, :]).tolist()
         width = _half_width(centred, gaps, lam, epsilon)
         if width > _MAX_WINDOW:
             raise NoConvergenceError(
@@ -281,8 +416,8 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
         gamma_full = _solve_window(centred, width)
         mags = np.abs(gamma_full)
         half = width // 2  # entry i holds index i - width
-        if max(mags[:width - half].max(),
-               mags[width + half + 1:].max()) >= epsilon / 10:
+        head, tail = mags[:width - half], mags[width + half + 1:]
+        if max(head[head.argmax()], tail[tail.argmax()]) >= epsilon / 10:
             raise NoConvergenceError(
                 f"filter tail beyond {half} is not below epsilon/10")
         keep = mags > epsilon
@@ -291,15 +426,19 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
             raise BadParamsError(
                 f"epsilon {epsilon:g} truncates every reverse-filter "
                 f"coefficient (largest {mags.max():.3g})")
-        gamma_raw = FinSeq(np.where(keep, gamma_full, 0.0), -width - wind)
+        first, last = int(kept[0]), int(kept[-1]) + 1
+        gamma_raw = _finseq(
+            np.where(keep[first:last], gamma_full[first:last], 0.0),
+            first - width - wind)
         # The reported rate and envelope read repeated roots merged.
-        merged = _merge_close_roots(roots, size, gaps)
+        merged = _merge_close_roots(roots, sizes, gaps)
         if merged is not roots:
-            lam = _decay_rate(np.abs(merged))
-        c_env = float((mags[kept]
-                       * lam ** -np.abs(kept - (width + wind))).max())
+            lam = _decay_rate(np.abs(merged).tolist())
+        envelope = mags[kept] * lam ** -np.abs(kept - (width + wind))
+        c_env = float(envelope[envelope.argmax()])
 
-    zeta = FinSeq(gamma_raw.coeffs / gamma_raw.coeffs.sum(), gamma_raw.offset)
+    coeffs = gamma_raw.coeffs
+    zeta = _finseq(coeffs / np.add.reduce(coeffs), gamma_raw.offset)
     residual = _residual_l1(even, even_offset, zeta)
     filt = DecimationFilter(
         zeta=zeta, gamma_raw=gamma_raw, epsilon=float(epsilon),

@@ -5,8 +5,12 @@ Every numerical precondition failure maps to a distinct subclass of
 callers (and the command line front end) can report it verbatim.
 JSON documents read from outside (a saved pyramid, a CLI config) are
 type-checked here too, field by field, so a malformed one raises one of
-these types naming the field.
+these types naming the field.  Integer arguments (offsets, level and
+sample counts) are read by ``operator.index`` (:func:`_index`): a float
+or a string raises one of these types naming the argument.
 """
+
+import operator
 
 
 class NspyrError(Exception):
@@ -90,3 +94,15 @@ def _check_json(doc, where: str, kinds: dict, optional=(),
         if key in doc and not _json_ok(doc[key], kind):
             raise error(f"{where} field {key!r} has the wrong JSON type "
                         f"({type(doc[key]).__name__})")
+
+
+def _index(value, name: str, error=BadParamsError) -> int:
+    """``value`` read as an integer by ``operator.index``.
+
+    Anything that is not an integer (a float, a string) raises ``error``
+    naming the argument ``name``.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

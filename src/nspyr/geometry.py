@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamsError
+from .errors import BadParamsError, DomainError, _index
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
                       _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
@@ -38,7 +38,11 @@ WAVY_PRESETS = (
 
 @dataclass(frozen=True)
 class PlanarCurve:
-    """Ordered planar samples; closed curves wrap around periodically."""
+    """Ordered planar samples; closed curves wrap around periodically.
+
+    The points must be finite: a NaN or infinite coordinate raises
+    :class:`DomainError`.
+    """
 
     points: np.ndarray
     closed: bool = True
@@ -47,6 +51,9 @@ class PlanarCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise BadParamsError("points must be an (N, 2) array")
+        if not np.isfinite(pts).all():
+            raise DomainError(
+                "curve points must be finite: found NaN or infinity")
         if self.closed and pts.shape[0] < 4:
             raise BadParamsError("a closed curve needs at least 4 points")
         pts = pts.copy()
@@ -65,6 +72,7 @@ class PlanarCurve:
 def sample_circle(n: int, radius: float = 1.0,
                   center: tuple = (0.0, 0.0)) -> PlanarCurve:
     """N equispaced samples of a circle, counterclockwise from angle 0."""
+    n = _index(n, "n")
     if n < 4:
         raise BadParamsError(f"need at least 4 samples, got {n}")
     if radius <= 0:
@@ -159,7 +167,7 @@ def conic_family_for(curve_n: int, levels: int) -> Conic:
     The tension starts at cos(2*pi/N0) for N0 coarse points; iterating it
     level by level matches the per-level sample counts as they double.
     """
-    n0 = curve_n // (2 ** levels)
+    n0 = _index(curve_n, "curve_n") // (2 ** _index(levels, "levels"))
     if n0 < 1:
         raise BadParamsError(
             f"{curve_n} samples cannot support {levels} levels")

@@ -42,9 +42,10 @@ from .errors import (
     ShapeMismatchError,
     _NUMBER,
     _check_json,
+    _index,
 )
-from .sequences import (FinSeq, PeriodicSeq, _frame, _reach, _trim, k_const,
-                        norm_l1)
+from .sequences import (FinSeq, PeriodicSeq, _finseq, _frame, _reach, _trim,
+                        k_const, norm_l1)
 from .subdivision import (
     Mask,
     SchemeFamily,
@@ -135,10 +136,15 @@ def _read_only_block(values) -> np.ndarray:
 
 
 def _components(block: np.ndarray, offset: int, periodic: bool):
-    """One :class:`PeriodicSeq` or :class:`FinSeq` per column of a block."""
+    """One :class:`PeriodicSeq` or :class:`FinSeq` per column of a block.
+
+    A finite column is copied into :func:`_finseq`, which checks what
+    synthesis may break (an overflow to infinity, zero ends) instead of
+    rescanning every value.
+    """
     if periodic:
         return tuple(PeriodicSeq(col) for col in block.T)
-    return tuple(FinSeq(col, offset) for col in block.T)
+    return tuple(_finseq(col.copy(), offset) for col in block.T)
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
@@ -284,7 +290,7 @@ class Pyramid:
                 f"pyramid has {len(blocks) - 1} detail levels but "
                 f"level_params for levels {levels}")
         offsets = (0,) * len(blocks) if offsets is None else tuple(
-            int(o) for o in offsets)
+            _index(o, "offsets", ShapeMismatchError) for o in offsets)
         if len(offsets) != len(blocks):
             raise ShapeMismatchError(
                 f"pyramid has {len(blocks)} blocks but {len(offsets)} offsets")
@@ -480,7 +486,7 @@ def _analysis_input(data, levels: int, boundary: str):
     Needs ``levels >= 1``, finite data and, for periodic data, a period
     divisible by ``2**levels``.
     """
-    if levels < 1:
+    if _index(levels, "levels") < 1:
         raise BadParamsError("need at least one level")
     block, offset = _input_array(data, boundary)
     if boundary == "periodic" and block.shape[0] % (2 ** levels) != 0:

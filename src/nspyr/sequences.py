@@ -48,10 +48,12 @@ wide enough for the kernel to compute linear convolutions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParamsError, DomainError
+from .errors import BadParamsError, DomainError, _index
 
 # Magnitudes below this are flushed to exact zero on construction to keep
 # denormals out of canonical trimming.
@@ -78,7 +80,8 @@ class FinSeq:
         Consecutive coefficients starting at ``offset``.  Leading and
         trailing zeros are trimmed; interior zeros are kept.
     offset : int
-        Index of the first entry of ``coeffs``.
+        Index of the first entry of ``coeffs``; anything
+        ``operator.index`` does not read raises :class:`BadParamsError`.
 
     Notes
     -----
@@ -90,6 +93,7 @@ class FinSeq:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, coeffs=(), offset: int = 0):
+        offset = _index(offset, "offset")
         arr = _clean(coeffs)
         nz = arr.nonzero()[0]
         if nz.size == 0:
@@ -98,7 +102,7 @@ class FinSeq:
             offset += int(nz[0])
             arr = arr[nz[0]: nz[-1] + 1]
         arr.setflags(write=False)
-        object.__setattr__(self, "offset", int(offset) if arr.size else 0)
+        object.__setattr__(self, "offset", offset if arr.size else 0)
         object.__setattr__(self, "coeffs", arr)
 
     def __setattr__(self, name, value):
@@ -143,6 +147,32 @@ class FinSeq:
         if self.is_empty:
             return "FinSeq([])"
         return f"FinSeq({self.coeffs.tolist()}, offset={self.offset})"
+
+
+def _finseq(values: np.ndarray, offset: int) -> FinSeq:
+    """``FinSeq(values, offset)`` for values a computation has just made.
+
+    ``values`` is a 1-D float64 array that no one else holds, and becomes
+    the read-only ``coeffs``; ``offset`` is an int.  Instead of the
+    constructor's copy, scan and trim, this checks that the largest
+    magnitude is finite and that neither end lies below the flush
+    threshold; only when the smallest magnitude does are the small entries
+    (zeros and -0.0 among them) set to +0.0 in place, as the constructor
+    sets them.  Values that fail a check go through ``FinSeq(...)``, which
+    raises the same errors.  (``argmax`` and ``argmin`` cost a third of a
+    reduction on small arrays, and take a NaN for the largest magnitude.)
+    """
+    mags = np.abs(values)
+    if (not values.size or not math.isfinite(mags[mags.argmax()])
+            or mags[0] < _FLUSH or mags[-1] < _FLUSH):
+        return FinSeq(values, offset)
+    if mags[mags.argmin()] < _FLUSH:
+        values[mags < _FLUSH] = 0.0
+    values.setflags(write=False)
+    seq = FinSeq.__new__(FinSeq)
+    object.__setattr__(seq, "offset", offset)
+    object.__setattr__(seq, "coeffs", values)
+    return seq
 
 
 class PeriodicSeq:
@@ -390,6 +420,21 @@ def _trim(block: np.ndarray, start: int):
 
 # ---------------------------------------------------------------------------
 # norms and functionals
+
+
+def _add_reduce(values: list) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit.
+
+    numpy adds fewer than eight terms one by one from 0.0, as this does
+    without numpy's per-call cost; from eight on it sums pairwise, so
+    longer lists go to numpy.
+    """
+    if len(values) >= 8:
+        return float(np.add.reduce(np.array(values, dtype=float)))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _data(c) -> np.ndarray:

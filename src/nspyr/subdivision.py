@@ -33,9 +33,10 @@ from .errors import (
     PeriodTooShortError,
     _NUMBER,
     _check_json,
+    _index,
 )
-from .sequences import (FinSeq, PeriodicSeq, _cyclic_convolve, _frame,
-                        _reach, _stencil)
+from .sequences import (FinSeq, PeriodicSeq, _add_reduce, _cyclic_convolve,
+                        _finseq, _frame, _reach, _stencil)
 
 _PARITY_TOL = 1e-12
 _DENOM_GUARD = 1e-12
@@ -98,12 +99,12 @@ class Mask:
 
     @property
     def even_sum(self) -> float:
-        # the sum ndarray.sum() makes, without its wrapper
-        return float(np.add.reduce(self._phases[0][0]))
+        # the sum ndarray.sum() makes, on Python floats for a short phase
+        return _add_reduce(self._phases[0][0].tolist())
 
     @property
     def odd_sum(self) -> float:
-        return float(np.add.reduce(self._phases[1][0]))
+        return _add_reduce(self._phases[1][0].tolist())
 
     @property
     def parity_deviation(self):
@@ -315,7 +316,7 @@ class NS4Point(_OneParameter):
         w = 1.0 / den
         inner = 0.5 + w
         taps = np.array([-w, 0.0, inner, 1.0, inner, 0.0, -w])
-        return Mask(FinSeq(taps, -3), level=k, family_id=self.family_id)
+        return Mask(_finseq(taps, -3), level=k, family_id=self.family_id)
 
     @property
     def interpolating(self) -> bool:
@@ -374,7 +375,7 @@ class NSCubic(_IteratedTension):
         center = (4.0 * v * v + 2.0) / den
         oddtap = 2.0 * v / (v + 1.0) ** 2
         taps = np.array([outer, oddtap, center, oddtap, outer])
-        return Mask(FinSeq(taps, -2), level=k, family_id=self.family_id,
+        return Mask(_finseq(taps, -2), level=k, family_id=self.family_id,
                     check_parity=False)
 
 
@@ -403,7 +404,7 @@ class Conic(_IteratedTension):
         o_inner = ((2.0 - 2.0 * a) * (v + 1.0) - b) / den
         taps = np.array([e2, o_outer, e1, o_inner, e0, o_inner, e1, o_outer,
                          e2])
-        return Mask(FinSeq(taps, -4), level=k, family_id=self.family_id)
+        return Mask(_finseq(taps, -4), level=k, family_id=self.family_id)
 
 
 # kind -> class of the families described by one parameter
@@ -435,6 +436,7 @@ def family_from_description(desc: dict) -> SchemeFamily:
 
 def refine_n(family: SchemeFamily, c, steps: int):
     """Apply ``steps`` refinement rounds, advancing the family level."""
+    steps = _index(steps, "steps")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     out = c

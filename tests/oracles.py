@@ -4,8 +4,12 @@ The paper's operators written out literally on sequence objects:
 refinement is ``alpha * upsample2(c)``, decimation ``zeta *
 downsample2(c)``.  Linear convolution is ``np.convolve``; cyclic
 convolution is a per-tap roll loop, so it checks the library's kernel
-instead of mirroring it.  Every operation returns a new sequence.
+instead of mirroring it.  Every operation returns a new sequence.  Last
+come the numpy expressions of the reverse-filter solve's root scalars,
+which the library computes on Python floats.
 """
+
+import math
 
 import numpy as np
 
@@ -186,3 +190,72 @@ def assert_matches(got: FinSeq, want: FinSeq, taps, data: FinSeq) -> None:
     if not got.is_empty:
         assert want.support[0] <= got.support[0]
         assert got.support[1] <= want.support[1]
+
+
+# The reverse-filter solve's scalars as numpy expressions.  The solve
+# computes them on Python floats; the tests hold those to these bit for
+# bit.
+
+
+def decay_rate(size) -> float:
+    """Root modulus nearest the unit circle, inverted outside it."""
+    return float(np.minimum(size, 1.0 / size).max())
+
+
+def winding(size) -> int:
+    """Number of roots inside the unit circle."""
+    return int(np.count_nonzero(size < 1.0))
+
+
+def residue_sum(gaps) -> float:
+    """``sum_i 1 / prod_(k != i) max(|r_i - r_k|, 1e-4)`` from the gaps."""
+    floored = np.maximum(gaps, 1e-4)
+    floored.flat[::gaps.shape[0] + 1] = 1.0  # the diagonal
+    return float((1.0 / floored.prod(axis=1)).sum())
+
+
+def close_roots(size, gaps):
+    """Which roots lie within 1e-3 (relative) of each other; True on the
+    diagonal."""
+    return gaps <= 1e-3 * np.maximum.outer(size, size)
+
+
+def merged_roots(roots, size, gaps):
+    """Each group of close roots set to its mean; ``roots`` itself when
+    no two are close."""
+    close = close_roots(size, gaps)
+    if np.count_nonzero(close) == roots.size:
+        return roots
+    merged = roots.copy()
+    left = np.ones(roots.size, dtype=bool)
+    for i in range(roots.size):
+        if left[i]:
+            group = close[i]
+            while not np.array_equal(grown := close[group].any(axis=0),
+                                     group):
+                group = grown
+            merged[group] = roots[group].mean()
+            left &= ~group
+    return merged
+
+
+def window_scalars(even, even_offset, epsilon):
+    """What the solve reads from the roots of the even part, by numpy.
+
+    ``even`` holds the trimmed even taps from index ``even_offset`` on,
+    with at least two taps.  Returns ``(lam, wind, width, merged_lam)``:
+    the decay rate of the roots as found, the winding shift, the window
+    half-width, and the decay rate of the merged roots, which the filter
+    reports.
+    """
+    roots = np.roots(even[::-1])
+    size = np.abs(roots)
+    lam = decay_rate(size)
+    wind = even_offset + winding(size)
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    bound = residue_sum(gaps) / (abs(float(even[-1])) * lam)
+    reach = (abs(even_offset - wind)
+             + math.log(epsilon / (10.0 * bound)) / math.log(lam))
+    width = 2 * max(math.ceil(reach), even.size)
+    merged = merged_roots(roots, size, gaps)
+    return lam, wind, width, decay_rate(np.abs(merged))

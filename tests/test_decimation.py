@@ -1,12 +1,14 @@
 import hashlib
 import math
 import warnings
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 import oracles
@@ -36,7 +38,7 @@ from nspyr import (
     solve_gamma,
     write_filter_csv,
 )
-from nspyr import decimation, pyramid
+from nspyr import decimation, pyramid, sequences
 from nspyr.decimation import filter_metadata
 
 CUBIC_RHO = 3.0 - 2.0 * math.sqrt(2.0)
@@ -621,6 +623,143 @@ def factored_even_parts(draw, min_factors=1, max_factors=4):
 
 
 epsilons = st.floats(-15.0, -8.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def repeated_root_even_parts(draw):
+    """Even taps ``c * (z - r)^m * q(z)``: a root of multiplicity m, which
+    the eigenvalue solver splits into m close roots, beside other roots."""
+    r = draw(root_modulus()) * draw(st.sampled_from([-1.0, 1.0]))
+    poly = np.array([1.0])
+    for _ in range(draw(st.integers(2, 4))):
+        poly = np.convolve(poly, [1.0, -r])
+    rest, offset = draw(factored_even_parts(0, 2))
+    return np.convolve(poly[::-1], rest).tolist(), offset
+
+
+def root_sets():
+    """Root arrays of 1 to 12 roots: real or conjugate pairs, moduli on
+    both sides of the circle, some repeated to within rounding."""
+    def build(pairs):
+        roots = []
+        for modulus, angle, copies in pairs:
+            root = modulus * complex(math.cos(angle), math.sin(angle))
+            for i in range(copies):
+                roots.append(root * (1.0 + i * 1e-6))
+        return np.array(roots[:12])
+    return st.lists(st.tuples(root_modulus(), st.floats(0.0, math.pi),
+                              st.integers(1, 3)),
+                    min_size=1, max_size=6).map(build)
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestWindowScalars:
+    """The scalars the roots fix run on Python floats, bit for bit as the
+    numpy expressions of :mod:`oracles` give them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_sets())
+    def test_helpers_match_numpy(self, roots):
+        size = np.abs(roots)
+        gaps = np.abs(roots[:, None] - roots[None, :])
+        sizes, rows = size.tolist(), gaps.tolist()
+        assert bits(decimation._decay_rate(sizes)) == bits(
+            oracles.decay_rate(size))
+        assert bits(decimation._residue_sum(rows)) == bits(
+            oracles.residue_sum(gaps))
+        merged = decimation._merge_close_roots(roots, sizes, rows)
+        want = oracles.merged_roots(roots, size, gaps)
+        assert (merged is roots) == (want is roots)
+        assert merged.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=20))
+    def test_add_reduce_matches_numpy(self, values):
+        assert bits(sequences._add_reduce(values)) == bits(
+            np.add.reduce(np.array(values, dtype=float)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(factored_even_parts(), repeated_root_even_parts()),
+           epsilons)
+    def test_solve_reads_the_numpy_scalars(self, part, epsilon):
+        even, offset = part
+        solve = decimation._solve_window
+        windows = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decimation, "_filter_cache", {})
+            patch.setattr(decimation, "_solve_window", lambda a, w: (
+                windows.append((a[1], w)) or solve(a, w)))
+            try:
+                filt = solve_gamma(even_part_mask(even, offset), epsilon)
+            except (SymbolZeroOnCircleError, NoConvergenceError,
+                    BadParamsError):
+                filt = None
+        assume(windows)  # the solve got as far as its window
+        lam, wind, width, merged_lam = oracles.window_scalars(
+            np.array(even), offset, epsilon)
+        assert windows == [(offset - wind, width)]
+        if filt is not None:
+            assert bits(filt.decay_lambda) == bits(merged_lam)
+
+
+class TestDirectGufuncs:
+    """The eigensolve and the transforms, called as numpy's gufuncs, give
+    the public functions' bits, and the public functions stand in for
+    them."""
+
+    def test_gufuncs_in_use(self):
+        # numpy 2 has all three; numpy 1 has no FFT gufuncs
+        assert decimation._EIGVALS is not None
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert decimation._RFFT_EVEN is not None
+            assert decimation._IRFFT is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(float, st.integers(1, 9),
+                  elements=st.one_of(st.floats(-1e3, 1e3),
+                                     st.sampled_from([0.0, 1.0, -1.0]))))
+    def test_eigvals_of_companions(self, row):
+        companion = np.eye(row.size, k=-1)
+        companion[0] = row
+        want = np.linalg.eigvals(companion)
+        got = decimation._eigvals(companion)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_raises_as_eigvals_does(self, bad):
+        companion = np.eye(3, k=-1)
+        companion[0, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            decimation._eigvals(companion)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda half: arrays(
+        float, 2 * half, elements=st.floats(-1e6, 1e6))))
+    def test_transforms(self, x):
+        spectrum = np.fft.rfft(x)
+        assert decimation._rfft(x).tobytes() == spectrum.tobytes()
+        assert (decimation._irfft(spectrum, x.size).tobytes()
+                == np.fft.irfft(spectrum, x.size).tobytes())
+
+    def test_public_functions_give_the_same_filters(self, monkeypatch):
+        def filters():
+            monkeypatch.setattr(decimation, "_filter_cache", OrderedDict())
+            out = []
+            for theta in (0.1, 0.7, 1.0):
+                for fam in (Conic(math.cos(theta)), NSCubic(math.cos(theta))):
+                    for level in range(4):
+                        f = solve_gamma(fam.mask_at_level(level))
+                        out.append((f.zeta.coeffs.tobytes(), f.zeta.offset,
+                                    f.decay_C, f.decay_lambda))
+            return out
+
+        direct = filters()
+        for name in ("_EIGVALS", "_RFFT_EVEN", "_IRFFT"):
+            monkeypatch.setattr(decimation, name, None)
+        assert filters() == direct
 
 
 class TestLapackOracle:

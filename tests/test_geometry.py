@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nspyr import (
     BadParamsError,
+    DomainError,
     NspyrError,
     PlanarCurve,
     anomaly_localize,
@@ -64,6 +65,17 @@ class TestPerturbations:
         radii = np.hypot(c.points[:, 0], c.points[:, 1])
         assert np.all(radii >= 1.0 - 0.02 - 1e-12)
         assert np.all(radii <= 1.0 + 0.02 + 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = sample_circle(8).points.copy()
+        pts[3, 1] = bad
+        with pytest.raises(DomainError, match="curve points must be finite"):
+            PlanarCurve(pts)
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(DomainError, match="curve points must be finite"):
+            perturb_wavy(sample_circle(8), np.nan, 3)
 
     def test_wavy_frequency_must_be_integer(self):
         with pytest.raises(BadParamsError):

@@ -610,6 +610,36 @@ class TestPyramidValidation:
             analyze(np.tile([1.7e308, -1.7e308], 32), Conic(0.9), 2,
                     boundary=boundary)
 
+    def test_overflowing_synthesis_rejected(self, rng):
+        # finite blocks whose synthesis overflows to infinity: the finite
+        # components are built from checked values only
+        p = analyze(rng.normal(size=(40, 2)), cubic_bspline_family(), 2,
+                    boundary="finite")
+        huge = Pyramid(np.full(p.coarse.shape, 1.7e308),
+                       [np.full(d.shape, 1.7e308) for d in p.details],
+                       p.family, p.epsilon, p.boundary, p.level_params,
+                       p.offsets, p.support)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(synthesize_array(huge)).all()
+            with pytest.raises(DomainError, match="values must be finite"):
+                synthesize(huge)
+
+    def test_finite_components_as_the_constructor_builds_them(self, rng):
+        # zero ends and values below the flush threshold, which synthesis
+        # can leave, are trimmed and flushed as FinSeq(...) does
+        p = analyze(rng.normal(size=(50, 2)), NSCubic(0.8), 3,
+                    boundary="finite")
+        block = np.array(synthesize_array(p), order="F")
+        block[:3, 0] = 0.0
+        block[10, 1] = 1e-310
+        got = pyramid._components(block, -7, periodic=False)
+        for col, seq in zip(block.T, got):
+            want = FinSeq(col, -7)
+            assert seq.offset == want.offset
+            assert seq.coeffs.tobytes() == want.coeffs.tobytes()
+            assert not seq.coeffs.flags.writeable
+        assert got[0].offset == -4 and got[1][3] == 0.0
+
     @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["coarse", "details"])
     def test_finiteness_of_blocks_whose_sum_overflows(self, rng, field, bad):

@@ -109,6 +109,41 @@ class TestFinSeqBasics:
                 back.offset = 1
 
 
+def built_values():
+    """1-D float arrays with what could break a guarantee of FinSeq: zero
+    ends, interior zeros, both signed zeros, nonzero magnitudes below the
+    flush threshold, NaN and infinities, among ordinary values."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-301,
+                               -9.9e-301, 1e-300, np.nan, np.inf, -np.inf])
+    ordinary = st.floats(-1e6, 1e6, allow_nan=False)
+    return st.lists(st.one_of(ordinary, ordinary, special),
+                    max_size=12).map(lambda v: np.array(v, dtype=float))
+
+
+class TestBuiltFinSeq:
+    """``sequences._finseq`` is ``FinSeq(...)`` for any float array."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(built_values(), st.integers(-50, 50))
+    @example(np.array([0.0, 1.0, -0.0, 2.0]), 3)
+    @example(np.array([1.0, 1e-310, -0.0, 2.0]), -1)
+    @example(np.array([1.0, np.nan, 2.0]), 0)
+    @example(np.array([1e308, 1e308]), 0)
+    def test_matches_the_constructor(self, values, offset):
+        try:
+            want = FinSeq(values.copy(), offset)
+        except DomainError as exc:
+            with pytest.raises(type(exc)):
+                sequences._finseq(values.copy(), offset)
+            return
+        got = sequences._finseq(values.copy(), offset)
+        assert type(got) is FinSeq
+        assert type(got.offset) is int and got.offset == want.offset
+        assert got.coeffs.dtype == want.coeffs.dtype
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.coeffs.flags.writeable == want.coeffs.flags.writeable
+
+
 class TestConvolve:
     def test_delta_identity(self, rng):
         for _ in range(10):
