@@ -106,11 +106,8 @@ def _build_family(kind: str, theta, data_n=None, levels=None):
     coarse sample count, which is what keeps sampled circles exact.
     """
     if kind.startswith("stationary:"):
-        seq = read_sequence_csv(kind.split(":", 1)[1])
-        if not isinstance(seq, FinSeq):
-            raise BadParamsError("stationary mask file must hold a "
-                                 "finite sequence")
-        return Stationary(seq)
+        # a periodic file fails in Mask, which reads FinSeq taps only
+        return Stationary(read_sequence_csv(kind.split(":", 1)[1]))
     if kind == "ns4pt":
         return NS4Point(0.0 if theta is None else theta)
     if kind == "nscubic":

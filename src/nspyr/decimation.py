@@ -474,6 +474,9 @@ def decimate(filt: DecimationFilter, c):
     """
     if isinstance(c, PeriodicSeq):
         return PeriodicSeq(_decimate_block(filt, c.values))
+    if not isinstance(c, FinSeq):
+        raise BadParamsError(f"decimate needs a FinSeq or PeriodicSeq, "
+                             f"got {type(c).__name__}")
     if c.is_empty:
         return FinSeq()
     pad = 2 * _reach(filt.zeta)

@@ -1,16 +1,17 @@
-"""Exception types raised by the nspyr package.
+"""Exception types raised by the nspyr package, and its input gates.
 
 Every numerical precondition failure maps to a distinct subclass of
 :class:`NspyrError` whose message names the violated precondition, so
-callers (and the command line front end) can report it verbatim.
-JSON documents read from outside (a saved pyramid, a CLI config) are
-type-checked here too, field by field, so a malformed one raises one of
-these types naming the field.  Integer arguments (offsets, level and
-sample counts) are read by ``operator.index`` (:func:`_index`): a float
-or a string raises one of these types naming the argument.
+callers (and the command line front end) can report it verbatim.  Caller
+input passes one of three gates, which raise these types naming the
+argument: :func:`_index` for integers, :func:`_check_json` for JSON
+documents read from outside (a saved pyramid, a CLI config) and
+:func:`_real_array` for arrays, to which each caller adds its shape rule.
 """
 
 import operator
+
+import numpy as np
 
 
 class NspyrError(Exception):
@@ -106,3 +107,28 @@ def _index(value, name: str, error=BadParamsError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real_array(values, what: str, error=BadParamsError,
+                finite: bool = True) -> np.ndarray:
+    """``values`` by one ``np.asarray``, as float64 (uncopied if it is).
+
+    Only booleans, integers and floats pass.  Complex values, and NaN or
+    infinity unless ``finite`` is False, raise :class:`DomainError`; text,
+    objects and what numpy cannot coerce (ragged lists, dicts, sequence
+    objects) raise ``error``.  Messages name ``what``.
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must form rectangular blocks of numbers: "
+                    f"{exc}") from None
+    if arr.dtype.kind == "c":
+        raise DomainError(f"{what} must be real: found complex values")
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} must form rectangular blocks of numbers, got "
+                    f"{arr.dtype} values")
+    arr = arr.astype(float, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite: found NaN or infinity")
+    return arr

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamsError, DomainError, _index
+from .errors import BadParamsError, DomainError, _index, _real_array
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
                       _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
@@ -40,20 +41,17 @@ WAVY_PRESETS = (
 class PlanarCurve:
     """Ordered planar samples; closed curves wrap around periodically.
 
-    The points must be finite: a NaN or infinite coordinate raises
-    :class:`DomainError`.
+    The points must be real and finite: a complex, NaN or infinite
+    coordinate raises :class:`DomainError`.
     """
 
     points: np.ndarray
     closed: bool = True
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _real_array(self.points, "curve points")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise BadParamsError("points must be an (N, 2) array")
-        if not np.isfinite(pts).all():
-            raise DomainError(
-                "curve points must be finite: found NaN or infinity")
         if self.closed and pts.shape[0] < 4:
             raise BadParamsError("a closed curve needs at least 4 points")
         pts = pts.copy()
@@ -83,14 +81,29 @@ def sample_circle(n: int, radius: float = 1.0,
     return PlanarCurve(pts, closed=True)
 
 
-def _radial_parts(curve: PlanarCurve):
+def _perturb(curve: PlanarCurve, amplitude: float, frequency: int,
+             window) -> PlanarCurve:
+    """:func:`perturb_wavy`, its bump weighted by ``window(n)`` if given.
+
+    A non-finite amplitude raises :class:`DomainError` before any arithmetic.
+    """
+    if not (isinstance(frequency, numbers.Real)
+            and float(frequency).is_integer() and frequency >= 1):
+        raise BadParamsError("frequency must be an integer >= 1")
+    if not math.isfinite(amplitude):
+        raise DomainError(f"amplitude must be finite, got {amplitude!r}")
+    if amplitude == 0.0:
+        return curve
     center = curve.points.mean(axis=0)
     rel = curve.points - center
     radii = np.hypot(rel[:, 0], rel[:, 1])
     if np.any(radii == 0.0):
         raise BadParamsError("a sample coincides with the curve centroid")
-    units = rel / radii[:, None]
-    return center, radii, units
+    bump = amplitude * np.sin(frequency * curve.parameter_angles())
+    if window is not None:
+        bump *= window(curve.n)
+    pts = center + (radii + bump)[:, None] * (rel / radii[:, None])
+    return PlanarCurve(pts, closed=curve.closed)
 
 
 def perturb_wavy(curve: PlanarCurve, amplitude: float,
@@ -100,14 +113,7 @@ def perturb_wavy(curve: PlanarCurve, amplitude: float,
     The angle is the curve parameter, so the perturbation closes up
     exactly for integer frequency.
     """
-    if int(frequency) != frequency or frequency < 1:
-        raise BadParamsError("frequency must be an integer >= 1")
-    if amplitude == 0.0:
-        return curve
-    center, radii, units = _radial_parts(curve)
-    bump = amplitude * np.sin(frequency * curve.parameter_angles())
-    pts = center + (radii + bump)[:, None] * units
-    return PlanarCurve(pts, closed=curve.closed)
+    return _perturb(curve, amplitude, frequency, None)
 
 
 def quadrant_window(curve_n: int) -> np.ndarray:
@@ -129,21 +135,13 @@ def quadrant_window(curve_n: int) -> np.ndarray:
 def perturb_quadrant(curve: PlanarCurve, amplitude: float,
                      frequency: int) -> PlanarCurve:
     """Radial sinusoid confined to one quadrant by a smooth window."""
-    if int(frequency) != frequency or frequency < 1:
-        raise BadParamsError("frequency must be an integer >= 1")
-    if amplitude == 0.0:
-        return curve
-    center, radii, units = _radial_parts(curve)
-    ang = curve.parameter_angles()
-    bump = amplitude * np.sin(frequency * ang) * quadrant_window(curve.n)
-    pts = center + (radii + bump)[:, None] * units
-    return PlanarCurve(pts, closed=curve.closed)
+    return _perturb(curve, amplitude, frequency, quadrant_window)
 
 
 def radial_deviation(curve: PlanarCurve, radius: float,
                      center: tuple = (0.0, 0.0)) -> float:
     """Largest distance of any sample from the reference circle."""
-    rel = curve.points - np.asarray(center, dtype=float)
+    rel = curve.points - _real_array(center, "center")
     return float(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - radius).max())
 
 

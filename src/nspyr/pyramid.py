@@ -43,6 +43,7 @@ from .errors import (
     _NUMBER,
     _check_json,
     _index,
+    _real_array,
 )
 from .sequences import (FinSeq, PeriodicSeq, _finseq, _frame, _reach, _trim,
                         k_const, norm_l1)
@@ -80,57 +81,24 @@ def _level_params(family: SchemeFamily, level: int,
     return LevelParams(level, mask, solve_gamma(mask, epsilon))
 
 
-def _input_array(data, boundary: str):
-    """Validate input data; returns it as an ``(N, D)`` array plus offset.
-
-    The array is column-major.  The offset is the index of the first row:
-    a :class:`FinSeq` input keeps its own, an array starts at 0.
-    """
-    if isinstance(data, (FinSeq, PeriodicSeq)):
-        kind = "periodic" if isinstance(data, PeriodicSeq) else "finite"
-        if kind != boundary:
-            raise BadParamsError(
-                f"{type(data).__name__} input conflicts with "
-                f"boundary={boundary!r}")
-        if kind == "periodic":
-            arr, offset = data.values[:, None], 0
-        else:
-            arr, offset = data.coeffs[:, None], data.offset
-    else:
-        if boundary not in ("periodic", "finite"):
-            raise BadParamsError(f"unknown boundary mode {boundary!r}")
-        arr, offset = np.asarray(data, dtype=float), 0
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        elif arr.ndim != 2:
-            raise BadParamsError(
-                "data must be 1-D or 2-D (samples x components)")
-    if not np.isfinite(arr).all():
-        raise DomainError("input data must be finite: found NaN or infinity")
-    return np.asfortranarray(arr), offset
-
-
 def _read_only_block(values) -> np.ndarray:
     """Read-only column-major 2-D float copy of ``values``.
 
     A 1-D ``values`` becomes ``(N, 1)``.  A float array that is already
     2-D, column-major, read-only and owns its data, as a pyramid keeps
-    its blocks, is kept uncopied.
+    its blocks, is kept uncopied.  :meth:`Pyramid._fill` scans the values.
     """
     if (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.ndim == 2 and values.flags.f_contiguous
             and not values.flags.writeable and values.flags.owndata):
         return values
-    try:
-        arr = np.array(values, dtype=float, order="F")
-    except (TypeError, ValueError) as exc:  # ragged lists, non-numbers
-        raise ShapeMismatchError(
-            f"pyramid coefficients must form rectangular blocks of "
-            f"numbers: {exc}") from exc
+    arr = _real_array(values, "pyramid coefficients", ShapeMismatchError,
+                      finite=False)
     arr = arr[:, None] if arr.ndim == 1 else arr
     if arr.ndim != 2:
         raise ShapeMismatchError(
             f"pyramid blocks must be 2-D, got shape {arr.shape}")
+    arr = np.array(arr, order="F")
     arr.setflags(write=False)
     return arr
 
@@ -257,8 +225,9 @@ class Pyramid:
     all 0 for periodic data.  ``support`` is the analyzed input's index
     range ``(lo, hi)`` for finite data, which synthesis returns; it is
     None for periodic data and for finite pyramids that did not record
-    it.  Inconsistent shapes, counts or supports raise
-    :class:`ShapeMismatchError`, non-finite values :class:`DomainError`.
+    it.  Inconsistent shapes, counts or supports, and blocks that are not
+    arrays of real numbers, raise :class:`ShapeMismatchError`; complex or
+    non-finite values raise :class:`DomainError`.
     """
 
     __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
@@ -281,8 +250,7 @@ class Pyramid:
             if hi < lo:
                 raise ShapeMismatchError(f"empty support range {support!r}")
             support = (lo, hi)
-        blocks = [_read_only_block(coarse)]
-        blocks += [_read_only_block(d) for d in details]
+        blocks = [_read_only_block(b) for b in (coarse, *details)]
         level_params = tuple(level_params)
         levels = [lp.level for lp in level_params]
         if levels != list(range(1, len(blocks))):
@@ -481,19 +449,37 @@ class Pyramid:
 
 
 def _analysis_input(data, levels: int, boundary: str):
-    """Validated analysis input as an ``(N, D)`` block plus offset.
+    """Validated analysis input as a column-major ``(N, D)`` block plus offset.
 
-    Needs ``levels >= 1``, finite data and, for periodic data, a period
-    divisible by ``2**levels``.
+    Needs ``levels >= 1``; a sequence object of the boundary's kind, taken
+    as it is, or a 1-D or 2-D :func:`_real_array`, at offset 0; and for
+    periodic data a nonzero period divisible by ``2**levels``.
     """
     if _index(levels, "levels") < 1:
         raise BadParamsError("need at least one level")
-    block, offset = _input_array(data, boundary)
-    if boundary == "periodic" and block.shape[0] % (2 ** levels) != 0:
+    if boundary not in ("periodic", "finite"):
+        raise BadParamsError(f"unknown boundary mode {boundary!r}")
+    periodic = boundary == "periodic"
+    if isinstance(data, (FinSeq, PeriodicSeq)):
+        if isinstance(data, PeriodicSeq) != periodic:
+            raise BadParamsError(
+                f"{type(data).__name__} input conflicts with "
+                f"boundary={boundary!r}")
+        block = (data.values if periodic else data.coeffs)[:, None]
+        offset = 0 if periodic else data.offset
+    else:
+        block, offset = _real_array(data, "input data"), 0
+        if block.ndim not in (1, 2):
+            raise BadParamsError(
+                "data must be 1-D or 2-D (samples x components)")
+        block = block[:, None] if block.ndim == 1 else block
+    if periodic and block.shape[0] < 1:
+        raise BadParamsError("period must be at least 1")
+    if periodic and block.shape[0] % (2 ** levels) != 0:
         raise PeriodNotDivisibleError(
             f"period not divisible: {block.shape[0]} samples cannot be "
             f"halved {levels} times")
-    return block, offset
+    return np.asfortranarray(block), offset
 
 
 def _analysis_step(mask: Mask, filt: DecimationFilter, block: np.ndarray):
@@ -514,7 +500,9 @@ def analyze(data, family: SchemeFamily, levels: int,
     step-l mask is the family's mask after l-1 refinements, so a conic
     family initialized from the coarse sample count reproduces the
     per-level tension selection that keeps sampled circles exact.
-    Non-finite input raises :class:`DomainError`.
+    ``data`` is a real 1-D or 2-D array (samples x components) or a
+    sequence object of the boundary's kind; complex or non-finite input
+    raises :class:`DomainError`, anything else :class:`BadParamsError`.
     """
     block, offset = _analysis_input(data, levels, boundary)
     periodic = boundary == "periodic"
@@ -805,8 +793,8 @@ def check_decomposition_stability(data, data_tilde, family: SchemeFamily,
     """
     p = analyze(data, family, levels, epsilon, boundary)
     q = analyze(data_tilde, family, levels, epsilon, boundary)
-    fine_p, offset_p = _input_array(data, boundary)
-    fine_q, offset_q = _input_array(data_tilde, boundary)
+    fine_p, offset_p = _analysis_input(data, levels, boundary)
+    fine_q, offset_q = _analysis_input(data_tilde, levels, boundary)
     if fine_p.shape[1] != fine_q.shape[1] or (
             boundary == "periodic" and fine_p.shape != fine_q.shape):
         raise ShapeMismatchError("inputs are not comparable")

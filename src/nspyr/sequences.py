@@ -4,39 +4,18 @@ Two carriers are provided.  :class:`FinSeq` stores a finitely supported
 bi-infinite sequence as an offset plus a coefficient block, trimmed so
 that the first and last stored entries are nonzero.  :class:`PeriodicSeq`
 stores one period of an N-periodic sequence; all indexing is modulo N.
-Both are immutable and hold finite values only (:class:`DomainError`
-otherwise).  Besides them the module holds the norms and the
-moment constant the pyramid's bounds read, and the sequence CSV format.
+Both are immutable, hold finite real values only (:class:`DomainError`
+otherwise) and are not iterable: read ``coeffs`` or ``values``.  Besides
+them the module holds the norms and the moment constant the pyramid's
+bounds read, and the sequence CSV format.
 
-Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`.
-It works along axis 0 of an ``(N,)`` or ``(N, D)`` array and takes every
-filter that reads it: refinement's two polyphase phases in one call,
-decimation's one filter in another.  Each output row correlates the
-reversed taps with the column wrap-extended by the filter's reach (by
-slicing when the reach is at most one period past either end, else with
-``np.take(mode="wrap")``, so a filter longer than the period wraps
-correctly too), in one of three ways:
-
-- A filter of 12 to 65 taps on a block of at least 4096 entries (rows
-  times columns) runs as a blocked Toeplitz product: two BLAS GEMMs per
-  run of 64-row blocks, for all columns at once.  Below that crossover
-  the per-call set-up of the products outweighs what they save; above
-  it, they ran 1.04-5.9 times faster than the loop.  They agree with
-  the loop to rounding.
-- Any other filter on a contiguous column of at least 2^14 rows, when
-  it reaches at most one period past either end, is correlated in
-  place, without the extended copy; only the seam rows, where the output
-  wraps, read a short extension of the column's two ends.  From 2^14
-  rows on this ran 1.02-1.47 times faster than the loop; at 8192 rows
-  it broke even, below that and on strided columns it lost.  The
-  results are the loop's bit for bit.
-- Every other filter runs ``np.correlate(..., "valid")`` on a
-  wrap-extended copy of the columns.  Each column is extended once for
-  all the filters that read it, by their largest reach; the extended
-  columns lie end to end in one buffer, and one ``np.correlate`` per
-  filter over it gives the rows of every column.
-
-The crossovers were measured on a 2-core x86 host.
+Every cyclic convolution runs through one kernel, :func:`_cyclic_convolve`,
+along axis 0 of an ``(N,)`` or ``(N, D)`` array, for every filter that
+reads it: refinement's two polyphase phases in one call, decimation's
+one filter in another.  It picks one of three strategies per filter
+(blocked Toeplitz GEMMs, an in-place seam split, a loop of
+``np.correlate``) by tap count and block size; its docstring gives the
+crossovers, measured on a 2-core x86 host.
 
 Refinement and decimation in :mod:`nspyr.subdivision` and
 :mod:`nspyr.decimation` call the kernel on whole ``(N, D)`` blocks,
@@ -53,7 +32,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParamsError, DomainError, _index
+from .errors import BadParamsError, _index, _real_array
 
 # Magnitudes below this are flushed to exact zero on construction to keep
 # denormals out of canonical trimming.
@@ -61,12 +40,10 @@ _FLUSH = 1e-300
 
 
 def _clean(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
+    """A flushed 1-D copy of sequence values that pass :func:`_real_array`."""
+    arr = _real_array(values, "sequence values").copy()
     if arr.ndim != 1:
         raise BadParamsError("sequence values must be one-dimensional")
-    if not np.isfinite(arr).all():
-        raise DomainError(
-            "sequence values must be finite: found NaN or infinity")
     arr[np.abs(arr) < _FLUSH] = 0.0
     return arr
 
@@ -91,6 +68,7 @@ class FinSeq:
     """
 
     __slots__ = ("offset", "coeffs")
+    __iter__ = None  # __getitem__ answers every index: iteration never ends
 
     def __init__(self, coeffs=(), offset: int = 0):
         offset = _index(offset, "offset")
@@ -179,6 +157,7 @@ class PeriodicSeq:
     """N-periodic real sequence; ``values`` holds the period starting at 0."""
 
     __slots__ = ("values",)
+    __iter__ = None  # indexing wraps, so fallback iteration never stops
 
     def __init__(self, values):
         arr = _clean(values)
@@ -224,21 +203,15 @@ def delta() -> FinSeq:
 # the cyclic kernel and the zero frame of finite data
 
 
-# Long filters on big blocks run as blocked Toeplitz products: from
-# _GEMM_MIN_TAPS taps and _GEMM_MIN_WORK rows x columns on, BLAS GEMMs
-# beat the per-column np.correlate loop, whose cost per output row jumps
-# between 10 and 12 taps (crossover table in CHANGES.md).  A block of
-# _GEMM_BLOCK output rows reads only the next block past its own, so
-# filters longer than _GEMM_BLOCK + 1 taps stay on the per-column paths.
+# The crossovers of _cyclic_convolve's strategies (tables in CHANGES.md).
+# The loop's cost per output row jumps between 10 and 12 taps.  A GEMM
+# block of _GEMM_BLOCK output rows reads only the next block past its
+# own, so longer filters stay on the per-column paths.  np.correlate
+# copies a strided column (decimation's every other row) anyway, and
+# there the seam split lost at every size.
 _GEMM_MIN_TAPS = 12
 _GEMM_MIN_WORK = 4096
 _GEMM_BLOCK = 64
-# Contiguous columns of at least _SEAM_MIN_ROWS rows are correlated where
-# they lie, and only the K-1 seam rows read a short wrap-extended copy.
-# On shorter columns the extra calls outweigh the copy saved; a strided
-# column (decimation's every other row) is copied inside np.correlate
-# anyway, and there the split lost at every size (crossover tables in
-# CHANGES.md).
 _SEAM_MIN_ROWS = 16384
 
 
@@ -272,17 +245,23 @@ def _cyclic_convolve(stencils, values: np.ndarray, outs) -> None:
     - *GEMM*: a filter of ``_GEMM_MIN_TAPS`` (12) to ``_GEMM_BLOCK + 1``
       (65) taps on a block of at least ``_GEMM_MIN_WORK`` (4096) entries
       goes through :func:`_toeplitz_convolve`, all columns at once.
+      Above that crossover it ran 1.04-5.9 times faster than the loop;
+      below it the products' set-up outweighs what they save.  It agrees
+      with the loop to rounding.
     - *Seam split*: otherwise, a contiguous column of at least
       ``_SEAM_MIN_ROWS`` (16384) rows, under at most N taps that reach
       at most one period past either end, goes through
       :func:`_seam_correlate`: no extended copy, only a ``2(K-1)``-entry
-      one of the column's two ends for the seam rows.  Its bits are the
+      one of the column's two ends for the seam rows.  From 2^14 rows on
+      it ran 1.02-1.47 times faster than the loop; at 8192 rows it broke
+      even, below that and on strided columns it lost.  Its bits are the
       loop's.
     - *Loop*: every other filter runs one ``np.correlate(..., "valid")``
       over a buffer of the columns, each wrap-extended once by the
-      largest reach of these filters, end to end.  A row reads the K
-      entries the filter's own extension would hold, so the bits are
-      those of one filter and one column at a time.
+      largest reach of these filters, end to end (by slicing, or by
+      ``np.take(mode="wrap")`` for a reach beyond one period).  A row
+      reads the K entries the filter's own extension would hold, so the
+      bits are those of one filter and one column at a time.
     """
     n = values.shape[0]
     cols = values[:, None] if values.ndim == 1 else values

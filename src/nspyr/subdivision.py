@@ -58,6 +58,9 @@ class Mask:
 
     def __init__(self, taps: FinSeq, level: int = 0, family_id: str = "custom",
                  check_parity: bool = True):
+        if not isinstance(taps, FinSeq):
+            raise BadParamsError(
+                f"mask taps must be a FinSeq, got {type(taps).__name__}")
         if taps.is_empty:
             raise BadParamsError("mask has no taps")
         object.__setattr__(self, "taps", taps)
@@ -167,6 +170,9 @@ def refine(mask: Mask, c):
     """
     if isinstance(c, PeriodicSeq):
         return PeriodicSeq(_refine_block(mask, c.values))
+    if not isinstance(c, FinSeq):
+        raise BadParamsError(f"refine needs a FinSeq or PeriodicSeq, "
+                             f"got {type(c).__name__}")
     half = _reach(mask.taps) // 2 + 1
     frame, start = _frame(c.coeffs, c.offset, c.offset - half,
                           c.offset + len(c) + half)

@@ -74,8 +74,22 @@ class TestPerturbations:
             PlanarCurve(pts)
 
     def test_nan_amplitude_rejected(self):
-        with pytest.raises(DomainError, match="curve points must be finite"):
+        with pytest.raises(DomainError, match="amplitude must be finite"):
             perturb_wavy(sample_circle(8), np.nan, 3)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("perturb", [perturb_wavy, perturb_quadrant])
+    def test_non_finite_amplitude_rejected_before_arithmetic(self, perturb,
+                                                             bad):
+        # inf * sin(0) would be a NaN, and a RuntimeWarning (an error in
+        # this suite) before PlanarCurve could raise
+        with pytest.raises(DomainError, match="amplitude must be finite"):
+            perturb(sample_circle(8), bad, 3)
+
+    @pytest.mark.parametrize("frequency", [0, 2.5, np.inf, np.nan, "3"])
+    def test_frequency_must_be_a_positive_integer(self, frequency):
+        with pytest.raises(BadParamsError, match="frequency"):
+            perturb_quadrant(sample_circle(8), 0.1, frequency)
 
     def test_wavy_frequency_must_be_integer(self):
         with pytest.raises(BadParamsError):

@@ -1,0 +1,268 @@
+"""The array contract of every entry point, over a zoo of inputs.
+
+Each case runs under its own 2 s ``signal.alarm``, so a hang fails the
+test instead of stalling the run.  A case either gives what the float64
+array form of its input gives, bit for bit, or raises an
+:class:`NspyrError`.  Anything else fails: a bare numpy error, a hang, or
+a warning, which this suite turns into an error.
+"""
+
+import contextlib
+import math
+import signal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from nspyr import (
+    BadParamsError,
+    DomainError,
+    FinSeq,
+    NSCubic,
+    NspyrError,
+    PeriodicSeq,
+    PlanarCurve,
+    Pyramid,
+    ShapeMismatchError,
+    analyze,
+    check_decomposition_stability,
+    decimate,
+    refine,
+    sample_circle,
+    solve_gamma,
+    synthesize_array,
+)
+from nspyr.errors import _real_array
+
+pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                                reason="needs signal.alarm")
+
+FAMILY = NSCubic(0.5)
+MASK = FAMILY.mask_at_level(0)
+FILT = solve_gamma(MASK)
+LEVEL_PARAMS = analyze(np.ones(8), FAMILY, 1, boundary="finite").level_params
+
+
+@contextlib.contextmanager
+def deadline(seconds=2):
+    """Fail with TimeoutError if the block runs longer than ``seconds``."""
+    def hang(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def digest(value):
+    """Bytes-exact form of an entry point's result."""
+    if isinstance(value, Pyramid):
+        return value.to_json()
+    if isinstance(value, FinSeq):
+        return ("FinSeq", value.offset, value.coeffs.tobytes())
+    if isinstance(value, PeriodicSeq):
+        return ("PeriodicSeq", value.values.tobytes())
+    if isinstance(value, PlanarCurve):
+        return (value.points.shape, value.points.tobytes(), value.closed)
+    return repr(value)  # dataclasses of floats: repr round-trips
+
+
+# entry point name -> function of one input
+ENTRIES = {
+    "analyze-periodic": lambda x: analyze(x, FAMILY, 2),
+    "analyze-finite": lambda x: analyze(x, FAMILY, 2, boundary="finite"),
+    "stability-periodic": lambda x: check_decomposition_stability(
+        x, x, FAMILY, 2, trials=4),
+    "stability-finite": lambda x: check_decomposition_stability(
+        x, x, FAMILY, 2, boundary="finite", trials=4),
+    "pyramid": lambda x: Pyramid(x, [x], FAMILY, 1e-15, "finite",
+                                 LEVEL_PARAMS),
+    "curve": PlanarCurve,
+    "finseq": FinSeq,
+    "periodicseq": PeriodicSeq,
+    "refine": lambda x: refine(MASK, x),
+    "refine-finseq": lambda x: refine(MASK, FinSeq(x, -3)),
+    "refine-periodicseq": lambda x: refine(MASK, PeriodicSeq(x)),
+    "decimate": lambda x: decimate(FILT, x),
+    "decimate-finseq": lambda x: decimate(FILT, FinSeq(x, 5)),
+    "decimate-periodicseq": lambda x: decimate(FILT, PeriodicSeq(x)),
+}
+
+
+def check_entry(entry, x):
+    """``entry(x)`` raises an NspyrError or gives its float64 form's result."""
+    with deadline():
+        try:
+            got = digest(ENTRIES[entry](x))
+        except NspyrError:
+            return
+    with deadline():
+        want = digest(ENTRIES[entry](np.asarray(x, dtype=float)))
+    assert got == want
+
+
+def _with(a, i, value):
+    """A float copy of ``a`` with its entry ``i`` (mod size) set to value."""
+    out = np.array(a, dtype=float)
+    if out.size:
+        out.flat[i % out.size] = value
+    return out
+
+
+def _ragged(a):
+    rows = a.tolist()
+    if a.ndim >= 2 and len(rows) >= 2 and rows[-1]:
+        rows[-1] = rows[-1][:-1]
+        return rows
+    return [*rows, [1.0, 2.0]] if a.ndim else [[1.0], 2.0]
+
+
+# form name -> function of (base float64 array, drawn index)
+FORMS = {
+    "float64": lambda a, i: a,
+    "float32": lambda a, i: a.astype(np.float32),
+    "float16": lambda a, i: a.astype(np.float16),
+    "big-endian": lambda a, i: a.astype(">f8"),
+    "int": lambda a, i: np.rint(a).astype(np.int64),
+    "uint8": lambda a, i: np.abs(np.rint(a)).astype(np.uint8),
+    "bool": lambda a, i: a > 0,
+    "list": lambda a, i: a.tolist(),
+    "int-list": lambda a, i: np.rint(a).astype(int).tolist(),
+    "fortran": lambda a, i: np.asfortranarray(a),
+    "strided": lambda a, i: np.repeat(a, 2, axis=0)[::2],
+    "read-only": lambda a, i: np.frombuffer(a.tobytes()).reshape(a.shape),
+    "huge": lambda a, i: a * 1e307,
+    "nan": lambda a, i: _with(a, i, math.nan),
+    "inf": lambda a, i: _with(a, i, math.inf),
+    "-inf-list": lambda a, i: _with(a, i, -math.inf).tolist(),
+    "complex": lambda a, i: a + 0j,
+    "complex-list": lambda a, i: (a + 1j).tolist(),
+    "text": lambda a, i: a.astype(str),
+    "text-list": lambda a, i: a.astype(str).tolist(),
+    "object": lambda a, i: a.astype(object),
+    "huge-int": lambda a, i: [2 ** 70] * max(a.size, 1),
+    "none-in-list": lambda a, i: [*a.ravel().tolist(), None],
+    "ragged": lambda a, i: _ragged(a),
+    "dict": lambda a, i: {"values": a.tolist()},
+    "none": lambda a, i: None,
+    "finseq-list": lambda a, i: [FinSeq(a.ravel())] * 2,
+    "periodicseq-list": lambda a, i: [PeriodicSeq(np.append(a, 1.0))] * 2,
+    "3-d": lambda a, i: a[None, None],
+    "scalar": lambda a, i: float(a.flat[0]) if a.size else 0.0,
+}
+
+SHAPES = [(), (0,), (0, 2), (5,), (8,), (12, 2), (32,), (32, 1), (32, 2),
+          (16, 3), (2, 2, 2)]
+
+
+@st.composite
+def zoo(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    base = draw(hnp.arrays(np.float64, shape, elements=st.floats(
+        -8.0, 8.0, allow_nan=False, allow_infinity=False)))
+    form = draw(st.sampled_from(sorted(FORMS)))
+    return FORMS[form](base, draw(st.integers(0, 1000)))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(x=zoo())
+def test_zoo(entry, x):
+    check_entry(entry, x)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_every_form_on_valid_data(entry, form):
+    # each form once on data that each entry point reads: 32 samples of
+    # a planar circle (its x coordinates for the 1-D entry points)
+    points = sample_circle(32).points * 3.0
+    base = points if entry.startswith(("analyze", "stability", "pyramid",
+                                       "curve")) else points[:, 0]
+    check_entry(entry, FORMS[form](base, 7))
+
+
+def _analyzed(x, boundary):
+    return analyze(x, FAMILY, 2, boundary=boundary)
+
+
+PERIODIC = np.linspace(-1.0, 1.0, 32)
+
+# The probes that hung or raised a bare error before the gate.
+PROBES = {
+    "analyze-finseq-list": (
+        lambda: _analyzed([FinSeq([1.0, 2.0])] * 2, "finite"),
+        BadParamsError, "rectangular"),
+    "analyze-periodicseq-list": (
+        lambda: _analyzed([PeriodicSeq(PERIODIC)] * 2, "periodic"),
+        BadParamsError, "rectangular"),
+    "analyze-empty-period": (
+        lambda: _analyzed(np.zeros((0, 2)), "periodic"),
+        BadParamsError, "period must be at least 1"),
+    "analyze-complex": (lambda: _analyzed(PERIODIC + 0j, "periodic"),
+                        DomainError, "real"),
+    "curve-complex": (lambda: PlanarCurve(sample_circle(8).points + 1j),
+                      DomainError, "real"),
+    "finseq-complex": (lambda: FinSeq([1.0 + 2.0j]), DomainError, "real"),
+    "pyramid-complex": (
+        lambda: Pyramid(np.ones((4, 2)) + 0j, [np.ones((4, 2))], FAMILY,
+                        1e-15, "finite", LEVEL_PARAMS),
+        DomainError, "real"),
+    "analyze-string": (lambda: _analyzed("abc", "periodic"),
+                       BadParamsError, "numbers"),
+    "analyze-ragged": (lambda: _analyzed([[1.0, 2.0], [3.0]], "finite"),
+                       BadParamsError, "rectangular"),
+    "analyze-dict": (lambda: _analyzed({"a": 1.0}, "finite"),
+                     BadParamsError, "numbers"),
+    "finseq-string": (lambda: FinSeq("abc"), BadParamsError, "numbers"),
+    "curve-dict": (lambda: PlanarCurve({"a": 1.0}), BadParamsError,
+                   "numbers"),
+    "curve-ragged": (lambda: PlanarCurve([[1.0, 2.0], [3.0]]),
+                     BadParamsError, "rectangular"),
+    "pyramid-string": (
+        lambda: Pyramid("abc", [], FAMILY, 1e-15, "finite", ()),
+        ShapeMismatchError, "numbers"),
+    "refine-ndarray": (lambda: refine(MASK, np.ones(8)), BadParamsError,
+                       "refine needs a FinSeq or PeriodicSeq"),
+    "decimate-ndarray": (lambda: decimate(FILT, np.ones(8)), BadParamsError,
+                         "decimate needs a FinSeq or PeriodicSeq"),
+    "mask-ndarray": (lambda: type(MASK)(np.array([0.5, 1.0, 0.5])),
+                     BadParamsError, "mask taps must be a FinSeq"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_probe_raises_typed_error_at_once(probe):
+    call, error, match = PROBES[probe]
+    with deadline(), pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("seq", [FinSeq([1.0, 2.0]), PeriodicSeq([1.0, 2.0])])
+def test_sequences_are_not_iterable(seq):
+    # __getitem__ answers every index, so Python's fallback iteration
+    # would never stop
+    with deadline(), pytest.raises(TypeError, match="not iterable"):
+        list(seq)
+
+
+def test_empty_finite_input_is_accepted():
+    with deadline():
+        p = _analyzed(np.zeros((0, 2)), "finite")
+    assert synthesize_array(p).shape == (0, 2)
+
+
+def test_gate_keeps_float64_arrays_and_converts_the_rest():
+    a = np.arange(6.0).reshape(3, 2)
+    assert _real_array(a, "x") is a
+    assert _real_array([1, 2], "x").dtype == np.float64
+    assert np.isnan(_real_array([math.nan], "x", finite=False)).all()
+    with pytest.raises(ShapeMismatchError, match="^x must form"):
+        _real_array([[1.0], []], "x", ShapeMismatchError)
