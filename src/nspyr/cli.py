@@ -27,16 +27,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, svgplot
+from . import svgplot
 from .decimation import filter_metadata, solve_gamma, write_filter_csv
 from .errors import _NUMBER, BadParamsError, NspyrError, _check_json
 from .geometry import (
     PlanarCurve,
     WAVY_PRESETS,
+    anomaly_localize,
+    circularity_report,
     conic_family_for,
     curve_pyramid,
     perturb_quadrant,
     perturb_wavy,
+    quadrant_window,
     read_curve_csv,
     sample_circle,
     write_curve_csv,
@@ -226,17 +229,16 @@ def cmd_circle_demo(args) -> int:
             curve = perturb_wavy(curve, amp, freq)
             entry = {"name": name, "amplitude": amp, "frequency": freq}
             label, title = name, f"{name} (a={amp}, f={freq})"
-        pyr = curve_pyramid(curve, levels, eps)
-        rep = detail_decay_report(pyr)
+        rep = circularity_report(curve, levels, eps)
         entry.update(per_level_l1=rep.per_level_l1,
                      per_level_avg_l2=rep.per_level_avg_l2,
-                     verdict_scale=max(rep.per_level_avg_l2))
+                     verdict_scale=rep.verdict_scale)
         entries.append(entry)
         l1_series[name] = rep.per_level_l1
         avg_series[name] = rep.per_level_avg_l2
+        coarse = curve_pyramid(curve, levels, eps).coarse_array()
         (outdir / f"{name}_curve.svg").write_text(
-            svgplot.curve_overlay_svg(curve.points, pyr.coarse_array(),
-                                      title=title),
+            svgplot.curve_overlay_svg(curve.points, coarse, title=title),
             encoding="utf-8")
         (outdir / f"{name}_details.svg").write_text(
             svgplot.bar_chart_svg(rep.per_level_avg_l2,
@@ -264,14 +266,9 @@ def cmd_anomaly_demo(args) -> int:
     n, levels, eps = args.n, args.levels, args.epsilon
     curve = perturb_quadrant(sample_circle(n, args.radius),
                              args.amplitude, args.frequency)
+    ranges = anomaly_localize(curve, levels, eps, args.threshold_ratio)
     pyr = curve_pyramid(curve, levels, eps)
-    # anomaly_localize's ranges from the norms it would threshold, which
-    # are these bit for bit, without analyzing the curve again
-    norms = pyr.detail_norms(levels)
-    flags, _ = geometry._threshold_flags(norms, args.threshold_ratio,
-                                         geometry._FLOOR)
-    ranges = geometry._merge_flags(flags, geometry._MERGE_GAP, wrap=True)
-    window = geometry.quadrant_window(n) > 0.0
+    window = quadrant_window(n) > 0.0
 
     report = {
         "n": n,
@@ -293,7 +290,7 @@ def cmd_anomaly_demo(args) -> int:
                                   title="quadrant-perturbed circle"),
         encoding="utf-8")
     (outdir / "anomaly_details.svg").write_text(
-        svgplot.index_profile_svg(norms.tolist()),
+        svgplot.index_profile_svg(pyr.detail_norms(levels).tolist()),
         encoding="utf-8")
     log.info("anomaly demo written to %s (%d range(s))", outdir, len(ranges))
     return 0

@@ -204,18 +204,18 @@ def circularity_report(curve: PlanarCurve, levels: int,
 # anomaly localization
 
 
-# The default absolute floor of the flag threshold and gap bridged when
-# flags merge into ranges.
+# The absolute floor of the flag threshold, which keeps machine noise on
+# circles unflagged, and the widest gap bridged when flags merge into
+# ranges: even-index details of a reversed pyramid vanish identically,
+# so flags arrive on every other index, and a gap of 2 joins those combs.
 _FLOOR = 1e-10
 _MERGE_GAP = 2
 
 
-def _merge_flags(flags: np.ndarray, gap: int, wrap: bool):
-    """Group flagged indices into ranges, bridging gaps up to ``gap``.
+def _merge_flags(flags: np.ndarray):
+    """Group flagged indices into ranges, bridging gaps up to ``_MERGE_GAP``.
 
-    Detail coefficients at even indices vanish identically for a reversed
-    pyramid, so flags naturally arrive on every other index; a gap
-    tolerance of 2 treats those combs as contiguous.
+    A range may wrap around the seam of the closed curve.
     """
     idx = np.nonzero(flags)[0]
     if idx.size == 0:
@@ -224,17 +224,17 @@ def _merge_flags(flags: np.ndarray, gap: int, wrap: bool):
     start = prev = int(idx[0])
     for i in idx[1:]:
         i = int(i)
-        if i - prev <= gap:
+        if i - prev <= _MERGE_GAP:
             prev = i
         else:
             ranges.append((start, prev))
             start = prev = i
     ranges.append((start, prev))
     n = flags.size
-    if wrap and len(ranges) > 1:
+    if len(ranges) > 1:
         first_start, _ = ranges[0]
         last_start, last_end = ranges[-1]
-        if (first_start + n) - last_end <= gap:
+        if (first_start + n) - last_end <= _MERGE_GAP:
             ranges[0] = (last_start - n, ranges[0][1])
             ranges.pop()
     return ranges
@@ -256,22 +256,20 @@ def _median(norms: np.ndarray) -> float:
     return float(part[k] if odd else (part[k - 1] + part[k]) / 2)
 
 
-def _threshold_flags(norms: np.ndarray, threshold_ratio: float,
-                     floor: float):
+def _threshold_flags(norms: np.ndarray, threshold_ratio: float):
     """The flags and threshold of :func:`anomaly_flags` on detail norms."""
-    threshold = max(threshold_ratio * _median(norms), floor)
+    threshold = max(threshold_ratio * _median(norms), _FLOOR)
     return norms > threshold, threshold
 
 
 def anomaly_flags(curve: PlanarCurve, levels: int,
                   epsilon: float = 1e-15,
-                  threshold_ratio: float = 50.0,
-                  floor: float = _FLOOR):
+                  threshold_ratio: float = 50.0):
     """Per-index anomaly flags at the finest detail level.
 
     A coefficient is flagged when its Euclidean norm exceeds
-    ``threshold_ratio`` times the median norm, with an absolute floor
-    that keeps machine noise on perfect circles unflagged.  Returns the
+    ``threshold_ratio`` times the median norm, and 1e-10, a floor that
+    keeps machine noise on perfect circles unflagged.  Returns the
     boolean flag array and the threshold used.
 
     Only the finest level is analyzed: its details ``x - S_J D_J x``
@@ -287,25 +285,23 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     block, _ = _analysis_input(curve.points, levels, "periodic")
     params = _level_params(family, levels, epsilon)
     _, detail = _analysis_step(params.mask, params.filt, block)
-    return _threshold_flags(_row_norms(detail), threshold_ratio, floor)
+    return _threshold_flags(_row_norms(detail), threshold_ratio)
 
 
 def anomaly_localize(curve: PlanarCurve, levels: int,
                      epsilon: float = 1e-15,
-                     threshold_ratio: float = 50.0,
-                     floor: float = _FLOOR,
-                     merge_gap: int = _MERGE_GAP):
+                     threshold_ratio: float = 50.0):
     """Flag index ranges of the curve that break its circular structure.
 
     Thresholds the finest-level detail norms as in :func:`anomaly_flags`,
-    then merges adjacent flags (gap up to ``merge_gap``) into ranges;
-    ranges may wrap around the curve seam.  Returns a list of
+    then merges flags at most 2 indices apart into ranges; ranges may
+    wrap around the curve seam.  Returns a list of
     (start, end) inclusive index pairs at the finest level, where index j
     sits at parameter angle 2*pi*j/N; a negative start index denotes a
     range wrapping through zero.
     """
-    flags, _ = anomaly_flags(curve, levels, epsilon, threshold_ratio, floor)
-    return _merge_flags(flags, merge_gap, wrap=True)
+    flags, _ = anomaly_flags(curve, levels, epsilon, threshold_ratio)
+    return _merge_flags(flags)
 
 
 # ---------------------------------------------------------------------------

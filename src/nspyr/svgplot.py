@@ -12,9 +12,22 @@ import math
 
 _PALETTE = ("#1f77b4", "#d62728", "#e8b000", "#2ca02c", "#9467bd")
 
+# Plot sizes in pixels; log10 scales plot smaller values at _LOG_FLOOR.
+_CURVE_SIZE = 480
+_BAR_SIZE = (480, 320)
+_LINES_SIZE = (520, 360)
+_PROFILE_SIZE = (560, 320)
+_LOG_FLOOR = 1e-17
+
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def _log_scale(values):
+    """log10 of each ``|v|`` floored at ``_LOG_FLOOR``; their max and min."""
+    logs = [math.log10(max(abs(v), _LOG_FLOOR)) for v in values]
+    return logs, max(logs), min(logs)
 
 
 def _document(width, height, body, title):
@@ -26,20 +39,19 @@ def _document(width, height, body, title):
     return "\n".join([head, caption, *body, "</svg>"]) + "\n"
 
 
-def curve_overlay_svg(points, coarse_points=None, title="curve",
-                      size=480) -> str:
+def curve_overlay_svg(points, coarse_points=None, title="curve") -> str:
     """Closed-curve polyline with optional coarse points as black squares."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     margin = 40.0
-    scale = (size - 2 * margin) / span
+    scale = (_CURVE_SIZE - 2 * margin) / span
     cx = (max(xs) + min(xs)) / 2
     cy = (max(ys) + min(ys)) / 2
 
     def to_px(p):
-        return (size / 2 + (p[0] - cx) * scale,
-                size / 2 - (p[1] - cy) * scale)
+        return (_CURVE_SIZE / 2 + (p[0] - cx) * scale,
+                _CURVE_SIZE / 2 - (p[1] - cy) * scale)
 
     pts = " ".join(f"{_fmt(u)},{_fmt(v)}" for u, v in map(to_px, points))
     body = [f'<polygon points="{pts}" fill="none" stroke="{_PALETTE[0]}" '
@@ -51,16 +63,14 @@ def curve_overlay_svg(points, coarse_points=None, title="curve",
             body.append(f'<rect x="{_fmt(u - half)}" y="{_fmt(v - half)}" '
                         f'width="{2 * half}" height="{2 * half}" '
                         f'fill="black"/>')
-    return _document(size, size, body, title)
+    return _document(_CURVE_SIZE, _CURVE_SIZE, body, title)
 
 
-def bar_chart_svg(values, labels=None, title="detail norms",
-                  width=480, height=320, log_floor=1e-17) -> str:
+def bar_chart_svg(values, title="detail norms") -> str:
     """Bar chart on a log10 scale (values are norms, possibly near zero)."""
-    floored = [max(abs(v), log_floor) for v in values]
-    logs = [math.log10(v) for v in floored]
-    top = max(logs)
-    bottom = min(logs + [top - 1.0])
+    width, height = _BAR_SIZE
+    logs, top, bottom = _log_scale(values)
+    bottom = min(bottom, top - 1.0)
     margin = 48.0
     span = max(top - bottom, 1e-9)
     n = len(values)
@@ -73,10 +83,9 @@ def bar_chart_svg(values, labels=None, title="detail norms",
         body.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
                     f'width="{_fmt(0.7 * slot)}" height="{_fmt(h)}" '
                     f'fill="{_PALETTE[0]}"/>')
-        label = labels[i] if labels else str(i + 1)
         body.append(f'<text x="{_fmt(x + 0.35 * slot)}" '
                     f'y="{height - margin + 16:.1f}" text-anchor="middle" '
-                    f'font-size="11" font-family="sans-serif">{label}</text>')
+                    f'font-size="11" font-family="sans-serif">{i + 1}</text>')
         body.append(f'<text x="{_fmt(x + 0.35 * slot)}" y="{_fmt(y - 4)}" '
                     f'text-anchor="middle" font-size="9" '
                     f'font-family="sans-serif">{values[i]:.1e}</text>')
@@ -86,16 +95,15 @@ def bar_chart_svg(values, labels=None, title="detail norms",
     return _document(width, height, body, title)
 
 
-def log_lines_svg(series: dict, title="detail decay", width=520,
-                  height=360, log_floor=1e-17) -> str:
+def log_lines_svg(series: dict, title="detail decay") -> str:
     """One log10-scaled polyline per named series, with a legend.
 
     Series map names to per-level value lists; the x axis is the level.
     """
-    all_vals = [max(abs(v), log_floor) for vals in series.values()
-                for v in vals]
-    logs_top = math.log10(max(all_vals))
-    logs_bot = math.log10(min(all_vals))
+    width, height = _LINES_SIZE
+    scaled = [_log_scale(vals) for vals in series.values()]
+    logs_top = max(top for _, top, _ in scaled)
+    logs_bot = min(bot for _, _, bot in scaled)
     span = max(logs_top - logs_bot, 1e-9)
     margin = 52.0
     n_levels = max(len(v) for v in series.values())
@@ -105,12 +113,11 @@ def log_lines_svg(series: dict, title="detail decay", width=520,
                 f'stroke="black"/>')
     body.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
                 f'y2="{height - margin:.1f}" stroke="black"/>')
-    for i, (name, vals) in enumerate(series.items()):
+    for i, (name, (logs, _, _)) in enumerate(zip(series, scaled)):
         color = _PALETTE[i % len(_PALETTE)]
         pts = []
-        for l, v in enumerate(vals):
+        for l, lg in enumerate(logs):
             x = margin + (width - 2 * margin) * (l / max(n_levels - 1, 1))
-            lg = math.log10(max(abs(v), log_floor))
             y = margin + (logs_top - lg) / span * (height - 2 * margin)
             pts.append(f"{_fmt(x)},{_fmt(y)}")
         body.append(f'<polyline points="{" ".join(pts)}" fill="none" '
@@ -126,19 +133,17 @@ def log_lines_svg(series: dict, title="detail decay", width=520,
     return _document(width, height, body, title)
 
 
-def index_profile_svg(values, title="finest-level detail norms",
-                      width=560, height=320, log_floor=1e-17) -> str:
+def index_profile_svg(values, title="finest-level detail norms") -> str:
     """Per-index log10 profile of detail norms along the curve."""
-    floored = [max(abs(v), log_floor) for v in values]
-    top = math.log10(max(floored))
-    bot = math.log10(min(floored))
+    width, height = _PROFILE_SIZE
+    logs, top, bot = _log_scale(values)
     span = max(top - bot, 1e-9)
     margin = 48.0
     n = len(values)
     pts = []
-    for i, v in enumerate(floored):
+    for i, lg in enumerate(logs):
         x = margin + (width - 2 * margin) * (i / max(n - 1, 1))
-        y = margin + (top - math.log10(v)) / span * (height - 2 * margin)
+        y = margin + (top - lg) / span * (height - 2 * margin)
         pts.append(f"{_fmt(x)},{_fmt(y)}")
     body = [f'<polyline points="{" ".join(pts)}" fill="none" '
             f'stroke="{_PALETTE[1]}" stroke-width="1.2"/>',
