@@ -53,6 +53,7 @@ from .errors import (
     NoConvergenceError,
     OddPeriodError,
     SymbolZeroOnCircleError,
+    _real_scalar,
 )
 from .sequences import (
     FinSeq,
@@ -356,6 +357,18 @@ _cache_lock = threading.Lock()
 _filter_cache: OrderedDict[tuple, DecimationFilter] = OrderedDict()
 
 
+def _epsilon(epsilon) -> float:
+    """``epsilon`` as a float in (0, 1), checked before a cache reads it.
+
+    Anything else raises :class:`BadParamsError` naming it, or
+    :class:`DomainError` if it is complex.
+    """
+    epsilon = _real_scalar(epsilon, "epsilon", finite=False)
+    if not 0.0 < epsilon < 1.0:
+        raise BadParamsError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
+
+
 def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     """Compute the truncated, normalized reverse filter for ``mask``.
 
@@ -376,10 +389,9 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     2048 filters, the first cached leaving first: solving is pure, so
     concurrent callers may share filters freely.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise BadParamsError(f"epsilon must lie in (0, 1), got {epsilon}")
+    epsilon = _epsilon(epsilon)
     even, even_offset = _even_taps(mask)
-    key = (even.tobytes(), even_offset, float(epsilon))
+    key = (even.tobytes(), even_offset, epsilon)
     with _cache_lock:
         hit = _filter_cache.get(key)
     if hit is not None:
@@ -441,7 +453,7 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     zeta = _finseq(coeffs / np.add.reduce(coeffs), gamma_raw.offset)
     residual = _residual_l1(even, even_offset, zeta)
     filt = DecimationFilter(
-        zeta=zeta, gamma_raw=gamma_raw, epsilon=float(epsilon),
+        zeta=zeta, gamma_raw=gamma_raw, epsilon=epsilon,
         residual_l1=residual, decay_C=c_env, decay_lambda=lam)
     with _cache_lock:
         _filter_cache[key] = filt

@@ -3,12 +3,14 @@
 Every numerical precondition failure maps to a distinct subclass of
 :class:`NspyrError` whose message names the violated precondition, so
 callers (and the command line front end) can report it verbatim.  Caller
-input passes one of three gates, which raise these types naming the
+input passes one of four gates, which raise these types naming the
 argument: :func:`_index` for integers, :func:`_check_json` for JSON
-documents read from outside (a saved pyramid, a CLI config) and
-:func:`_real_array` for arrays, to which each caller adds its shape rule.
+documents read from outside (a saved pyramid, a CLI config),
+:func:`_real_array` for arrays, to which each caller adds its shape rule,
+and :func:`_real_scalar` for real numbers.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -132,3 +134,21 @@ def _real_array(values, what: str, error=BadParamsError,
     if finite and not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite: found NaN or infinity")
     return arr
+
+
+def _real_scalar(value, what: str, error=BadParamsError,
+                 finite: bool = True) -> float:
+    """``value``, one number, as a Python float.
+
+    A Python or numpy number, or a 0-d array, passes the checks of
+    :func:`_real_array` (``finite`` as there); anything else raises
+    ``error``.  Messages name ``what``.
+    """
+    if type(value) is float and (not finite or math.isfinite(value)):
+        return value
+    if not isinstance(value, (int, float, complex, np.generic, np.ndarray)):
+        raise error(f"{what} must be a real number, got {value!r}")
+    arr = _real_array(value, what, error, finite)
+    if arr.ndim:
+        raise error(f"{what} must be a real number, got shape {arr.shape}")
+    return float(arr)

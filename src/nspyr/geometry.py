@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamsError, DomainError, _index, _real_array
+from .decimation import _epsilon
+from .errors import BadParamsError, _index, _real_array, _real_scalar
 from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
                       _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
@@ -67,17 +68,31 @@ class PlanarCurve:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
 
+def _center(center) -> np.ndarray:
+    """The ``center`` argument as a float64 array of two coordinates."""
+    center = _real_array(center, "center")
+    if center.shape != (2,):
+        raise BadParamsError(
+            f"center must be two coordinates, got shape {center.shape}")
+    return center
+
+
 def sample_circle(n: int, radius: float = 1.0,
                   center: tuple = (0.0, 0.0)) -> PlanarCurve:
-    """N equispaced samples of a circle, counterclockwise from angle 0."""
+    """N equispaced samples of a circle, counterclockwise from angle 0.
+
+    ``radius`` is a positive real number and ``center`` two coordinates.
+    """
     n = _index(n, "n")
     if n < 4:
         raise BadParamsError(f"need at least 4 samples, got {n}")
+    radius = _real_scalar(radius, "radius")
     if radius <= 0:
         raise BadParamsError(f"radius must be positive, got {radius}")
+    cx, cy = _center(center)
     ang = 2.0 * np.pi * np.arange(n) / n
-    pts = np.stack([center[0] + radius * np.cos(ang),
-                    center[1] + radius * np.sin(ang)], axis=1)
+    pts = np.stack([cx + radius * np.cos(ang),
+                    cy + radius * np.sin(ang)], axis=1)
     return PlanarCurve(pts, closed=True)
 
 
@@ -90,8 +105,7 @@ def _perturb(curve: PlanarCurve, amplitude: float, frequency: int,
     if not (isinstance(frequency, numbers.Real)
             and float(frequency).is_integer() and frequency >= 1):
         raise BadParamsError("frequency must be an integer >= 1")
-    if not math.isfinite(amplitude):
-        raise DomainError(f"amplitude must be finite, got {amplitude!r}")
+    amplitude = _real_scalar(amplitude, "amplitude")
     if amplitude == 0.0:
         return curve
     center = curve.points.mean(axis=0)
@@ -141,7 +155,8 @@ def perturb_quadrant(curve: PlanarCurve, amplitude: float,
 def radial_deviation(curve: PlanarCurve, radius: float,
                      center: tuple = (0.0, 0.0)) -> float:
     """Largest distance of any sample from the reference circle."""
-    rel = curve.points - _real_array(center, "center")
+    rel = curve.points - _center(center)
+    radius = _real_scalar(radius, "radius")
     return float(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - radius).max())
 
 
@@ -283,7 +298,7 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     """
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
-    params = _level_params(family, levels, epsilon)
+    params = _level_params(family, levels, _epsilon(epsilon))
     _, detail = _analysis_step(params.mask, params.filt, block)
     return _threshold_flags(_row_norms(detail), threshold_ratio)
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import (DecimationFilter, _decimate_block, residual_check,
-                         solve_gamma)
+from .decimation import (DecimationFilter, _decimate_block, _epsilon,
+                         residual_check, solve_gamma)
 from .errors import (
     BadParamsError,
     DomainError,
@@ -79,6 +79,23 @@ def _level_params(family: SchemeFamily, level: int,
     """
     mask = family.mask_at_level(level - 1)
     return LevelParams(level, mask, solve_gamma(mask, epsilon))
+
+
+def _family(family) -> SchemeFamily:
+    """``family``, checked to be a :class:`SchemeFamily`."""
+    if not isinstance(family, SchemeFamily):
+        raise BadParamsError(
+            f"family must be a SchemeFamily, got {type(family).__name__}")
+    return family
+
+
+def _items(values, name: str) -> tuple:
+    """``values`` as a tuple; a non-iterable raises ShapeMismatchError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ShapeMismatchError(f"{name} must be a sequence, got "
+                                 f"{type(values).__name__}") from None
 
 
 def _read_only_block(values) -> np.ndarray:
@@ -225,9 +242,12 @@ class Pyramid:
     all 0 for periodic data.  ``support`` is the analyzed input's index
     range ``(lo, hi)`` for finite data, which synthesis returns; it is
     None for periodic data and for finite pyramids that did not record
-    it.  Inconsistent shapes, counts or supports, and blocks that are not
-    arrays of real numbers, raise :class:`ShapeMismatchError`; complex or
-    non-finite values raise :class:`DomainError`.
+    it.  Inconsistent shapes, counts or supports, blocks that are not
+    arrays of real numbers, and ``details`` or ``level_params`` that are
+    not sequences (of :class:`LevelParams`, for the latter) raise
+    :class:`ShapeMismatchError`; complex or non-finite values raise
+    :class:`DomainError`; a family that is not a :class:`SchemeFamily`, or
+    an epsilon outside (0, 1), raises :class:`BadParamsError`.
     """
 
     __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
@@ -250,8 +270,11 @@ class Pyramid:
             if hi < lo:
                 raise ShapeMismatchError(f"empty support range {support!r}")
             support = (lo, hi)
-        blocks = [_read_only_block(b) for b in (coarse, *details)]
-        level_params = tuple(level_params)
+        blocks = [_read_only_block(b)
+                  for b in (coarse, *_items(details, "details"))]
+        level_params = _items(level_params, "level_params")
+        if not all(isinstance(lp, LevelParams) for lp in level_params):
+            raise ShapeMismatchError("level_params must hold LevelParams")
         levels = [lp.level for lp in level_params]
         if levels != list(range(1, len(blocks))):
             raise ShapeMismatchError(
@@ -271,8 +294,8 @@ class Pyramid:
                     raise ShapeMismatchError(
                         f"level {level} details have period "
                         f"{block.shape[0]}, expected {2 * below.shape[0]}")
-        self._fill(blocks, offsets, family, epsilon, boundary, level_params,
-                   support)
+        self._fill(blocks, offsets, _family(family), _epsilon(epsilon),
+                   boundary, level_params, support)
 
     @classmethod
     def _of_analysis(cls, blocks, offsets, family, epsilon, boundary,
@@ -306,7 +329,7 @@ class Pyramid:
         self.details = tuple(blocks[1:])
         self.offsets = offsets
         self.family = family
-        self.epsilon = float(epsilon)
+        self.epsilon = epsilon
         self.boundary = boundary
         self.level_params = level_params
         self.support = support
@@ -501,34 +524,40 @@ def analyze(data, family: SchemeFamily, levels: int,
     family initialized from the coarse sample count reproduces the
     per-level tension selection that keeps sampled circles exact.
     ``data`` is a real 1-D or 2-D array (samples x components) or a
-    sequence object of the boundary's kind; complex or non-finite input
-    raises :class:`DomainError`, anything else :class:`BadParamsError`.
+    sequence object of the boundary's kind; complex or non-finite input,
+    or details that overflow to infinity, raise :class:`DomainError`,
+    anything else :class:`BadParamsError`, as a ``family`` that is not a
+    :class:`SchemeFamily` and an ``epsilon`` outside (0, 1) do.
     """
+    family, epsilon = _family(family), _epsilon(epsilon)
     block, offset = _analysis_input(data, levels, boundary)
     periodic = boundary == "periodic"
     support = None if periodic else (offset, offset + block.shape[0])
     level_params: list = [None] * levels
     details: list = [None] * levels
     offsets = [0] * (levels + 1)
-    for level in range(levels, 0, -1):
-        params = _level_params(family, level, epsilon)
-        mask, filt = params.mask, params.filt
-        if not periodic:
-            # D reaches reach(zeta) coarse rows past the data, S another
-            # reach(mask) fine rows: 2*reach(zeta) + reach(mask) in all.
-            pad = 2 * _reach(filt.zeta) + _reach(mask.taps)
-            block, start = _frame(block, offset, offset - pad,
-                                  offset + block.shape[0] + pad)
-        coarse, detail = _analysis_step(mask, filt, block)
-        if not periodic:
-            detail, offsets[level] = _trim(detail, start)
-            coarse, offset = _trim(coarse, start // 2)
-            # Owned copies, not views that would keep the frame alive.
-            detail = np.array(detail, order="F")
-        detail.setflags(write=False)
-        details[level - 1] = detail
-        level_params[level - 1] = params
-        block = coarse
+    # Finite input can overflow to infinite details; the finiteness check
+    # of the blocks raises DomainError for them, not a warning here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(levels, 0, -1):
+            params = _level_params(family, level, epsilon)
+            mask, filt = params.mask, params.filt
+            if not periodic:
+                # D reaches reach(zeta) coarse rows past the data, S another
+                # reach(mask) fine rows: 2*reach(zeta) + reach(mask) in all.
+                pad = 2 * _reach(filt.zeta) + _reach(mask.taps)
+                block, start = _frame(block, offset, offset - pad,
+                                      offset + block.shape[0] + pad)
+            coarse, detail = _analysis_step(mask, filt, block)
+            if not periodic:
+                detail, offsets[level] = _trim(detail, start)
+                coarse, offset = _trim(coarse, start // 2)
+                # Owned copies, not views that would keep the frame alive.
+                detail = np.array(detail, order="F")
+            detail.setflags(write=False)
+            details[level - 1] = detail
+            level_params[level - 1] = params
+            block = coarse
     if not periodic:
         block = np.array(block, order="F")
     block.setflags(write=False)

@@ -34,6 +34,7 @@ from .errors import (
     _NUMBER,
     _check_json,
     _index,
+    _real_scalar,
 )
 from .sequences import (FinSeq, PeriodicSeq, _add_reduce, _cyclic_convolve,
                         _finseq, _frame, _reach, _stencil)
@@ -64,7 +65,7 @@ class Mask:
         if taps.is_empty:
             raise BadParamsError("mask has no taps")
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "level", int(level))
+        object.__setattr__(self, "level", _index(level, "level"))
         object.__setattr__(self, "family_id", str(family_id))
         # The polyphase split, and what every refinement reads of it: the
         # parities with taps, their kernel stencils, the stencil reach.
@@ -279,15 +280,15 @@ def cubic_bspline_family() -> Stationary:
 
 
 class _OneParameter(SchemeFamily):
-    """A family whose one field is its tension, kept as a float.
+    """A family whose one field is its tension, kept as a finite float.
 
     It is described as its kind, the family id, plus that field.
     """
 
     def __post_init__(self):
         (param,) = fields(self)
-        object.__setattr__(self, param.name,
-                           float(getattr(self, param.name)))
+        object.__setattr__(self, param.name, _real_scalar(
+            getattr(self, param.name), param.name))
 
     def describe(self) -> dict:
         (param,) = fields(self)
@@ -340,9 +341,9 @@ class _IteratedTension(_OneParameter):
     v_init: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.v_init <= -1.0:
             raise DomainError(f"v_init must exceed -1, got {self.v_init}")
-        super().__post_init__()
 
     def tension_at_level(self, k: int) -> float:
         if k < 0:

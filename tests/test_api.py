@@ -1,18 +1,21 @@
-"""The public names of the package, pinned, and how they read integers.
+"""The public names of the package and their parameters, pinned, and how
+they read integers.
 
-Adding or removing a public name changes this list on purpose; the
-count it holds is the API count the change log reports.
+Adding or removing a public name or a parameter changes these lists on
+purpose; the counts they hold are the API and settings counts the change
+log reports.
 """
 
+import inspect
 import types
 
 import numpy as np
 import pytest
 
 import nspyr
-from nspyr import (BadParamsError, FinSeq, NSCubic, Pyramid,
+from nspyr import (BadParamsError, FinSeq, Mask, NSCubic, Pyramid,
                    ShapeMismatchError, analyze, conic_family_for, refine_n,
-                   sample_circle)
+                   sample_circle, svgplot)
 
 PUBLIC_NAMES = [
     "BadParamsError", "CircularityReport", "Conic", "DecimationFilter",
@@ -46,6 +49,92 @@ def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 65
 
 
+# The parameters of every public callable that has a signature (not the
+# exception types) and of every svgplot function; a trailing "=" marks a
+# parameter with a default, a setting a caller may leave out.
+PARAMETERS = {
+    "CircularityReport": "per_level_l1 per_level_avg_l2 levels verdict_scale",
+    "Conic": "v_init",
+    "DecimationFilter":
+        "zeta gamma_raw epsilon residual_l1 decay_C decay_lambda",
+    "DetailDecayReport":
+        "levels per_level_inf per_level_l1 per_level_avg_l2 ratios",
+    "FinSeq": "coeffs= offset=",
+    "LevelParams": "level mask filt",
+    "Mask": "taps level= family_id= check_parity=",
+    "NS4Point": "theta=",
+    "NSCubic": "v_init=",
+    "PeriodicSeq": "values",
+    "PlanarCurve": "points closed=",
+    "Pyramid": "coarse details family epsilon boundary level_params "
+               "offsets= support=",
+    "SchemeFamily": "",
+    "Stationary": "taps name=",
+    "analyze": "data family levels epsilon= boundary=",
+    "anomaly_flags": "curve levels epsilon= threshold_ratio=",
+    "anomaly_localize": "curve levels epsilon= threshold_ratio=",
+    "check_decomposition_stability":
+        "data data_tilde family levels epsilon= boundary= trials=",
+    "check_reconstruction_stability": "pyramid perturbed",
+    "circularity_report": "curve levels epsilon=",
+    "conic_family_for": "curve_n levels",
+    "conic_params": "v",
+    "cubic_bspline_family": "",
+    "cubic_bspline_mask": "",
+    "curve_pyramid": "curve levels epsilon=",
+    "decimate": "filt c",
+    "delta": "",
+    "detail_bound": "pyramid fprime_inf",
+    "detail_decay_report": "pyramid",
+    "family_from_description": "desc",
+    "filter_metadata": "filt",
+    "k_const": "c",
+    "norm_l1": "c",
+    "operator_norm_inf": "mask",
+    "perturb_quadrant": "curve amplitude frequency",
+    "perturb_wavy": "curve amplitude frequency",
+    "quadrant_window": "curve_n",
+    "radial_deviation": "curve radius center=",
+    "read_curve_csv": "path",
+    "read_sequence_csv": "path",
+    "reconstruction_stability_bound": "family levels",
+    "refine": "mask c",
+    "refine_n": "family c steps",
+    "residual_check": "filt mask",
+    "residual_operator_norm_estimate": "mask filt trials=",
+    "sample_circle": "n radius= center=",
+    "solve_gamma": "mask epsilon=",
+    "synthesize": "pyramid",
+    "synthesize_array": "pyramid",
+    "v_next": "v",
+    "write_curve_csv": "path curve",
+    "write_filter_csv": "path filt",
+    "write_sequence_csv": "path c",
+    "svgplot.bar_chart_svg": "values title=",
+    "svgplot.curve_overlay_svg": "points coarse_points= title=",
+    "svgplot.index_profile_svg": "values title=",
+    "svgplot.log_lines_svg": "series title=",
+}
+
+
+def test_parameters_are_pinned():
+    callables = {name: getattr(nspyr, name) for name in PUBLIC_NAMES}
+    callables.update(
+        (f"svgplot.{name}", value) for name, value in vars(svgplot).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+        and value.__module__ == svgplot.__name__)
+    found = {}
+    for name, value in callables.items():
+        try:
+            params = inspect.signature(value).parameters.values()
+        except (TypeError, ValueError):  # WAVY_PRESETS, exception types
+            continue
+        found[name] = " ".join(
+            p.name + ("=" if p.default is not p.empty else "") for p in params)
+    assert found == PARAMETERS
+    assert sum(p.count("=") for p in PARAMETERS.values()) == 32
+
+
 def finite_pyramid():
     return analyze(np.arange(1.0, 9.0), NSCubic(0.5), 1, boundary="finite")
 
@@ -67,9 +156,11 @@ def finite_pyramid():
     (lambda: sample_circle(4.5), "n", BadParamsError),
     (lambda: refine_n(NSCubic(0.5), FinSeq([1.0]), 1.5), "steps",
      BadParamsError),
+    (lambda: Mask(FinSeq([0.5, 1.0, 0.5], -1), level=2.7), "level",
+     BadParamsError),
 ], ids=["finseq-float-offset", "finseq-string-offset", "pyramid-offsets",
         "analyze-levels", "conic-family-levels", "conic-family-count",
-        "sample-circle", "refine-n-steps"])
+        "sample-circle", "refine-n-steps", "mask-level"])
 def test_integer_arguments(call, name, error):
     with pytest.raises(error, match=f"^{name} must be an integer, got "):
         call()

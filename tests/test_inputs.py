@@ -1,10 +1,10 @@
-"""The array contract of every entry point, over a zoo of inputs.
+"""The array and scalar contracts of every entry point, over a zoo of inputs.
 
 Each case runs under its own 2 s ``signal.alarm``, so a hang fails the
 test instead of stalling the run.  A case either gives what the float64
-array form of its input gives, bit for bit, or raises an
-:class:`NspyrError`.  Anything else fails: a bare numpy error, a hang, or
-a warning, which this suite turns into an error.
+form of its input gives, bit for bit, or raises an :class:`NspyrError`.
+Anything else fails: a bare numpy error, a hang, or a warning, which
+this suite turns into an error.
 """
 
 import contextlib
@@ -19,8 +19,10 @@ from hypothesis.extra import numpy as hnp
 
 from nspyr import (
     BadParamsError,
+    Conic,
     DomainError,
     FinSeq,
+    NS4Point,
     NSCubic,
     NspyrError,
     PeriodicSeq,
@@ -28,14 +30,17 @@ from nspyr import (
     Pyramid,
     ShapeMismatchError,
     analyze,
+    anomaly_flags,
     check_decomposition_stability,
     decimate,
+    perturb_wavy,
+    radial_deviation,
     refine,
     sample_circle,
     solve_gamma,
     synthesize_array,
 )
-from nspyr.errors import _real_array
+from nspyr.errors import _real_array, _real_scalar
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
                                 reason="needs signal.alarm")
@@ -189,6 +194,72 @@ def test_every_form_on_valid_data(entry, form):
     check_entry(entry, FORMS[form](base, 7))
 
 
+CIRCLE = sample_circle(16)
+
+# entry point name -> function of one scalar argument
+SCALAR_ENTRIES = {
+    "ns4pt-theta": NS4Point,
+    "nscubic-v-init": NSCubic,
+    "conic-v-init": Conic,
+    "circle-radius": lambda r: sample_circle(8, r),
+    "deviation-radius": lambda r: radial_deviation(CIRCLE, r),
+    "wavy-amplitude": lambda a: perturb_wavy(CIRCLE, a, 3),
+    "analyze-epsilon": lambda e: analyze(np.ones(8), FAMILY, 1, e),
+    "anomaly-epsilon": lambda e: anomaly_flags(CIRCLE, 2, e)[1],
+    "solve-epsilon": lambda e: solve_gamma(MASK, e),
+}
+
+# form name -> function of a float in (0, 1)
+SCALAR_FORMS = {
+    "float": lambda v: v,
+    "float32": np.float32,
+    "float64": np.float64,
+    "0-d": np.array,
+    "bool": lambda v: v > 0.0,
+    "int": lambda v: int(v > 0.0),
+    "int64": lambda v: np.int64(v > 0.0),
+    "huge-int": lambda v: 2 ** 70,
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf-float64": lambda v: np.float64(-math.inf),
+    "complex": lambda v: complex(v),
+    "complex128": np.complex128,
+    "text": str,
+    "none": lambda v: None,
+    "list": lambda v: [v],
+    "tuple": lambda v: (v, v),
+    "1-d": lambda v: np.array([v]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRIES))
+@settings(max_examples=20, deadline=None)
+@given(form=st.sampled_from(sorted(SCALAR_FORMS)),
+       value=st.floats(1e-9, 0.999, exclude_max=True))
+def test_scalar_zoo(entry, form, value):
+    # a scalar argument gives what its float gives, bit for bit, or raises
+    x = SCALAR_FORMS[form](value)
+    with deadline():
+        try:
+            got = digest(SCALAR_ENTRIES[entry](x))
+        except NspyrError:
+            return
+    with deadline():
+        want = digest(SCALAR_ENTRIES[entry](float(np.asarray(x))))
+    assert got == want
+
+
+@pytest.mark.parametrize("form", sorted(SCALAR_FORMS))
+def test_every_scalar_form_reaches_the_gate(form):
+    x = SCALAR_FORMS[form](0.5)
+    try:
+        got = _real_scalar(x, "x")
+    except NspyrError as exc:
+        assert str(exc).startswith("x must ")
+        return
+    assert type(got) is float and got == float(np.asarray(x))
+
+
 def _analyzed(x, boundary):
     return analyze(x, FAMILY, 2, boundary=boundary)
 
@@ -235,6 +306,55 @@ PROBES = {
                          "decimate needs a FinSeq or PeriodicSeq"),
     "mask-ndarray": (lambda: type(MASK)(np.array([0.5, 1.0, 0.5])),
                      BadParamsError, "mask taps must be a FinSeq"),
+    # scalar arguments
+    "circle-inf-radius": (lambda: sample_circle(8, math.inf), DomainError,
+                          "^radius must be finite"),
+    "circle-text-center": (lambda: sample_circle(8, 1.0, ("a", 0)),
+                           BadParamsError, "^center must"),
+    "nscubic-complex": (lambda: NSCubic(1j), DomainError,
+                        "^v_init must be real"),
+    "ns4pt-text": (lambda: NS4Point("x"), BadParamsError,
+                   "^theta must be a real number"),
+    "conic-nan": (lambda: Conic(math.nan), DomainError,
+                  "^v_init must be finite"),
+    "wavy-text-amplitude": (lambda: perturb_wavy(CIRCLE, "x", 3),
+                            BadParamsError, "^amplitude must be a real"),
+    "deviation-3-d-center": (lambda: radial_deviation(CIRCLE, 1.0, (0, 0, 0)),
+                             BadParamsError, "^center must be two"),
+    # other arguments that are not arrays
+    "analyze-none-family": (lambda: analyze(np.ones(8), None, 1),
+                            BadParamsError, "^family must be a SchemeFamily"),
+    "analyze-list-epsilon": (
+        lambda: analyze(np.ones(8), FAMILY, 1, epsilon=[1e-15]),
+        BadParamsError, "^epsilon must be a real number"),
+    "analyze-text-epsilon": (
+        lambda: analyze(np.ones(8), FAMILY, 1, epsilon="x"),
+        BadParamsError, "^epsilon must be a real number"),
+    "solve-text-epsilon": (lambda: solve_gamma(MASK, "x"), BadParamsError,
+                           "^epsilon must be a real number"),
+    "pyramid-none-details": (
+        lambda: Pyramid(np.ones((4, 1)), None, FAMILY, 1e-15, "periodic",
+                        []),
+        ShapeMismatchError, "^details must be a sequence"),
+    "pyramid-none-level-params": (
+        lambda: Pyramid(np.ones((4, 1)), [], FAMILY, 1e-15, "periodic",
+                        None),
+        ShapeMismatchError, "^level_params must be a sequence"),
+    "pyramid-level-params-of-none": (
+        lambda: Pyramid(np.ones((4, 1)), [np.ones((8, 1))], FAMILY, 1e-15,
+                        "periodic", [None]),
+        ShapeMismatchError, "^level_params must hold LevelParams"),
+    "pyramid-none-family": (
+        lambda: Pyramid(np.ones((4, 1)), [], None, 1e-15, "periodic", []),
+        BadParamsError, "^family must be a SchemeFamily"),
+    "pyramid-text-epsilon": (
+        lambda: Pyramid(np.ones((4, 1)), [], FAMILY, "x", "periodic", []),
+        BadParamsError, "^epsilon must be a real number"),
+    # finite input whose subtraction step overflows, not its kernels
+    "analyze-overflowing-subtraction": (
+        lambda: _analyzed(np.array([3e307, -3e307, -3e307, -3e307, 7e307]
+                                   + [-3e307] * 27), "periodic"),
+        DomainError, "^pyramid coefficients must be finite"),
 }
 
 

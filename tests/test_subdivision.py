@@ -88,8 +88,9 @@ class TestMask:
             Mask(FinSeq([0.5, bad, 0.5], -1), check_parity=check_parity)
 
     def test_nan_tension_rejected(self):
-        with pytest.raises(DomainError, match="values must be finite"):
-            Conic(math.nan).mask_at_level(0)
+        # at construction, before any mask is built from it
+        with pytest.raises(DomainError, match="^v_init must be finite"):
+            Conic(math.nan)
 
     @pytest.mark.parametrize("clone", [
         lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
