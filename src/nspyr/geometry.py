@@ -296,6 +296,7 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     ``curve_pyramid(curve, levels, epsilon).detail_norms(levels)``, bit
     for bit.
     """
+    threshold_ratio = _real_scalar(threshold_ratio, "threshold_ratio")
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
     params = _level_params(family, levels, _epsilon(epsilon))

@@ -206,6 +206,8 @@ SCALAR_ENTRIES = {
     "wavy-amplitude": lambda a: perturb_wavy(CIRCLE, a, 3),
     "analyze-epsilon": lambda e: analyze(np.ones(8), FAMILY, 1, e),
     "anomaly-epsilon": lambda e: anomaly_flags(CIRCLE, 2, e)[1],
+    "anomaly-threshold-ratio": lambda r: anomaly_flags(
+        perturb_wavy(CIRCLE, 0.01, 3), 2, 1e-15, r)[1],
     "solve-epsilon": lambda e: solve_gamma(MASK, e),
 }
 
