@@ -136,19 +136,19 @@ def _real_array(values, what: str, error=BadParamsError,
     return arr
 
 
-def _real_scalar(value, what: str, error=BadParamsError,
-                 finite: bool = True) -> float:
+def _real_scalar(value, what: str, finite: bool = True) -> float:
     """``value``, one number, as a Python float.
 
     A Python or numpy number, or a 0-d array, passes the checks of
     :func:`_real_array` (``finite`` as there); anything else raises
-    ``error``.  Messages name ``what``.
+    :class:`BadParamsError`.  Messages name ``what``.
     """
     if type(value) is float and (not finite or math.isfinite(value)):
         return value
     if not isinstance(value, (int, float, complex, np.generic, np.ndarray)):
-        raise error(f"{what} must be a real number, got {value!r}")
-    arr = _real_array(value, what, error, finite)
+        raise BadParamsError(f"{what} must be a real number, got {value!r}")
+    arr = _real_array(value, what, finite=finite)
     if arr.ndim:
-        raise error(f"{what} must be a real number, got shape {arr.shape}")
+        raise BadParamsError(
+            f"{what} must be a real number, got shape {arr.shape}")
     return float(arr)
