@@ -67,7 +67,6 @@ from .pyramid import (
     synthesize_array,
 )
 from .geometry import (
-    CircularityReport,
     PlanarCurve,
     WAVY_PRESETS,
     anomaly_flags,

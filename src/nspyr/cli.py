@@ -34,7 +34,6 @@ from .geometry import (
     PlanarCurve,
     WAVY_PRESETS,
     anomaly_localize,
-    circularity_report,
     conic_family_for,
     curve_pyramid,
     perturb_quadrant,
@@ -229,16 +228,17 @@ def cmd_circle_demo(args) -> int:
             curve = perturb_wavy(curve, amp, freq)
             entry = {"name": name, "amplitude": amp, "frequency": freq}
             label, title = name, f"{name} (a={amp}, f={freq})"
-        rep = circularity_report(curve, levels, eps)
+        pyr = curve_pyramid(curve, levels, eps)
+        rep = detail_decay_report(pyr)
         entry.update(per_level_l1=rep.per_level_l1,
                      per_level_avg_l2=rep.per_level_avg_l2,
                      verdict_scale=rep.verdict_scale)
         entries.append(entry)
         l1_series[name] = rep.per_level_l1
         avg_series[name] = rep.per_level_avg_l2
-        coarse = curve_pyramid(curve, levels, eps).coarse_array()
         (outdir / f"{name}_curve.svg").write_text(
-            svgplot.curve_overlay_svg(curve.points, coarse, title=title),
+            svgplot.curve_overlay_svg(curve.points, pyr.coarse_array(),
+                                      title=title),
             encoding="utf-8")
         (outdir / f"{name}_details.svg").write_text(
             svgplot.bar_chart_svg(rep.per_level_avg_l2,

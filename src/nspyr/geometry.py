@@ -20,8 +20,9 @@ import numpy as np
 
 from .decimation import _epsilon
 from .errors import BadParamsError, _index, _real_array, _real_scalar
-from .pyramid import (Pyramid, _analysis_input, _analysis_step, _level_params,
-                      _row_norms, analyze, detail_decay_report)
+from .pyramid import (DetailDecayReport, Pyramid, _analysis_input,
+                      _analysis_step, _level_params, _row_norms, analyze,
+                      detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
 from .subdivision import Conic
 
@@ -164,16 +165,6 @@ def radial_deviation(curve: PlanarCurve, radius: float,
 # circularity scoring
 
 
-@dataclass(frozen=True)
-class CircularityReport:
-    """Per-level detail-norm summaries of a closed curve's pyramid."""
-
-    per_level_l1: list
-    per_level_avg_l2: list
-    levels: int
-    verdict_scale: float
-
-
 def conic_family_for(curve_n: int, levels: int) -> Conic:
     """Conic family tuned to the coarse sample count of the analysis.
 
@@ -202,17 +193,16 @@ def curve_pyramid(curve: PlanarCurve, levels: int,
 
 
 def circularity_report(curve: PlanarCurve, levels: int,
-                       epsilon: float = 1e-15) -> CircularityReport:
+                       epsilon: float = 1e-15) -> DetailDecayReport:
     """Score how closely a closed curve resembles a circle.
 
-    Reports the l1 norm and the average of the Euclidean detail-
-    coefficient norms per level; the verdict scale is the largest
-    per-level average.  Exact circles of any radius score at machine
-    noise; the score grows with geometric deviation.
+    The :func:`detail_decay_report` of :func:`curve_pyramid`: per level,
+    the l1 norm and the average of the Euclidean detail-coefficient
+    norms.  Its ``verdict_scale``, the largest per-level average, sits at
+    machine noise for exact circles of any radius and grows with
+    geometric deviation.
     """
-    report = detail_decay_report(curve_pyramid(curve, levels, epsilon))
-    return CircularityReport(report.per_level_l1, report.per_level_avg_l2,
-                             levels, max(report.per_level_avg_l2))
+    return detail_decay_report(curve_pyramid(curve, levels, epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ _OPERATOR_ULPS = 64 * np.finfo(float).eps
 
 def _check_operators(family: SchemeFamily, lp: LevelParams,
                      where: str) -> None:
-    """Check a loaded level's mask and residual against their sources.
+    """Check a level's mask and residual against their sources.
 
     The mask taps must be those of ``family.mask_at_level(level - 1)``,
     and ``residual_l1`` that of the stored mask and zeta taps, each
@@ -247,7 +247,9 @@ class Pyramid:
     not sequences (of :class:`LevelParams`, for the latter) raise
     :class:`ShapeMismatchError`; complex or non-finite values raise
     :class:`DomainError`; a family that is not a :class:`SchemeFamily`, or
-    an epsilon outside (0, 1), raises :class:`BadParamsError`.
+    an epsilon outside (0, 1), raises :class:`BadParamsError`.  Last, each
+    level's operators must match the family, as :func:`_check_operators`
+    checks, so every pyramid built here loads back from :meth:`to_json`.
     """
 
     __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
@@ -296,6 +298,8 @@ class Pyramid:
                         f"{block.shape[0]}, expected {2 * below.shape[0]}")
         self._fill(blocks, offsets, _family(family), _epsilon(epsilon),
                    boundary, level_params, support)
+        for i, lp in enumerate(level_params):
+            _check_operators(self.family, lp, f"level_params[{i}]")
 
     @classmethod
     def _of_analysis(cls, blocks, offsets, family, epsilon, boundary,
@@ -430,18 +434,18 @@ class Pyramid:
         hold them.  A missing or mistyped field, a malformed binary block,
         or a level whose mask taps are not the family's or whose
         ``residual_l1`` its taps do not give, raises
-        :class:`ShapeMismatchError` naming it.
+        :class:`ShapeMismatchError` naming it; the constructor checks the
+        levels, named by their position in level order.
         """
         _check_json(doc, "pyramid document", _DOCUMENT_FIELDS)
         family = family_from_description(doc["family"])
         for i, entry in enumerate(doc["level_params"]):
             _check_json(entry, f"level_params[{i}]", _LEVEL_FIELDS,
                         ("mask_family", "coarse_offset"))
-        params = sorted(enumerate(doc["level_params"]),
-                        key=lambda item: item[1]["level"])
-        offsets = [params[0][1].get("coarse_offset", 0) if params else 0]
+        params = sorted(doc["level_params"], key=lambda entry: entry["level"])
+        offsets = [params[0].get("coarse_offset", 0) if params else 0]
         level_params = []
-        for _, entry in params:
+        for entry in params:
             mask = Mask(FinSeq(entry["mask_taps"], entry["mask_offset"]),
                         level=entry["level"] - 1,
                         family_id=entry.get("mask_family", family.family_id),
@@ -459,12 +463,8 @@ class Pyramid:
         coarse = _decode_block(doc["coarse"], "coarse")
         details = [_decode_block(block, f"details[{i}]")
                    for i, block in enumerate(doc["details"])]
-        pyramid = cls(coarse, details, family, doc["epsilon"],
-                      doc["boundary"], level_params, offsets,
-                      doc.get("support"))
-        for (i, _), lp in zip(params, level_params):
-            _check_operators(family, lp, f"level_params[{i}]")
-        return pyramid
+        return cls(coarse, details, family, doc["epsilon"], doc["boundary"],
+                   level_params, offsets, doc.get("support"))
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
@@ -636,11 +636,18 @@ def synthesize_array(pyramid: Pyramid):
 
 @dataclass(frozen=True)
 class DetailDecayReport:
+    """Detail-norm statistics per level, level 1 (coarsest) first."""
+
     levels: int
     per_level_inf: list
     per_level_l1: list
     per_level_avg_l2: list
     ratios: list
+
+    @property
+    def verdict_scale(self) -> float:
+        """The largest per-level average norm; 0.0 for no level."""
+        return max(self.per_level_avg_l2, default=0.0)
 
 
 def detail_decay_report(pyramid: Pyramid) -> DetailDecayReport:
@@ -725,9 +732,14 @@ def _diff_norm(a: np.ndarray, a_offset: int,
 
 @dataclass(frozen=True)
 class StabilityCheck:
-    holds: bool
+    """A stability inequality ``lhs <= rhs``, which holds up to rounding."""
+
     lhs: float
     rhs: float
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + 1e-12 * (1.0 + self.rhs)
 
     @property
     def slack(self) -> float:
@@ -755,8 +767,7 @@ def check_reconstruction_stability(pyramid: Pyramid,
         budget += _diff_norm(a, a_offset, b, b_offset)
     lhs = _diff_norm(*_synthesize_block(pyramid),
                      *_synthesize_block(perturbed))
-    rhs = big_l * budget
-    return StabilityCheck(lhs <= rhs + 1e-12 * (1.0 + rhs), lhs, rhs)
+    return StabilityCheck(lhs, big_l * budget)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -777,22 +788,18 @@ def residual_operator_norm_estimate(mask: Mask, filt: DecimationFilter,
     best = 0.0
     for _ in range(trials):
         c = rng.choice((-1.0, 1.0), size=period)
-        out = c - _refine_block(mask, _decimate_block(filt, c))
+        _, out = _analysis_step(mask, filt, c)
         best = max(best, float(np.abs(out).max()))
     return best
 
 
 @dataclass(frozen=True)
-class LevelStability:
+class LevelStability(StabilityCheck):
+    """A detail level's inequality and the ``I - S D`` norms its rhs reads."""
+
     level: int
-    lhs: float
-    rhs: float
     opnorm_upper: float
     opnorm_lower_estimate: float
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + 1e-12 * (1.0 + self.rhs)
 
 
 @dataclass(frozen=True)
@@ -829,9 +836,9 @@ def check_decomposition_stability(data, data_tilde, family: SchemeFamily,
     diff_fine = _diff_norm(fine_p, offset_p, fine_q, offset_q)
 
     zeta_norms, tails = _zeta_tails(p.level_params)
-    lhs0 = _diff_norm(p.coarse, p.offsets[0], q.coarse, q.offsets[0])
-    rhs0 = tails[0] * diff_fine
-    coarse = StabilityCheck(lhs0 <= rhs0 + 1e-12 * (1.0 + rhs0), lhs0, rhs0)
+    coarse = StabilityCheck(
+        _diff_norm(p.coarse, p.offsets[0], q.coarse, q.offsets[0]),
+        tails[0] * diff_fine)
 
     per_level = []
     for lp, zeta_norm, tail in zip(p.level_params, zeta_norms, tails):
@@ -839,6 +846,6 @@ def check_decomposition_stability(data, data_tilde, family: SchemeFamily,
                          q.details[lp.level - 1], q.offsets[lp.level])
         upper = 1.0 + operator_norm_inf(lp.mask) * zeta_norm
         lower = residual_operator_norm_estimate(lp.mask, lp.filt, trials)
-        rhs = upper * tail / zeta_norm * diff_fine
-        per_level.append(LevelStability(lp.level, lhs, rhs, upper, lower))
+        per_level.append(LevelStability(
+            lhs, upper * tail / zeta_norm * diff_fine, lp.level, upper, lower))
     return DecompositionStability(coarse, tuple(per_level))

@@ -18,7 +18,7 @@ from nspyr import (BadParamsError, FinSeq, Mask, NSCubic, Pyramid,
                    sample_circle, svgplot)
 
 PUBLIC_NAMES = [
-    "BadParamsError", "CircularityReport", "Conic", "DecimationFilter",
+    "BadParamsError", "Conic", "DecimationFilter",
     "DegenerateParameterError", "DetailDecayReport", "DomainError",
     "EmptyEvenPartError", "FinSeq", "LevelParams", "Mask",
     "NS4Point", "NSCubic", "NoConvergenceError", "NspyrError",
@@ -46,14 +46,13 @@ def test_public_names_are_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 64
 
 
 # The parameters of every public callable that has a signature (not the
 # exception types) and of every svgplot function; a trailing "=" marks a
 # parameter with a default, a setting a caller may leave out.
 PARAMETERS = {
-    "CircularityReport": "per_level_l1 per_level_avg_l2 levels verdict_scale",
     "Conic": "v_init",
     "DecimationFilter":
         "zeta gamma_raw epsilon residual_l1 decay_C decay_lambda",
