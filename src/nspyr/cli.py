@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .decimation import filter_metadata, solve_gamma, write_filter_csv
+from .decimation import (DEFAULT_EPSILON, _epsilon, filter_metadata,
+                         solve_gamma, write_filter_csv)
 from .errors import _NUMBER, BadParamsError, NspyrError, _check_json
 from .geometry import (
     PlanarCurve,
@@ -43,8 +44,8 @@ from .geometry import (
     sample_circle,
     write_curve_csv,
 )
-from .pyramid import (Pyramid, analyze, detail_decay_report, synthesize,
-                      synthesize_array)
+from .pyramid import (Pyramid, _levels, analyze, detail_decay_report,
+                      synthesize, synthesize_array)
 from .sequences import FinSeq, read_sequence_csv, write_sequence_csv
 from .subdivision import Conic, NS4Point, NSCubic, Stationary
 
@@ -55,7 +56,7 @@ _DEFAULTS = {
     "family": ("conic", str),
     "theta": (None, _NUMBER + (type(None),)),
     "levels": (4, int),
-    "epsilon": (1e-15, _NUMBER),
+    "epsilon": (DEFAULT_EPSILON, _NUMBER),
     "plot": (False, bool),
     "n": (256, int),
     "radius": (1.0, _NUMBER),
@@ -95,10 +96,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _validate(args) -> None:
-    if not 0.0 < args.epsilon < 1.0:
-        raise BadParamsError(f"epsilon must lie in (0, 1), got {args.epsilon}")
-    if args.levels < 1:
-        raise BadParamsError(f"levels must be >= 1, got {args.levels}")
+    _epsilon(args.epsilon)
+    _levels(args.levels)
 
 
 def _build_family(kind: str, theta, data_n=None, levels=None):

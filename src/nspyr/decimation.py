@@ -53,6 +53,7 @@ from .errors import (
     NoConvergenceError,
     OddPeriodError,
     SymbolZeroOnCircleError,
+    _instance,
     _real_scalar,
 )
 from .sequences import (
@@ -72,6 +73,9 @@ _SYMBOL_MIN = 1e-9
 _MAX_WINDOW = 2 ** 16
 _ROOT_MERGE = 1e-3  # relative distance below which roots count as one
 _FILTER_CACHE_MAX = 2048  # filters solve_gamma keeps, oldest out first
+
+# The reverse filters' truncation threshold when a caller sets none.
+DEFAULT_EPSILON = 1e-15
 
 
 # The eigensolve and the transforms run as the gufuncs behind
@@ -348,7 +352,8 @@ def _residual_l1(even: np.ndarray, even_offset: int, zeta: FinSeq) -> float:
 
 def residual_check(filt: DecimationFilter, mask: Mask) -> float:
     """l1 residual ``||delta - even(alpha) * zeta||_1`` of the reversal."""
-    return _residual_l1(*_even_taps(mask), filt.zeta)
+    filt = _instance(filt, DecimationFilter, "filt")
+    return _residual_l1(*_even_taps(_instance(mask, Mask, "mask")), filt.zeta)
 
 
 _cache_lock = threading.Lock()
@@ -369,7 +374,8 @@ def _epsilon(epsilon) -> float:
     return epsilon
 
 
-def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
+def solve_gamma(mask: Mask,
+                epsilon: float = DEFAULT_EPSILON) -> DecimationFilter:
     """Compute the truncated, normalized reverse filter for ``mask``.
 
     The even part's roots fix the decay rate and the window ``[-W, W]``.
@@ -389,6 +395,7 @@ def solve_gamma(mask: Mask, epsilon: float = 1e-15) -> DecimationFilter:
     2048 filters, the first cached leaving first: solving is pure, so
     concurrent callers may share filters freely.
     """
+    mask = _instance(mask, Mask, "mask")
     epsilon = _epsilon(epsilon)
     even, even_offset = _even_taps(mask)
     key = (even.tobytes(), even_offset, epsilon)
@@ -484,6 +491,7 @@ def decimate(filt: DecimationFilter, c):
     directly on its even samples; finite data goes on a zero frame so
     wide that the cyclic kernel does not wrap.
     """
+    filt = _instance(filt, DecimationFilter, "filt")
     if isinstance(c, PeriodicSeq):
         return PeriodicSeq(_decimate_block(filt, c.values))
     if not isinstance(c, FinSeq):
@@ -499,6 +507,7 @@ def decimate(filt: DecimationFilter, c):
 
 def write_filter_csv(path, filt: DecimationFilter) -> None:
     """Write ``index,zeta,gamma_raw`` rows over the union support."""
+    filt = _instance(filt, DecimationFilter, "filt")
     zs = dict(zip(filt.zeta.indices().tolist(), filt.zeta.coeffs))
     gs = dict(zip(filt.gamma_raw.indices().tolist(), filt.gamma_raw.coeffs))
     idx = sorted(set(zs) | set(gs))
@@ -510,6 +519,7 @@ def write_filter_csv(path, filt: DecimationFilter) -> None:
 
 def filter_metadata(filt: DecimationFilter) -> dict:
     """JSON-ready diagnostics block for an exported filter."""
+    filt = _instance(filt, DecimationFilter, "filt")
     return {
         "epsilon": filt.epsilon,
         "residual_l1": filt.residual_l1,

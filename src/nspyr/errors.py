@@ -3,11 +3,12 @@
 Every numerical precondition failure maps to a distinct subclass of
 :class:`NspyrError` whose message names the violated precondition, so
 callers (and the command line front end) can report it verbatim.  Caller
-input passes one of four gates, which raise these types naming the
+input passes one of five gates, which raise these types naming the
 argument: :func:`_index` for integers, :func:`_check_json` for JSON
 documents read from outside (a saved pyramid, a CLI config),
 :func:`_real_array` for arrays, to which each caller adds its shape rule,
-and :func:`_real_scalar` for real numbers.
+:func:`_real_scalar` for real numbers, and :func:`_instance` for objects
+of the package's own types (masks, families, filters, pyramids, curves).
 """
 
 import math
@@ -152,3 +153,17 @@ def _real_scalar(value, what: str, finite: bool = True) -> float:
         raise BadParamsError(
             f"{what} must be a real number, got shape {arr.shape}")
     return float(arr)
+
+
+def _instance(value, types, what: str):
+    """``value``, checked to be an instance of ``types``.
+
+    ``types`` is a class or a tuple of classes; anything else raises
+    :class:`BadParamsError` naming ``what`` and the classes.
+    """
+    if not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in (
+            types if isinstance(types, tuple) else (types,)))
+        raise BadParamsError(
+            f"{what} must be a {names}, got {type(value).__name__}")
+    return value

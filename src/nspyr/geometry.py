@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import _epsilon
-from .errors import BadParamsError, _index, _real_array, _real_scalar
+from .decimation import DEFAULT_EPSILON, _epsilon
+from .errors import (BadParamsError, _index, _instance, _real_array,
+                     _real_scalar)
 from .pyramid import (DetailDecayReport, Pyramid, _analysis_input,
                       _analysis_step, _level_params, _row_norms, analyze,
                       detail_decay_report)
@@ -103,8 +103,9 @@ def _perturb(curve: PlanarCurve, amplitude: float, frequency: int,
 
     A non-finite amplitude raises :class:`DomainError` before any arithmetic.
     """
-    if not (isinstance(frequency, numbers.Real)
-            and float(frequency).is_integer() and frequency >= 1):
+    curve = _instance(curve, PlanarCurve, "curve")
+    frequency = _index(frequency, "frequency")
+    if frequency < 1:
         raise BadParamsError("frequency must be an integer >= 1")
     amplitude = _real_scalar(amplitude, "amplitude")
     if amplitude == 0.0:
@@ -136,8 +137,11 @@ def quadrant_window(curve_n: int) -> np.ndarray:
 
     Supported on parameter angles within a quarter arc of
     ``QUADRANT_CENTER``; continuously differentiable, 1 at the center,
-    0 outside.
+    0 outside.  ``curve_n`` is a non-negative integer.
     """
+    curve_n = _index(curve_n, "curve_n")
+    if curve_n < 0:
+        raise BadParamsError(f"curve_n must be non-negative, got {curve_n}")
     ang = 2.0 * np.pi * np.arange(curve_n) / curve_n
     dist = np.abs(ang - QUADRANT_CENTER)
     dist = np.minimum(dist, 2.0 * np.pi - dist)
@@ -156,7 +160,7 @@ def perturb_quadrant(curve: PlanarCurve, amplitude: float,
 def radial_deviation(curve: PlanarCurve, radius: float,
                      center: tuple = (0.0, 0.0)) -> float:
     """Largest distance of any sample from the reference circle."""
-    rel = curve.points - _center(center)
+    rel = _instance(curve, PlanarCurve, "curve").points - _center(center)
     radius = _real_scalar(radius, "radius")
     return float(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - radius).max())
 
@@ -180,20 +184,20 @@ def conic_family_for(curve_n: int, levels: int) -> Conic:
 
 def _closed_curve_family(curve: PlanarCurve, levels: int) -> Conic:
     """:func:`conic_family_for` the curve; open curves are rejected."""
-    if not curve.closed:
+    if not _instance(curve, PlanarCurve, "curve").closed:
         raise BadParamsError("circularity analysis needs a closed curve")
     return conic_family_for(curve.n, levels)
 
 
 def curve_pyramid(curve: PlanarCurve, levels: int,
-                  epsilon: float = 1e-15) -> Pyramid:
+                  epsilon: float = DEFAULT_EPSILON) -> Pyramid:
     """Conic-family periodic analysis of a closed curve."""
     family = _closed_curve_family(curve, levels)
     return analyze(curve.points, family, levels, epsilon, boundary="periodic")
 
 
 def circularity_report(curve: PlanarCurve, levels: int,
-                       epsilon: float = 1e-15) -> DetailDecayReport:
+                       epsilon: float = DEFAULT_EPSILON) -> DetailDecayReport:
     """Score how closely a closed curve resembles a circle.
 
     The :func:`detail_decay_report` of :func:`curve_pyramid`: per level,
@@ -268,7 +272,7 @@ def _threshold_flags(norms: np.ndarray, threshold_ratio: float):
 
 
 def anomaly_flags(curve: PlanarCurve, levels: int,
-                  epsilon: float = 1e-15,
+                  epsilon: float = DEFAULT_EPSILON,
                   threshold_ratio: float = 50.0):
     """Per-index anomaly flags at the finest detail level.
 
@@ -290,12 +294,13 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
     params = _level_params(family, levels, _epsilon(epsilon))
-    _, detail = _analysis_step(params.mask, params.filt, block)
-    return _threshold_flags(_row_norms(detail), threshold_ratio)
+    with np.errstate(over="ignore"):
+        _, detail = _analysis_step(params.mask, params.filt, block)
+        return _threshold_flags(_row_norms(detail), threshold_ratio)
 
 
 def anomaly_localize(curve: PlanarCurve, levels: int,
-                     epsilon: float = 1e-15,
+                     epsilon: float = DEFAULT_EPSILON,
                      threshold_ratio: float = 50.0):
     """Flag index ranges of the curve that break its circular structure.
 
@@ -315,6 +320,7 @@ def anomaly_localize(curve: PlanarCurve, levels: int,
 
 
 def write_curve_csv(path, curve: PlanarCurve) -> None:
+    curve = _instance(curve, PlanarCurve, "curve")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# closed={'true' if curve.closed else 'false'}\n")
         for start in range(0, curve.n, _CSV_ROWS):

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import (DecimationFilter, _decimate_block, _epsilon,
-                         residual_check, solve_gamma)
+from .decimation import (DEFAULT_EPSILON, DecimationFilter, _decimate_block,
+                         _epsilon, residual_check, solve_gamma)
 from .errors import (
     BadParamsError,
     DomainError,
@@ -43,7 +43,9 @@ from .errors import (
     _NUMBER,
     _check_json,
     _index,
+    _instance,
     _real_array,
+    _real_scalar,
 )
 from .sequences import (FinSeq, PeriodicSeq, _finseq, _frame, _reach, _trim,
                         k_const, norm_l1)
@@ -54,8 +56,6 @@ from .subdivision import (
     family_from_description,
     operator_norm_inf,
 )
-
-DEFAULT_EPSILON = 1e-15
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,12 @@ def _level_params(family: SchemeFamily, level: int,
     return LevelParams(level, mask, solve_gamma(mask, epsilon))
 
 
-def _family(family) -> SchemeFamily:
-    """``family``, checked to be a :class:`SchemeFamily`."""
-    if not isinstance(family, SchemeFamily):
-        raise BadParamsError(
-            f"family must be a SchemeFamily, got {type(family).__name__}")
-    return family
+def _levels(levels) -> int:
+    """``levels``, checked to be an integer of at least 1."""
+    levels = _index(levels, "levels")
+    if levels < 1:
+        raise BadParamsError("need at least one level")
+    return levels
 
 
 def _items(values, name: str) -> tuple:
@@ -132,8 +132,8 @@ def _components(block: np.ndarray, offset: int, periodic: bool):
     return tuple(_finseq(col.copy(), offset) for col in block.T)
 
 
-def _row_norms(block: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D block.
+def _sqrt_sum_squares(block: np.ndarray) -> np.ndarray:
+    """``sqrt`` of the summed squares of each row of a 2-D block.
 
     The squares are summed from a row-major copy, so the rounding is the
     same for every layout of ``block``.  Two squares sum alike in either
@@ -145,6 +145,27 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
         return np.sqrt(x * x + y * y)
     return np.sqrt(np.add.reduce(np.multiply(block, block, order="C"),
                                  axis=1))
+
+
+# Rows whose squares overflow are recomputed at this scale.  A power of
+# two scales without rounding, and it keeps every entry above 2**-474:
+# the smaller ones add nothing beside an entry whose square overflows.
+_SHRINK = 2.0 ** -600
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D block.
+
+    Callers hold ``np.errstate(over="ignore")``, once per public call.  A
+    row whose squares overflow reads infinite and is recomputed from the
+    row times ``_SHRINK``, so only a norm beyond the float range, or a row
+    holding an infinity, stays infinite; other rows keep their bits.
+    """
+    norms = _sqrt_sum_squares(block)
+    if norms.size and np.maximum.reduce(norms) == math.inf:
+        rows = norms == math.inf
+        norms[rows] = _sqrt_sum_squares(block[rows] * _SHRINK) / _SHRINK
+    return norms
 
 
 # Field types of a pyramid document, of its binary blocks and of its
@@ -296,8 +317,8 @@ class Pyramid:
                     raise ShapeMismatchError(
                         f"level {level} details have period "
                         f"{block.shape[0]}, expected {2 * below.shape[0]}")
-        self._fill(blocks, offsets, _family(family), _epsilon(epsilon),
-                   boundary, level_params, support)
+        self._fill(blocks, offsets, _instance(family, SchemeFamily, "family"),
+                   _epsilon(epsilon), boundary, level_params, support)
         for i, lp in enumerate(level_params):
             _check_operators(self.family, lp, f"level_params[{i}]")
 
@@ -371,7 +392,9 @@ class Pyramid:
 
     def detail_norms(self, level: int) -> np.ndarray:
         """Per-coefficient Euclidean norms of d^(level)."""
-        return _row_norms(self._detail_block(level))
+        block = self._detail_block(level)
+        with np.errstate(over="ignore"):
+            return _row_norms(block)
 
     # -- serialization ----------------------------------------------------
 
@@ -392,7 +415,7 @@ class Pyramid:
         level_params = []
         for lp in self.level_params:
             entry = {
-                "level": lp.level,
+                "level": int(lp.level),  # a numpy integer too
                 "mask_offset": lp.mask.taps.offset,
                 "mask_taps": lp.mask.taps.coeffs.tolist(),
                 "mask_family": lp.mask.family_id,
@@ -478,8 +501,7 @@ def _analysis_input(data, levels: int, boundary: str):
     as it is, or a 1-D or 2-D :func:`_real_array`, at offset 0; and for
     periodic data a nonzero period divisible by ``2**levels``.
     """
-    if _index(levels, "levels") < 1:
-        raise BadParamsError("need at least one level")
+    levels = _levels(levels)
     if boundary not in ("periodic", "finite"):
         raise BadParamsError(f"unknown boundary mode {boundary!r}")
     periodic = boundary == "periodic"
@@ -529,7 +551,8 @@ def analyze(data, family: SchemeFamily, levels: int,
     anything else :class:`BadParamsError`, as a ``family`` that is not a
     :class:`SchemeFamily` and an ``epsilon`` outside (0, 1) do.
     """
-    family, epsilon = _family(family), _epsilon(epsilon)
+    family = _instance(family, SchemeFamily, "family")
+    epsilon = _epsilon(epsilon)
     block, offset = _analysis_input(data, levels, boundary)
     periodic = boundary == "periodic"
     support = None if periodic else (offset, offset + block.shape[0])
@@ -597,7 +620,7 @@ def _output_block(pyramid: Pyramid):
     the analysis frame; they are dropped.  Rows of the support that the
     synthesized block does not reach are zero.
     """
-    block, offset = _synthesize_block(pyramid)
+    block, offset = _synthesize_block(_instance(pyramid, Pyramid, "pyramid"))
     if pyramid.support is None:
         return block, offset
     lo, hi = pyramid.support
@@ -656,15 +679,17 @@ def detail_decay_report(pyramid: Pyramid) -> DetailDecayReport:
     Coefficient norms are Euclidean across components, so for planar
     curves each detail coefficient contributes one magnitude.
     """
+    pyramid = _instance(pyramid, Pyramid, "pyramid")
     inf_norms, l1_norms, avg_norms = [], [], []
-    for level in range(1, pyramid.levels + 1):
-        # the reductions e.max() and e.sum() make, without their wrappers;
-        # the mean is the division np.mean makes of that sum
-        e = pyramid.detail_norms(level)
-        total = float(np.add.reduce(e))
-        inf_norms.append(float(np.maximum.reduce(e)) if e.size else 0.0)
-        l1_norms.append(total)
-        avg_norms.append(total / e.size if e.size else 0.0)
+    with np.errstate(over="ignore"):
+        for block in pyramid.details:
+            # the reductions e.max() and e.sum() make, without their
+            # wrappers; the mean is the division np.mean makes of that sum
+            e = _row_norms(block)
+            total = float(np.add.reduce(e))
+            inf_norms.append(float(np.maximum.reduce(e)) if e.size else 0.0)
+            l1_norms.append(total)
+            avg_norms.append(total / e.size if e.size else 0.0)
     ratios = []
     for l in range(pyramid.levels - 1):
         hi, lo = inf_norms[l], inf_norms[l + 1]
@@ -686,6 +711,8 @@ def detail_bound(pyramid: Pyramid, fprime_inf: float) -> list:
         (K_zeta ||alpha||_1 + K_alpha ||zeta||_1) * fprime_inf
         * prod_{m=l..J} ||zeta^(m)||_1 / ||zeta^(l)||_1 * 2^{-l}.
     """
+    pyramid = _instance(pyramid, Pyramid, "pyramid")
+    fprime_inf = _real_scalar(fprime_inf, "fprime_inf")
     zeta_norms, tails = _zeta_tails(pyramid.level_params)
     bounds = []
     for lp, zeta_norm, tail in zip(pyramid.level_params, zeta_norms, tails):
@@ -716,12 +743,17 @@ def _amplification(masks) -> float:
 
 def reconstruction_stability_bound(family: SchemeFamily, levels: int) -> float:
     """Amplification constant L of the synthesis: M**J if M > 1 else 1."""
-    return _amplification([family.mask_at_level(k) for k in range(levels)])
+    family = _instance(family, SchemeFamily, "family")
+    return _amplification([family.mask_at_level(k)
+                           for k in range(_levels(levels))])
 
 
 def _diff_norm(a: np.ndarray, a_offset: int,
                b: np.ndarray, b_offset: int) -> float:
-    """Largest Euclidean row norm of ``a - b``, rows aligned by index."""
+    """Largest Euclidean row norm of ``a - b``, rows aligned by index.
+
+    Callers hold ``np.errstate(over="ignore")``, as for :func:`_row_norms`.
+    """
     lo = min(a_offset, b_offset)
     hi = max(a_offset + a.shape[0], b_offset + b.shape[0])
     diff = np.zeros((hi - lo, a.shape[1]))
@@ -753,6 +785,8 @@ def check_reconstruction_stability(pyramid: Pyramid,
     Both are synthesized; the output distance must not exceed L times the
     summed input distances (coarse plus all detail levels).
     """
+    pyramid = _instance(pyramid, Pyramid, "pyramid")
+    perturbed = _instance(perturbed, Pyramid, "perturbed")
     if (pyramid.levels != perturbed.levels
             or pyramid.n_components != perturbed.n_components
             or pyramid.boundary != perturbed.boundary
@@ -761,12 +795,13 @@ def check_reconstruction_stability(pyramid: Pyramid,
         raise ShapeMismatchError("pyramids are not comparable")
     big_l = _amplification([lp.mask for lp in pyramid.level_params])
     budget = 0.0
-    for a, a_offset, b, b_offset in zip(
-            (pyramid.coarse,) + pyramid.details, pyramid.offsets,
-            (perturbed.coarse,) + perturbed.details, perturbed.offsets):
-        budget += _diff_norm(a, a_offset, b, b_offset)
-    lhs = _diff_norm(*_synthesize_block(pyramid),
-                     *_synthesize_block(perturbed))
+    with np.errstate(over="ignore"):
+        for a, a_offset, b, b_offset in zip(
+                (pyramid.coarse,) + pyramid.details, pyramid.offsets,
+                (perturbed.coarse,) + perturbed.details, perturbed.offsets):
+            budget += _diff_norm(a, a_offset, b, b_offset)
+        lhs = _diff_norm(*_synthesize_block(pyramid),
+                         *_synthesize_block(perturbed))
     return StabilityCheck(lhs, big_l * budget)
 
 
@@ -782,6 +817,9 @@ def residual_operator_norm_estimate(mask: Mask, filt: DecimationFilter,
     ``1 + ||S|| * ||zeta||_1`` for sound inequality checks.  Estimates
     are cached per call arguments, up to 2048 entries.
     """
+    mask = _instance(mask, Mask, "mask")
+    filt = _instance(filt, DecimationFilter, "filt")
+    trials = _index(trials, "trials")
     reach = len(filt.zeta) + 2 * len(mask.taps) + 8
     period = 2 * (reach + reach % 2 + 8)
     rng = np.random.default_rng(0)
@@ -826,6 +864,7 @@ def check_decomposition_stability(data, data_tilde, family: SchemeFamily,
     analytic upper bound; the randomized lower estimate is reported
     alongside for diagnostics.
     """
+    trials = _index(trials, "trials")
     p = analyze(data, family, levels, epsilon, boundary)
     q = analyze(data_tilde, family, levels, epsilon, boundary)
     fine_p, offset_p = _analysis_input(data, levels, boundary)
@@ -833,19 +872,19 @@ def check_decomposition_stability(data, data_tilde, family: SchemeFamily,
     if fine_p.shape[1] != fine_q.shape[1] or (
             boundary == "periodic" and fine_p.shape != fine_q.shape):
         raise ShapeMismatchError("inputs are not comparable")
-    diff_fine = _diff_norm(fine_p, offset_p, fine_q, offset_q)
-
     zeta_norms, tails = _zeta_tails(p.level_params)
-    coarse = StabilityCheck(
-        _diff_norm(p.coarse, p.offsets[0], q.coarse, q.offsets[0]),
-        tails[0] * diff_fine)
-
     per_level = []
-    for lp, zeta_norm, tail in zip(p.level_params, zeta_norms, tails):
-        lhs = _diff_norm(p.details[lp.level - 1], p.offsets[lp.level],
-                         q.details[lp.level - 1], q.offsets[lp.level])
-        upper = 1.0 + operator_norm_inf(lp.mask) * zeta_norm
-        lower = residual_operator_norm_estimate(lp.mask, lp.filt, trials)
-        per_level.append(LevelStability(
-            lhs, upper * tail / zeta_norm * diff_fine, lp.level, upper, lower))
+    with np.errstate(over="ignore"):
+        diff_fine = _diff_norm(fine_p, offset_p, fine_q, offset_q)
+        coarse = StabilityCheck(
+            _diff_norm(p.coarse, p.offsets[0], q.coarse, q.offsets[0]),
+            tails[0] * diff_fine)
+        for lp, zeta_norm, tail in zip(p.level_params, zeta_norms, tails):
+            lhs = _diff_norm(p.details[lp.level - 1], p.offsets[lp.level],
+                             q.details[lp.level - 1], q.offsets[lp.level])
+            upper = 1.0 + operator_norm_inf(lp.mask) * zeta_norm
+            lower = residual_operator_norm_estimate(lp.mask, lp.filt, trials)
+            per_level.append(LevelStability(
+                lhs, upper * tail / zeta_norm * diff_fine, lp.level, upper,
+                lower))
     return DecompositionStability(coarse, tuple(per_level))

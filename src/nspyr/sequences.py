@@ -32,7 +32,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParamsError, _index, _real_array
+from .errors import BadParamsError, _index, _instance, _real_array
 
 # Magnitudes below this are flushed to exact zero on construction to keep
 # denormals out of canonical trimming.
@@ -417,6 +417,8 @@ def _add_reduce(values: list) -> float:
 
 
 def _data(c) -> np.ndarray:
+    """The values of a sequence object; anything else raises BadParamsError."""
+    c = _instance(c, (FinSeq, PeriodicSeq), "c")
     return c.coeffs if isinstance(c, FinSeq) else c.values
 
 
@@ -430,9 +432,7 @@ def k_const(c: FinSeq) -> float:
     Masks and filters are stored centered (symmetry point at index 0), so
     the constant is well defined for them.
     """
-    if not isinstance(c, FinSeq):
-        raise BadParamsError("k_const needs a finitely supported sequence")
-    if c.is_empty:
+    if _instance(c, FinSeq, "c").is_empty:
         return 0.0
     return float(2.0 * np.sum(np.abs(c.coeffs) * np.abs(c.indices())))
 

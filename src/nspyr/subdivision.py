@@ -34,6 +34,7 @@ from .errors import (
     _NUMBER,
     _check_json,
     _index,
+    _instance,
     _real_scalar,
 )
 from .sequences import (FinSeq, PeriodicSeq, _add_reduce, _cyclic_convolve,
@@ -59,10 +60,7 @@ class Mask:
 
     def __init__(self, taps: FinSeq, level: int = 0, family_id: str = "custom",
                  check_parity: bool = True):
-        if not isinstance(taps, FinSeq):
-            raise BadParamsError(
-                f"mask taps must be a FinSeq, got {type(taps).__name__}")
-        if taps.is_empty:
+        if _instance(taps, FinSeq, "mask taps").is_empty:
             raise BadParamsError("mask has no taps")
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "level", _index(level, "level"))
@@ -122,7 +120,8 @@ class Mask:
 
 def operator_norm_inf(mask: Mask) -> float:
     """Sup-norm of the refinement operator: max of the two parity l1 sums."""
-    return float(max(np.abs(coeffs).sum() for coeffs, _ in mask._phases))
+    phases = _instance(mask, Mask, "mask")._phases
+    return float(max(np.abs(coeffs).sum() for coeffs, _ in phases))
 
 
 def _polyphase(taps: FinSeq):
@@ -169,6 +168,7 @@ def refine(mask: Mask, c):
     without upsampling.  Finite data goes on a zero frame so wide that
     the cyclic kernel does not wrap.
     """
+    mask = _instance(mask, Mask, "mask")
     if isinstance(c, PeriodicSeq):
         return PeriodicSeq(_refine_block(mask, c.values))
     if not isinstance(c, FinSeq):
@@ -190,6 +190,7 @@ def v_next(v: float) -> float:
     For ``v = cos(t)`` this is the half-angle step ``cos(t) -> cos(t/2)``,
     and likewise for cosh.
     """
+    v = _real_scalar(v, "v")
     if v <= -1.0:
         raise DomainError(f"tension {v} outside domain (-1, inf)")
     return math.sqrt((1.0 + v) / 2.0)
@@ -203,6 +204,7 @@ def conic_params(v: float) -> tuple[float, float]:
     polynomial limit; the limit itself (|v-1| < 1e-12) and v near 0 are
     rejected because the displayed rules degenerate there.
     """
+    v = _real_scalar(v, "v")
     if abs(v) < _DENOM_GUARD or abs(v - 1.0) < _DENOM_GUARD:
         raise DegenerateParameterError(
             f"conic parameters degenerate at v={v!r}")
@@ -443,6 +445,7 @@ def family_from_description(desc: dict) -> SchemeFamily:
 
 def refine_n(family: SchemeFamily, c, steps: int):
     """Apply ``steps`` refinement rounds, advancing the family level."""
+    family = _instance(family, SchemeFamily, "family")
     steps = _index(steps, "steps")
     if steps < 0:
         raise DomainError("steps must be nonnegative")

@@ -6,6 +6,7 @@ purpose; the counts they hold are the API and settings counts the change
 log reports.
 """
 
+import dataclasses
 import inspect
 import types
 
@@ -132,6 +133,29 @@ def test_parameters_are_pinned():
             p.name + ("=" if p.default is not p.empty else "") for p in params)
     assert found == PARAMETERS
     assert sum(p.count("=") for p in PARAMETERS.values()) == 32
+
+
+# The fields, then after "|" the properties, of the result types that
+# public functions return; the stability types are not exported.
+RESULT_TYPES = {
+    "DetailDecayReport": "levels per_level_inf per_level_l1 per_level_avg_l2 "
+                         "ratios | verdict_scale",
+    "StabilityCheck": "lhs rhs | holds slack",
+    "LevelStability": "lhs rhs level opnorm_upper opnorm_lower_estimate "
+                      "| holds slack",
+    "DecompositionStability": "coarse per_level | holds",
+}
+
+
+def test_result_types_are_pinned():
+    found = {}
+    for name in RESULT_TYPES:
+        cls = getattr(nspyr.pyramid, name)
+        props = sorted(attr for attr in dir(cls)
+                       if isinstance(getattr(cls, attr), property))
+        found[name] = " ".join(
+            [f.name for f in dataclasses.fields(cls)] + ["|"] + props)
+    assert found == RESULT_TYPES
 
 
 def finite_pyramid():

@@ -9,6 +9,7 @@ this suite turns into an error.
 
 import contextlib
 import math
+import os
 import signal
 
 import numpy as np
@@ -22,6 +23,7 @@ from nspyr import (
     Conic,
     DomainError,
     FinSeq,
+    LevelParams,
     NS4Point,
     NSCubic,
     NspyrError,
@@ -32,13 +34,30 @@ from nspyr import (
     analyze,
     anomaly_flags,
     check_decomposition_stability,
+    circularity_report,
+    conic_params,
+    cubic_bspline_family,
+    curve_pyramid,
     decimate,
+    detail_bound,
+    detail_decay_report,
+    filter_metadata,
+    norm_l1,
+    operator_norm_inf,
     perturb_wavy,
+    quadrant_window,
     radial_deviation,
+    reconstruction_stability_bound,
     refine,
+    refine_n,
+    residual_check,
+    residual_operator_norm_estimate,
     sample_circle,
     solve_gamma,
+    synthesize,
     synthesize_array,
+    v_next,
+    write_curve_csv,
 )
 from nspyr.errors import _real_array, _real_scalar
 
@@ -357,6 +376,76 @@ PROBES = {
         lambda: _analyzed(np.array([3e307, -3e307, -3e307, -3e307, 7e307]
                                    + [-3e307] * 27), "periodic"),
         DomainError, "^pyramid coefficients must be finite"),
+    # operator, report and curve arguments of the wrong type
+    "solve-none-mask": (lambda: solve_gamma(None), BadParamsError,
+                        "^mask must be a Mask, got NoneType"),
+    "refine-none-mask": (lambda: refine(None, FinSeq([1.0])), BadParamsError,
+                         "^mask must be a Mask"),
+    "decimate-none-filter": (lambda: decimate(None, FinSeq([1.0])),
+                             BadParamsError,
+                             "^filt must be a DecimationFilter"),
+    "synthesize-none": (lambda: synthesize(None), BadParamsError,
+                        "^pyramid must be a Pyramid"),
+    "synthesize-array-none": (lambda: synthesize_array(None), BadParamsError,
+                              "^pyramid must be a Pyramid"),
+    "decay-report-none": (lambda: detail_decay_report(None), BadParamsError,
+                          "^pyramid must be a Pyramid"),
+    "detail-bound-none": (lambda: detail_bound(None, 1.0), BadParamsError,
+                          "^pyramid must be a Pyramid"),
+    "detail-bound-text": (
+        lambda: detail_bound(_analyzed(PERIODIC, "periodic"), "x"),
+        BadParamsError, "^fprime_inf must be a real number"),
+    "refine-n-none-family": (lambda: refine_n(None, FinSeq([1.0]), 1),
+                             BadParamsError, "^family must be a SchemeFamily"),
+    "circularity-of-points": (lambda: circularity_report(CIRCLE.points, 2),
+                              BadParamsError,
+                              "^curve must be a PlanarCurve, got ndarray"),
+    "residual-check-none": (lambda: residual_check(None, None),
+                            BadParamsError, "^filt must be a DecimationFilter"),
+    "residual-check-none-mask": (lambda: residual_check(FILT, None),
+                                 BadParamsError, "^mask must be a Mask"),
+    "operator-norm-none": (lambda: operator_norm_inf(None), BadParamsError,
+                           "^mask must be a Mask"),
+    "norm-l1-none": (lambda: norm_l1(None), BadParamsError,
+                     "^c must be a FinSeq or PeriodicSeq"),
+    "filter-metadata-none": (lambda: filter_metadata(None), BadParamsError,
+                             "^filt must be a DecimationFilter"),
+    "stability-bound-none": (lambda: reconstruction_stability_bound(None, 2),
+                             BadParamsError, "^family must be a SchemeFamily"),
+    "stability-bound-float": (
+        lambda: reconstruction_stability_bound(FAMILY, 2.5), BadParamsError,
+        "^levels must be an integer"),
+    "stability-bound-no-level": (
+        lambda: reconstruction_stability_bound(FAMILY, 0), BadParamsError,
+        "^need at least one level"),
+    "write-curve-none": (lambda: write_curve_csv(os.devnull, None),
+                         BadParamsError, "^curve must be a PlanarCurve"),
+    "deviation-none": (lambda: radial_deviation(None, 1.0), BadParamsError,
+                       "^curve must be a PlanarCurve"),
+    "wavy-none": (lambda: perturb_wavy(None, 0.1, 3), BadParamsError,
+                  "^curve must be a PlanarCurve"),
+    "wavy-float-frequency": (lambda: perturb_wavy(CIRCLE, 0.01, 7.0),
+                             BadParamsError, "^frequency must be an integer"),
+    "quadrant-float": (lambda: quadrant_window(3.5), BadParamsError,
+                       "^curve_n must be an integer"),
+    "stability-text-trials": (
+        lambda: check_decomposition_stability(PERIODIC, PERIODIC, FAMILY, 2,
+                                              trials="x"),
+        BadParamsError, "^trials must be an integer"),
+    "opnorm-float-trials": (
+        lambda: residual_operator_norm_estimate(MASK, FILT, trials=2.5),
+        BadParamsError, "^trials must be an integer"),
+    "v-next-text": (lambda: v_next("x"), BadParamsError,
+                    "^v must be a real number"),
+    "conic-params-text": (lambda: conic_params("x"), BadParamsError,
+                          "^v must be a real number"),
+    # a pyramid whose level operators are not its family's
+    "pyramid-other-family": (
+        lambda: Pyramid(*(lambda p: (p.coarse, p.details, NSCubic(0.5),
+                                     1e-10, "periodic", p.level_params))(
+            analyze(np.sin(np.arange(32.0)), Conic(math.cos(math.pi / 4)),
+                    2))),
+        ShapeMismatchError, r"^level_params\[0\] mask taps differ"),
 }
 
 
@@ -365,6 +454,63 @@ def test_probe_raises_typed_error_at_once(probe):
     call, error, match = PROBES[probe]
     with deadline(), pytest.raises(error, match=match):
         call()
+
+
+# A circle scaled far enough that the squares of its coordinates, and of
+# its detail coefficients, overflow; analysis commutes with the power of
+# two, so the norms scale exactly.
+SCALE = 2.0 ** 900
+
+
+@pytest.mark.parametrize("entry", [
+    lambda c: curve_pyramid(c, 2).detail_norms(2),
+    lambda c: np.array(detail_decay_report(curve_pyramid(c, 2)).per_level_inf),
+    lambda c: np.array(circularity_report(c, 2).verdict_scale),
+    lambda c: np.array(anomaly_flags(c, 2)[1]),
+], ids=["detail-norms", "decay-report", "circularity", "anomaly-threshold"])
+def test_norms_of_huge_curves_scale_exactly(entry):
+    curve = perturb_wavy(sample_circle(64), 0.01, 3)
+    with deadline():
+        huge = entry(PlanarCurve(curve.points * SCALE))
+    assert np.array_equal(huge, entry(curve) * SCALE)
+
+
+def test_huge_curve_gives_finite_scores():
+    curve = PlanarCurve(sample_circle(64).points * 1e300)
+    with deadline():
+        assert np.isfinite(curve_pyramid(curve, 2).detail_norms(2)).all()
+        assert math.isfinite(circularity_report(curve, 2).verdict_scale)
+        assert math.isfinite(anomaly_flags(curve, 2)[1])
+
+
+FAMILIES = [Conic(math.cos(math.pi / 4)), Conic(0.9), NSCubic(0.5),
+            NS4Point(0.3), cubic_bspline_family()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(analyzed_with=st.sampled_from(FAMILIES),
+       built_with=st.sampled_from(FAMILIES),
+       boundary=st.sampled_from(["periodic", "finite"]),
+       levels=st.integers(1, 3), numpy_levels=st.booleans())
+def test_every_constructed_pyramid_round_trips(analyzed_with, built_with,
+                                               boundary, levels,
+                                               numpy_levels):
+    # the constructor refuses operators that are not the family's, so what
+    # it accepts, loading accepts too, bit for bit
+    p = analyze(np.sin(np.arange(64.0)), analyzed_with, levels,
+                boundary=boundary)
+    level_params = [LevelParams(np.int64(lp.level) if numpy_levels
+                                else lp.level, lp.mask, lp.filt)
+                    for lp in p.level_params]
+    with deadline():
+        try:
+            q = Pyramid(p.coarse, p.details, built_with, p.epsilon,
+                        p.boundary, level_params, p.offsets, p.support)
+        except ShapeMismatchError as exc:
+            assert str(exc).startswith("level_params[0] mask taps differ")
+            assert built_with != analyzed_with
+            return
+        assert Pyramid.from_json(q.to_json()).to_json() == q.to_json()
 
 
 @pytest.mark.parametrize("seq", [FinSeq([1.0, 2.0]), PeriodicSeq([1.0, 2.0])])
