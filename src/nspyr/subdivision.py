@@ -37,8 +37,8 @@ from .errors import (
     _instance,
     _real_scalar,
 )
-from .sequences import (FinSeq, PeriodicSeq, _add_reduce, _cyclic_convolve,
-                        _finseq, _frame, _reach, _stencil)
+from .sequences import (FinSeq, PeriodicSeq, _cyclic_convolve, _finseq,
+                        _frame, _reach, _stencil)
 
 _PARITY_TOL = 1e-12
 _DENOM_GUARD = 1e-12
@@ -47,19 +47,20 @@ _DENOM_GUARD = 1e-12
 class Mask:
     """A subdivision mask: centered taps plus level and family provenance.
 
-    The even- and odd-indexed taps of a convergent scheme's mask each sum
-    to one.  That is enforced at construction for families that satisfy
-    it exactly; the exponential B-spline family only approaches it as the
-    level grows, so it constructs masks with ``check_parity=False`` and
-    the deviations remain available via :attr:`parity_deviation`.  The
-    taps are finite, as every :class:`FinSeq` is.
+    The even- and odd-indexed taps of a stationary convergent scheme's
+    mask each sum to one, which :class:`Stationary` enforces; a
+    nonstationary mask may break that rule at every level (the
+    exponential B-spline family approaches it only as the level grows),
+    so a mask does not check it, and reports the deviations via
+    :attr:`parity_deviation`.  The taps are finite, as every
+    :class:`FinSeq` is.
     """
 
     __slots__ = ("taps", "level", "family_id", "_phases", "_parities",
                  "_stencils", "_stencil_reach")
 
-    def __init__(self, taps: FinSeq, level: int = 0, family_id: str = "custom",
-                 check_parity: bool = True):
+    def __init__(self, taps: FinSeq, level: int = 0,
+                 family_id: str = "custom"):
         if _instance(taps, FinSeq, "mask taps").is_empty:
             raise BadParamsError("mask has no taps")
         object.__setattr__(self, "taps", taps)
@@ -75,19 +76,12 @@ class Mask:
                            tuple([_stencil(*phases[p]) for p in parities]))
         object.__setattr__(self, "_stencil_reach",
                            max(phases[0][0].size, phases[1][0].size))
-        if check_parity:
-            even, odd = self.parity_deviation
-            dev = max(abs(even), abs(odd))
-            if dev > _PARITY_TOL:
-                raise BadParamsError(
-                    f"mask parity sums deviate from 1 by {dev:.3e}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Mask is immutable")
 
     def __reduce__(self):
-        # The taps passed any parity check when this mask was built.
-        return Mask, (self.taps, self.level, self.family_id, False)
+        return Mask, (self.taps, self.level, self.family_id)
 
     def __eq__(self, other) -> bool:
         # The fields derived from the taps take no part.
@@ -101,12 +95,11 @@ class Mask:
 
     @property
     def even_sum(self) -> float:
-        # the sum ndarray.sum() makes, on Python floats for a short phase
-        return _add_reduce(self._phases[0][0].tolist())
+        return float(np.add.reduce(self._phases[0][0]))
 
     @property
     def odd_sum(self) -> float:
-        return _add_reduce(self._phases[1][0].tolist())
+        return float(np.add.reduce(self._phases[1][0]))
 
     @property
     def parity_deviation(self):
@@ -246,13 +239,21 @@ class SchemeFamily:
 
 @dataclass(frozen=True)
 class Stationary(SchemeFamily):
-    """Same mask at every level; ``name`` is the family id."""
+    """Same mask at every level; ``name`` is the family id.
+
+    The even- and odd-indexed taps must each sum to one within
+    ``_PARITY_TOL`` = 1e-12, or :class:`BadParamsError` is raised.
+    """
 
     taps: FinSeq
     name: str = "stationary"
 
     def __post_init__(self):
-        Mask(self.taps, family_id=self.name)  # the parity check
+        even, odd = Mask(self.taps, family_id=self.name).parity_deviation
+        dev = max(abs(even), abs(odd))
+        if dev > _PARITY_TOL:
+            raise BadParamsError(
+                f"mask parity sums deviate from 1 by {dev:.3e}")
 
     @property
     def family_id(self) -> str:
@@ -366,9 +367,8 @@ class NSCubic(_IteratedTension):
     * odd:  ``2v/(v+1)^2`` on both neighbours.
 
     At ``v = 1`` (and in the limit of large k) this is the cubic
-    B-spline.  For v != 1 the parity sums are not exactly one -- the
-    scheme generates exponentials rather than constants -- so parity is
-    not enforced on these masks.
+    B-spline.  For v != 1 the parity sums are not exactly one: the
+    scheme generates exponentials rather than constants.
     """
 
     family_id = "nscubic"
@@ -384,8 +384,7 @@ class NSCubic(_IteratedTension):
         center = (4.0 * v * v + 2.0) / den
         oddtap = 2.0 * v / (v + 1.0) ** 2
         taps = np.array([outer, oddtap, center, oddtap, outer])
-        return Mask(_finseq(taps, -2), level=k, family_id=self.family_id,
-                    check_parity=False)
+        return Mask(_finseq(taps, -2), level=k, family_id=self.family_id)
 
 
 @dataclass(frozen=True)
@@ -396,8 +395,7 @@ class Conic(_IteratedTension):
     ``sigma`` (``2*pi/N0`` for a closed curve of N0 coarse points), or
     ``cosh(sigma)`` for hyperbolic data.  The level-k mask evaluates the
     nine-tap rules at the iterated tension ``v_k``.  Both parity sums
-    equal one identically in (a, b), so the masks pass the parity check
-    at every level.
+    equal one identically in (a, b), within rounding at every level.
     """
 
     family_id = "conic"

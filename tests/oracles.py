@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+import nspyr
 from nspyr import BadParamsError, FinSeq, OddPeriodError, PeriodicSeq
 
 
@@ -181,6 +182,25 @@ def refine(mask, c):
 def decimate(filt, c):
     """The paper's decimation ``zeta * downsample2(c)``."""
     return convolve(filt.zeta, downsample2(c))
+
+
+def residual_operator_norm_loop(mask, filt, trials=200) -> float:
+    """The operator-norm estimate one sign sequence at a time: the
+    reference for the library's one-block estimate.
+
+    Each trial draws its own ``period`` signs from the generator seeded
+    with 0, and maximizes ``|c - S(D c)|`` with the library's periodic
+    ``decimate`` and ``refine``.
+    """
+    reach = len(filt.zeta) + 2 * len(mask.taps) + 8
+    period = 2 * (reach + reach % 2 + 8)
+    rng = np.random.default_rng(0)
+    best = 0.0
+    for _ in range(trials):
+        c = PeriodicSeq(rng.choice((-1.0, 1.0), size=period))
+        out = subtract(c, nspyr.refine(mask, nspyr.decimate(filt, c)))
+        best = max(best, norm_inf(out))
+    return best
 
 
 def assert_matches(got: FinSeq, want: FinSeq, taps, data: FinSeq) -> None:

@@ -61,7 +61,7 @@ PARAMETERS = {
         "levels per_level_inf per_level_l1 per_level_avg_l2 ratios",
     "FinSeq": "coeffs= offset=",
     "LevelParams": "level mask filt",
-    "Mask": "taps level= family_id= check_parity=",
+    "Mask": "taps level= family_id=",
     "NS4Point": "theta=",
     "NSCubic": "v_init=",
     "PeriodicSeq": "values",
@@ -74,7 +74,7 @@ PARAMETERS = {
     "anomaly_flags": "curve levels epsilon= threshold_ratio=",
     "anomaly_localize": "curve levels epsilon= threshold_ratio=",
     "check_decomposition_stability":
-        "data data_tilde family levels epsilon= boundary= trials=",
+        "data data_tilde family levels epsilon= boundary=",
     "check_reconstruction_stability": "pyramid perturbed",
     "circularity_report": "curve levels epsilon=",
     "conic_family_for": "curve_n levels",
@@ -101,7 +101,7 @@ PARAMETERS = {
     "refine": "mask c",
     "refine_n": "family c steps",
     "residual_check": "filt mask",
-    "residual_operator_norm_estimate": "mask filt trials=",
+    "residual_operator_norm_estimate": "mask filt",
     "sample_circle": "n radius= center=",
     "solve_gamma": "mask epsilon=",
     "synthesize": "pyramid",
@@ -132,7 +132,7 @@ def test_parameters_are_pinned():
         found[name] = " ".join(
             p.name + ("=" if p.default is not p.empty else "") for p in params)
     assert found == PARAMETERS
-    assert sum(p.count("=") for p in PARAMETERS.values()) == 32
+    assert sum(p.count("=") for p in PARAMETERS.values()) == 29
 
 
 # The fields, then after "|" the properties, of the result types that

@@ -322,7 +322,7 @@ class TestRootsOfEvenPart:
         # falls relative to any sampling grid (e.g. 2*pi*100.5/4096)
         taps = FinSeq([1.0, 0.0, -2.0 * math.cos(w0), 0.0, 1.0], -2)
         with pytest.raises(SymbolZeroOnCircleError):
-            solve_gamma(Mask(taps, check_parity=False), 1e-15)
+            solve_gamma(Mask(taps), 1e-15)
 
     def test_cubic_decay_lambda_exact(self):
         lam = solve_gamma(cubic_mask(), 1e-15).decay_lambda
@@ -393,14 +393,14 @@ class TestRootsOfEvenPart:
         taps = FinSeq([1.0, 0.0, -(r + 1.0 / r), 0.0, 1.0], -2)
         calls = count_window_solves(monkeypatch)
         with pytest.raises(NoConvergenceError, match="window above"):
-            solve_gamma(Mask(taps, check_parity=False), 1e-15)
+            solve_gamma(Mask(taps), 1e-15)
         assert calls == []
 
     def test_one_sided_inverse(self):
         # a(z) = 9/z + 6 + z = (z + 3)^2 / z winds once around the origin;
         # its inverse z / (z + 3)^2 has gamma_j = (-1)^(j-1) j / 3^(j+1), j >= 1
         taps = FinSeq([9.0, 0.0, 6.0, 0.0, 1.0], -2)
-        g = solve_gamma(Mask(taps, check_parity=False), 1e-15).gamma_raw
+        g = solve_gamma(Mask(taps), 1e-15).gamma_raw
         j = g.indices()
         assert g.offset == 1
         np.testing.assert_allclose(
@@ -412,7 +412,7 @@ class TestRootsOfEvenPart:
     def test_nonzero_winding_solves_equation(self, even, offset):
         taps = np.zeros(2 * len(even) - 1)
         taps[::2] = even
-        mask = Mask(FinSeq(taps, 2 * offset), check_parity=False)
+        mask = Mask(FinSeq(taps, 2 * offset))
         g = solve_gamma(mask, 1e-15).gamma_raw
         assert norm_l1(subtract(delta(), convolve(even_mask(mask), g))) <= 1e-13
 
@@ -436,7 +436,7 @@ def even_part_mask(even, offset):
     """Mask whose even taps are ``even`` from index ``offset`` on, odd zero."""
     taps = np.zeros(2 * len(even) - 1)
     taps[::2] = even
-    return Mask(FinSeq(taps, 2 * offset), check_parity=False)
+    return Mask(FinSeq(taps, 2 * offset))
 
 
 class TestRepeatedRoots:
@@ -490,8 +490,7 @@ class TestResidualAlgebra:
     def test_matches_sequence_algebra(self, name, family, shift):
         for level in range(4):
             m = family.mask_at_level(level)
-            mask = Mask(FinSeq(m.taps.coeffs, m.taps.offset + 2 * shift),
-                        check_parity=False)
+            mask = Mask(FinSeq(m.taps.coeffs, m.taps.offset + 2 * shift))
             for epsilon in (1e-15, 1e-10, 1e-6):
                 filt = solve_gamma(mask, epsilon)
                 assert filt.residual_l1 == reference_residual(mask, filt.zeta)
@@ -791,8 +790,7 @@ class TestLapackOracle:
     @settings(max_examples=40, deadline=None)
     @given(tension_masks(), st.sampled_from([0, 5, -7]), epsilons)
     def test_shipped_families(self, mask, shift, epsilon):
-        shifted = Mask(FinSeq(mask.taps.coeffs, mask.taps.offset + 2 * shift),
-                       check_parity=False)
+        shifted = Mask(FinSeq(mask.taps.coeffs, mask.taps.offset + 2 * shift))
         pair = assert_matches_reference(shifted, epsilon)
         if pair is not None:
             got, expected = pair

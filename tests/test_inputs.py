@@ -103,9 +103,9 @@ ENTRIES = {
     "analyze-periodic": lambda x: analyze(x, FAMILY, 2),
     "analyze-finite": lambda x: analyze(x, FAMILY, 2, boundary="finite"),
     "stability-periodic": lambda x: check_decomposition_stability(
-        x, x, FAMILY, 2, trials=4),
+        x, x, FAMILY, 2),
     "stability-finite": lambda x: check_decomposition_stability(
-        x, x, FAMILY, 2, boundary="finite", trials=4),
+        x, x, FAMILY, 2, boundary="finite"),
     "pyramid": lambda x: Pyramid(x, [x], FAMILY, 1e-15, "finite",
                                  LEVEL_PARAMS),
     "curve": PlanarCurve,
@@ -428,13 +428,13 @@ PROBES = {
                              BadParamsError, "^frequency must be an integer"),
     "quadrant-float": (lambda: quadrant_window(3.5), BadParamsError,
                        "^curve_n must be an integer"),
-    "stability-text-trials": (
-        lambda: check_decomposition_stability(PERIODIC, PERIODIC, FAMILY, 2,
-                                              trials="x"),
-        BadParamsError, "^trials must be an integer"),
-    "opnorm-float-trials": (
-        lambda: residual_operator_norm_estimate(MASK, FILT, trials=2.5),
-        BadParamsError, "^trials must be an integer"),
+    # unhashable arguments reach the type gates
+    "opnorm-list-mask": (
+        lambda: residual_operator_norm_estimate([1.0], [2.0]),
+        BadParamsError, "^mask must be a Mask"),
+    "opnorm-list-filt": (
+        lambda: residual_operator_norm_estimate(MASK, [2.0]),
+        BadParamsError, "^filt must be a DecimationFilter"),
     "v-next-text": (lambda: v_next("x"), BadParamsError,
                     "^v must be a real number"),
     "conic-params-text": (lambda: conic_params("x"), BadParamsError,

@@ -59,8 +59,16 @@ def circle_components(n):
 
 class TestMask:
     def test_parity_enforced(self):
-        with pytest.raises(BadParamsError):
-            Mask(FinSeq([0.5, 0.6, 0.5], -1))
+        # the rule of stationary schemes, which a stationary family checks
+        with pytest.raises(BadParamsError,
+                           match="^mask parity sums deviate from 1 by "
+                                 "4.000e-01$"):
+            Stationary(FinSeq([0.5, 0.6, 0.5], -1))
+
+    def test_mask_takes_taps_off_parity(self):
+        # nonstationary masks may break the parity rule at every level
+        mask = Mask(FinSeq([0.5, 0.6, 0.5], -1))
+        assert mask.parity_deviation == (pytest.approx(-0.4), 0.0)
 
     def test_parity_sums_exposed(self):
         m = Mask(cubic_bspline_mask())
@@ -74,7 +82,7 @@ class TestMask:
         seq = FinSeq(taps, offset)
         if seq.is_empty:
             return
-        m = Mask(seq, check_parity=False)
+        m = Mask(seq)
         idx = seq.indices()
         assert m.even_sum == float(seq.coeffs[idx % 2 == 0].sum())
         assert m.odd_sum == float(seq.coeffs[idx % 2 == 1].sum())
@@ -83,9 +91,11 @@ class TestMask:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("check_parity", [True, False])
     def test_non_finite_taps_rejected(self, bad, check_parity):
-        # the taps never reach a parity check, where NaN sums would pass
+        # the taps never reach the parity check of a stationary family,
+        # where NaN sums would pass, nor a mask, which has none
+        build = Stationary if check_parity else Mask
         with pytest.raises(DomainError, match="values must be finite"):
-            Mask(FinSeq([0.5, bad, 0.5], -1), check_parity=check_parity)
+            build(FinSeq([0.5, bad, 0.5], -1))
 
     def test_nan_tension_rejected(self):
         # at construction, before any mask is built from it
@@ -108,16 +118,13 @@ class TestMask:
     def test_equality_is_over_taps_level_and_family(self, name, family):
         mask = family.mask_at_level(2)
         again = Mask(FinSeq(mask.taps.coeffs.copy(), mask.taps.offset),
-                     mask.level, mask.family_id, check_parity=False)
+                     mask.level, mask.family_id)
         assert again == mask and hash(again) == hash(mask)
         assert len({mask, again}) == 1
-        assert mask != Mask(mask.taps, mask.level + 1, mask.family_id,
-                            check_parity=False)
-        assert mask != Mask(mask.taps, mask.level, "other",
-                            check_parity=False)
+        assert mask != Mask(mask.taps, mask.level + 1, mask.family_id)
+        assert mask != Mask(mask.taps, mask.level, "other")
         shifted = FinSeq(mask.taps.coeffs, mask.taps.offset + 2)
-        assert mask != Mask(shifted, mask.level, mask.family_id,
-                            check_parity=False)
+        assert mask != Mask(shifted, mask.level, mask.family_id)
         assert mask != mask.taps
 
 
@@ -248,7 +255,7 @@ class TestOperatorNorm:
 
 class TestRefine:
     def test_definition_on_delta(self):
-        mask = Mask(FinSeq([1.0, 1.0], 0), check_parity=False)
+        mask = Mask(FinSeq([1.0, 1.0], 0))
         out = refine(mask, delta())
         assert out == FinSeq([1.0, 1.0], 0)
 
@@ -303,14 +310,14 @@ class TestRefine:
         refine(mask, FinSeq(rng.normal(size=9), -3))
         _refine_block(mask, rng.normal(size=(4096, 2)))
         assert kernel_calls == [2, 2, 2]
-        refine(Mask(FinSeq([1.5], 0), check_parity=False),
+        refine(Mask(FinSeq([1.5], 0)),
                PeriodicSeq(rng.normal(size=8)))
         assert kernel_calls == [2, 2, 2, 1]
 
     @pytest.mark.parametrize("offset", [0, 1, -3])
     def test_phase_without_taps_refines_to_zero(self, rng, offset):
         # one tap, so one parity has no taps and its output phase is zero
-        mask = Mask(FinSeq([1.5], offset), check_parity=False)
+        mask = Mask(FinSeq([1.5], offset))
         for rows in (3, 64, 4096):
             values = rng.normal(size=(rows, 2))
             got = _refine_block(mask, values)
