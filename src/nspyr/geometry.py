@@ -21,8 +21,8 @@ from .decimation import DEFAULT_EPSILON, _epsilon
 from .errors import (BadParamsError, _index, _instance, _real_array,
                      _real_scalar)
 from .pyramid import (DetailDecayReport, Pyramid, _analysis_input,
-                      _analysis_step, _level_params, _row_norms, analyze,
-                      detail_decay_report)
+                      _analysis_step, _check_finite, _level_params,
+                      _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
 from .subdivision import Conic
 
@@ -294,8 +294,9 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
     params = _level_params(family, levels, _epsilon(epsilon))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _, detail = _analysis_step(params.mask, params.filt, block)
+        _check_finite([detail], "pyramid coefficients")
         return _threshold_flags(_row_norms(detail), threshold_ratio)
 
 

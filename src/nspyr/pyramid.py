@@ -123,9 +123,8 @@ def _read_only_block(values) -> np.ndarray:
 def _components(block: np.ndarray, offset: int, periodic: bool):
     """One :class:`PeriodicSeq` or :class:`FinSeq` per column of a block.
 
-    A finite column is copied into :func:`_finseq`, which checks what
-    synthesis may break (an overflow to infinity, zero ends) instead of
-    rescanning every value.
+    A finite column is copied into :func:`_finseq`, which checks its
+    largest magnitude and its ends instead of rescanning every value.
     """
     if periodic:
         return tuple(PeriodicSeq(col) for col in block.T)
@@ -226,6 +225,19 @@ def _decode_block(value, where: str):
 # Loaded operators may differ from recomputed ones by this many units of
 # rounding, relative to the l1 norm of the taps that produce them.
 _OPERATOR_ULPS = 64 * np.finfo(float).eps
+
+
+def _check_finite(blocks, what: str) -> None:
+    """Raise :class:`DomainError` naming ``what`` unless all blocks are finite.
+
+    A finite sum means finite values; only a block whose sum is not
+    finite, which finite values can also give, is scanned.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(math.isfinite(np.add.reduce(block, axis=None))
+                     or np.isfinite(block).all() for block in blocks)
+    if not finite:
+        raise DomainError(f"{what} must be finite: found NaN or infinity")
 
 
 def _check_operators(family: SchemeFamily, lp: LevelParams,
@@ -340,16 +352,9 @@ class Pyramid:
         """Set the fields of valid blocks; non-finite values raise.
 
         Finite input can overflow to infinite details, so every caller's
-        blocks are checked.  A finite sum means finite values; only a block
-        whose sum is not finite, which finite values can also give, is
-        scanned.
+        blocks are checked.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(math.isfinite(np.add.reduce(block, axis=None))
-                         or np.isfinite(block).all() for block in blocks)
-        if not finite:
-            raise DomainError(
-                "pyramid coefficients must be finite: found NaN or infinity")
+        _check_finite(blocks, "pyramid coefficients")
         self.coarse = blocks[0]
         self.details = tuple(blocks[1:])
         self.offsets = offsets
@@ -589,26 +594,32 @@ def analyze(data, family: SchemeFamily, levels: int,
 
 
 def _synthesize_block(pyramid: Pyramid):
-    """Run the synthesis levels; returns the finest block and its offset."""
+    """Run the synthesis levels; returns the finest block and its offset.
+
+    Finite blocks can sum past the float range; a synthesized block that
+    is not finite raises :class:`DomainError`, not a warning.
+    """
     block, offset = pyramid.coarse, pyramid.offsets[0]
-    for lp, detail, detail_offset in zip(pyramid.level_params,
-                                         pyramid.details,
-                                         pyramid.offsets[1:]):
-        if pyramid.boundary == "periodic":
-            block = _refine_block(lp.mask, block)
-            block += detail
-            continue
-        # The coarse frame reaches half the mask's reach (plus one row)
-        # beyond the block, so S never wraps, and covers the detail too.
-        half = _reach(lp.mask.taps) // 2 + 1
-        frame, start = _frame(
-            block, offset, min(offset - half, detail_offset // 2),
-            max(offset + block.shape[0] + half,
-                (detail_offset + detail.shape[0] + 1) // 2))
-        fine = _refine_block(lp.mask, frame)
-        fine[detail_offset - 2 * start:
-             detail_offset - 2 * start + detail.shape[0]] += detail
-        block, offset = _trim(fine, 2 * start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lp, detail, detail_offset in zip(pyramid.level_params,
+                                             pyramid.details,
+                                             pyramid.offsets[1:]):
+            if pyramid.boundary == "periodic":
+                block = _refine_block(lp.mask, block)
+                block += detail
+                continue
+            # The coarse frame reaches half the mask's reach (plus one row)
+            # beyond the block, so S never wraps, and covers the detail too.
+            half = _reach(lp.mask.taps) // 2 + 1
+            frame, start = _frame(
+                block, offset, min(offset - half, detail_offset // 2),
+                max(offset + block.shape[0] + half,
+                    (detail_offset + detail.shape[0] + 1) // 2))
+            fine = _refine_block(lp.mask, frame)
+            fine[detail_offset - 2 * start:
+                 detail_offset - 2 * start + detail.shape[0]] += detail
+            block, offset = _trim(fine, 2 * start)
+    _check_finite([block], "synthesized values")
     return block, offset
 
 

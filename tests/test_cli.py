@@ -241,6 +241,20 @@ class TestMalformedPyramid:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_synthesis_exits_3(self, tmp_path, capsys):
+        # a valid document whose blocks sum past the float range
+        p = nspyr.analyze(np.ones(64), nspyr.NSCubic(0.5), 2)
+        big = Pyramid(np.full_like(p.coarse, 1.5e308),
+                      [np.full_like(d, 1.5e308) for d in p.details],
+                      p.family, p.epsilon, p.boundary, p.level_params)
+        doc_path = tmp_path / "big.json"
+        doc_path.write_text(big.to_json())
+        out = tmp_path / "back.csv"
+        assert run("reconstruct", "--in", doc_path, "--out", out) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: synthesized values must be finite")
+        assert not out.exists()
+
     def test_truncated_block_exits_3(self, tmp_path, doc_path, capsys):
         doc = json.loads(doc_path.read_text())
         payload = doc["details"][0]["float64le"]

@@ -33,7 +33,9 @@ from nspyr import (
     ShapeMismatchError,
     analyze,
     anomaly_flags,
+    anomaly_localize,
     check_decomposition_stability,
+    check_reconstruction_stability,
     circularity_report,
     conic_params,
     cubic_bspline_family,
@@ -481,6 +483,40 @@ def test_huge_curve_gives_finite_scores():
         assert np.isfinite(curve_pyramid(curve, 2).detail_norms(2)).all()
         assert math.isfinite(circularity_report(curve, 2).verdict_scale)
         assert math.isfinite(anomaly_flags(curve, 2)[1])
+
+
+def overflowing_pyramid(boundary):
+    """A valid pyramid of blocks of 1.5e308, whose synthesis overflows."""
+    p = analyze(np.ones(64), NSCubic(0.5), 2, boundary=boundary)
+    return Pyramid(np.full_like(p.coarse, 1.5e308),
+                   [np.full_like(d, 1.5e308) for d in p.details], p.family,
+                   p.epsilon, p.boundary, p.level_params, p.offsets,
+                   p.support)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "finite"])
+@pytest.mark.parametrize("entry", [
+    synthesize, synthesize_array,
+    lambda p: check_reconstruction_stability(p, p),
+], ids=["synthesize", "synthesize-array", "reconstruction-stability"])
+def test_synthesis_overflow_raises_domain_error(entry, boundary):
+    pyramid = overflowing_pyramid(boundary)
+    with deadline(), pytest.raises(
+            DomainError, match="^synthesized values must be finite: found "
+                               "NaN or infinity$"):
+        entry(pyramid)
+
+
+@pytest.mark.parametrize("entry", [anomaly_flags, anomaly_localize])
+def test_overflowing_finest_details_raise_as_curve_pyramid(entry):
+    # the finest analysis step of this curve overflows
+    curve = PlanarCurve(perturb_wavy(sample_circle(64), 0.05, 5).points
+                        * 1.7e308)
+    with pytest.raises(DomainError) as expected:
+        curve_pyramid(curve, 2)
+    with deadline(), pytest.raises(DomainError) as got:
+        entry(curve, 2)
+    assert str(got.value) == str(expected.value)
 
 
 FAMILIES = [Conic(math.cos(math.pi / 4)), Conic(0.9), NSCubic(0.5),
