@@ -60,11 +60,14 @@ from .subdivision import (
 
 @dataclass(frozen=True)
 class LevelParams:
-    """Mask/filter pair used at one pyramid level (1-based)."""
+    """Mask/filter pair of one pyramid level, the mask's level plus one."""
 
-    level: int
     mask: Mask
     filt: DecimationFilter
+
+    @property
+    def level(self) -> int:
+        return self.mask.level + 1
 
 
 @functools.lru_cache(maxsize=2048)
@@ -75,10 +78,14 @@ def _level_params(family: SchemeFamily, level: int,
     A level's operators depend only on the family, the level and
     epsilon, so they are cached on those, up to 2048 entries, the least
     recently used leaving first.  Families compare by their parameters,
-    so equal families built separately share them.
+    so equal families built separately share them.  A mask of another
+    step than ``level - 1`` raises :class:`BadParamsError`.
     """
     mask = family.mask_at_level(level - 1)
-    return LevelParams(level, mask, solve_gamma(mask, epsilon))
+    if mask.level != level - 1:
+        raise BadParamsError(f"family {family.family_id!r} gave a level "
+                             f"{mask.level} mask for level {level - 1}")
+    return LevelParams(mask, solve_gamma(mask, epsilon))
 
 
 def _levels(levels) -> int:
@@ -101,14 +108,8 @@ def _items(values, name: str) -> tuple:
 def _read_only_block(values) -> np.ndarray:
     """Read-only column-major 2-D float copy of ``values``.
 
-    A 1-D ``values`` becomes ``(N, 1)``.  A float array that is already
-    2-D, column-major, read-only and owns its data, as a pyramid keeps
-    its blocks, is kept uncopied.  :meth:`Pyramid._fill` scans the values.
+    A 1-D ``values`` becomes ``(N, 1)``; :meth:`Pyramid._fill` scans it.
     """
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.ndim == 2 and values.flags.f_contiguous
-            and not values.flags.writeable and values.flags.owndata):
-        return values
     arr = _real_array(values, "pyramid coefficients", ShapeMismatchError,
                       finite=False)
     arr = arr[:, None] if arr.ndim == 1 else arr
@@ -244,19 +245,19 @@ def _check_operators(family: SchemeFamily, lp: LevelParams,
                      where: str) -> None:
     """Check a level's mask and residual against their sources.
 
-    The mask taps must be those of ``family.mask_at_level(level - 1)``,
-    and ``residual_l1`` that of the stored mask and zeta taps, each
+    The mask taps must be those of ``family.mask_at_level`` at the mask's
+    level, and ``residual_l1`` that of the stored mask and zeta taps, each
     within ``_OPERATOR_ULPS`` times the l1 norm of the taps it comes
     from.  A mismatch, or empty zeta taps, raises
     :class:`ShapeMismatchError` naming ``where``.
     """
-    taps, expected = lp.mask.taps, family.mask_at_level(lp.level - 1).taps
+    taps, expected = lp.mask.taps, family.mask_at_level(lp.mask.level).taps
     if (taps.support != expected.support
             or np.abs(taps.coeffs - expected.coeffs).max()
             > _OPERATOR_ULPS * norm_l1(expected)):
         raise ShapeMismatchError(
             f"{where} mask taps differ from the family's level "
-            f"{lp.level - 1} mask")
+            f"{lp.mask.level} mask")
     if lp.filt.zeta.is_empty:
         raise ShapeMismatchError(f"{where} zeta taps are empty")
     residual = residual_check(lp.filt, lp.mask)
@@ -420,7 +421,7 @@ class Pyramid:
         level_params = []
         for lp in self.level_params:
             entry = {
-                "level": int(lp.level),  # a numpy integer too
+                "level": lp.level,
                 "mask_offset": lp.mask.taps.offset,
                 "mask_taps": lp.mask.taps.coeffs.tolist(),
                 "mask_family": lp.mask.family_id,
@@ -442,8 +443,7 @@ class Pyramid:
             "epsilon": self.epsilon,
             "boundary": self.boundary,
             "coarse": _encode_block(self.coarse),
-            "details": [_encode_block(self.details[lp.level - 1])
-                        for lp in self.level_params],
+            "details": [_encode_block(block) for block in self.details],
             "level_params": level_params,
         }
         if self.support is not None:
@@ -486,7 +486,7 @@ class Pyramid:
                 decay_C=entry["decay_C"],
                 decay_lambda=entry["decay_lambda"])
             offsets.append(entry["detail_offset"])
-            level_params.append(LevelParams(entry["level"], mask, filt))
+            level_params.append(LevelParams(mask, filt))
         coarse = _decode_block(doc["coarse"], "coarse")
         details = [_decode_block(block, f"details[{i}]")
                    for i, block in enumerate(doc["details"])]
@@ -671,11 +671,19 @@ def synthesize_array(pyramid: Pyramid):
 class DetailDecayReport:
     """Detail-norm statistics per level, level 1 (coarsest) first."""
 
-    levels: int
     per_level_inf: list
     per_level_l1: list
     per_level_avg_l2: list
-    ratios: list
+
+    @property
+    def levels(self) -> int:
+        return len(self.per_level_inf)
+
+    @property
+    def ratios(self) -> list:
+        """Coarse-to-fine sup-norm ratios; 0/0 is nan, x/0 is inf."""
+        return [hi / lo if lo else (math.inf if hi else math.nan)
+                for hi, lo in zip(self.per_level_inf, self.per_level_inf[1:])]
 
     @property
     def verdict_scale(self) -> float:
@@ -700,15 +708,7 @@ def detail_decay_report(pyramid: Pyramid) -> DetailDecayReport:
             inf_norms.append(float(np.maximum.reduce(e)) if e.size else 0.0)
             l1_norms.append(total)
             avg_norms.append(total / e.size if e.size else 0.0)
-    ratios = []
-    for l in range(pyramid.levels - 1):
-        hi, lo = inf_norms[l], inf_norms[l + 1]
-        if lo == 0.0:
-            ratios.append(float("inf") if hi > 0 else float("nan"))
-        else:
-            ratios.append(hi / lo)
-    return DetailDecayReport(pyramid.levels, inf_norms, l1_norms,
-                             avg_norms, ratios)
+    return DetailDecayReport(inf_norms, l1_norms, avg_norms)
 
 
 def detail_bound(pyramid: Pyramid, fprime_inf: float) -> list:

@@ -57,10 +57,9 @@ PARAMETERS = {
     "Conic": "v_init",
     "DecimationFilter":
         "zeta gamma_raw epsilon residual_l1 decay_C decay_lambda",
-    "DetailDecayReport":
-        "levels per_level_inf per_level_l1 per_level_avg_l2 ratios",
+    "DetailDecayReport": "per_level_inf per_level_l1 per_level_avg_l2",
     "FinSeq": "coeffs= offset=",
-    "LevelParams": "level mask filt",
+    "LevelParams": "mask filt",
     "Mask": "taps level= family_id=",
     "NS4Point": "theta=",
     "NSCubic": "v_init=",
@@ -138,8 +137,8 @@ def test_parameters_are_pinned():
 # The fields, then after "|" the properties, of the result types that
 # public functions return; the stability types are not exported.
 RESULT_TYPES = {
-    "DetailDecayReport": "levels per_level_inf per_level_l1 per_level_avg_l2 "
-                         "ratios | verdict_scale",
+    "DetailDecayReport": "per_level_inf per_level_l1 per_level_avg_l2 "
+                         "| levels ratios verdict_scale",
     "StabilityCheck": "lhs rhs | holds slack",
     "LevelStability": "lhs rhs level opnorm_upper opnorm_lower_estimate "
                       "| holds slack",

@@ -24,6 +24,7 @@ from nspyr import (
     DomainError,
     FinSeq,
     LevelParams,
+    Mask,
     NS4Point,
     NSCubic,
     NspyrError,
@@ -535,8 +536,9 @@ def test_every_constructed_pyramid_round_trips(analyzed_with, built_with,
     # it accepts, loading accepts too, bit for bit
     p = analyze(np.sin(np.arange(64.0)), analyzed_with, levels,
                 boundary=boundary)
-    level_params = [LevelParams(np.int64(lp.level) if numpy_levels
-                                else lp.level, lp.mask, lp.filt)
+    level_params = [LevelParams(Mask(lp.mask.taps, np.int64(lp.mask.level),
+                                     lp.mask.family_id)
+                                if numpy_levels else lp.mask, lp.filt)
                     for lp in p.level_params]
     with deadline():
         try:

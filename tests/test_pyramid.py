@@ -612,15 +612,22 @@ class TestPyramidValidation:
         p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 2)
         assert p.coarse is built[-1][0]
         assert all(d is b[1] for d, b in zip(p.details[::-1], built))
-        q = Pyramid(p.coarse, p.details, p.family, p.epsilon, p.boundary,
-                    p.level_params)
-        assert q.coarse is p.coarse
-        assert all(a is b for a, b in zip(q.details, p.details))
-        # a read-only view could still change through its base: copied
-        view = p.coarse[:]
-        q = Pyramid(view, p.details, p.family, p.epsilon, p.boundary,
-                    p.level_params)
-        assert q.coarse is not view and q.coarse.flags.owndata
+
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    def test_another_pyramids_blocks_are_copied(self, rng, boundary):
+        # a pyramid's blocks are owned, read-only, column-major arrays;
+        # another pyramid built from them, or a copy, gets its own
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 2,
+                    boundary=boundary)
+        built = Pyramid(p.coarse, p.details, p.family, p.epsilon,
+                        p.boundary, p.level_params, p.offsets, p.support)
+        for q in (built, copy.copy(p)):
+            for mine, theirs in zip((q.coarse,) + q.details,
+                                    (p.coarse,) + p.details):
+                assert mine is not theirs
+                assert mine.flags.owndata and mine.flags.f_contiguous
+                assert not mine.flags.writeable
+                assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("boundary", ["periodic", "finite"])
     def test_overflowing_analysis_rejected(self, boundary):
