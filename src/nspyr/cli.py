@@ -32,6 +32,7 @@ from .decimation import (DEFAULT_EPSILON, _epsilon, filter_metadata,
                          solve_gamma, write_filter_csv)
 from .errors import _NUMBER, BadParamsError, NspyrError, _check_json
 from .geometry import (
+    DEFAULT_THRESHOLD_RATIO,
     PlanarCurve,
     WAVY_PRESETS,
     anomaly_localize,
@@ -62,7 +63,7 @@ _DEFAULTS = {
     "radius": (1.0, _NUMBER),
     "amplitude": (0.01, _NUMBER),
     "frequency": (12, int),
-    "threshold_ratio": (50.0, _NUMBER),
+    "threshold_ratio": (DEFAULT_THRESHOLD_RATIO, _NUMBER),
 }
 
 

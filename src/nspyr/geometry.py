@@ -220,6 +220,10 @@ def circularity_report(curve: PlanarCurve, levels: int,
 _FLOOR = 1e-10
 _MERGE_GAP = 2
 
+# The flag threshold's multiple of the median detail norm when a caller
+# sets none.
+DEFAULT_THRESHOLD_RATIO = 50.0
+
 
 def _merge_flags(flags: np.ndarray):
     """Group flagged indices into ranges, bridging gaps up to ``_MERGE_GAP``.
@@ -273,7 +277,7 @@ def _threshold_flags(norms: np.ndarray, threshold_ratio: float):
 
 def anomaly_flags(curve: PlanarCurve, levels: int,
                   epsilon: float = DEFAULT_EPSILON,
-                  threshold_ratio: float = 50.0):
+                  threshold_ratio: float = DEFAULT_THRESHOLD_RATIO):
     """Per-index anomaly flags at the finest detail level.
 
     A coefficient is flagged when its Euclidean norm exceeds
@@ -302,7 +306,7 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
 
 def anomaly_localize(curve: PlanarCurve, levels: int,
                      epsilon: float = DEFAULT_EPSILON,
-                     threshold_ratio: float = 50.0):
+                     threshold_ratio: float = DEFAULT_THRESHOLD_RATIO):
     """Flag index ranges of the curve that break its circular structure.
 
     Thresholds the finest-level detail norms as in :func:`anomaly_flags`,

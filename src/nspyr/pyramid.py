@@ -241,15 +241,16 @@ def _check_finite(blocks, what: str) -> None:
         raise DomainError(f"{what} must be finite: found NaN or infinity")
 
 
-def _check_operators(family: SchemeFamily, lp: LevelParams,
+def _check_operators(family: SchemeFamily, epsilon: float, lp: LevelParams,
                      where: str) -> None:
-    """Check a level's mask and residual against their sources.
+    """Check a level's mask, epsilon and residual against their sources.
 
     The mask taps must be those of ``family.mask_at_level`` at the mask's
-    level, and ``residual_l1`` that of the stored mask and zeta taps, each
-    within ``_OPERATOR_ULPS`` times the l1 norm of the taps it comes
-    from.  A mismatch, or empty zeta taps, raises
-    :class:`ShapeMismatchError` naming ``where``.
+    level, the filter's epsilon the pyramid's, and ``residual_l1`` that
+    of the stored mask and zeta taps; taps and residual may differ by
+    ``_OPERATOR_ULPS`` times the l1 norm of the taps they come from.  A
+    mismatch, or empty zeta taps, raises :class:`ShapeMismatchError`
+    naming ``where``.
     """
     taps, expected = lp.mask.taps, family.mask_at_level(lp.mask.level).taps
     if (taps.support != expected.support
@@ -258,6 +259,10 @@ def _check_operators(family: SchemeFamily, lp: LevelParams,
         raise ShapeMismatchError(
             f"{where} mask taps differ from the family's level "
             f"{lp.mask.level} mask")
+    if lp.filt.epsilon != epsilon:
+        raise ShapeMismatchError(
+            f"{where} epsilon is {lp.filt.epsilon!r}, but the pyramid's "
+            f"is {epsilon!r}")
     if lp.filt.zeta.is_empty:
         raise ShapeMismatchError(f"{where} zeta taps are empty")
     residual = residual_check(lp.filt, lp.mask)
@@ -282,8 +287,9 @@ class Pyramid:
     :class:`ShapeMismatchError`; complex or non-finite values raise
     :class:`DomainError`; a family that is not a :class:`SchemeFamily`, or
     an epsilon outside (0, 1), raises :class:`BadParamsError`.  Last, each
-    level's operators must match the family, as :func:`_check_operators`
-    checks, so every pyramid built here loads back from :meth:`to_json`.
+    level's operators must match the family and epsilon, as
+    :func:`_check_operators` checks, so every pyramid built here loads
+    back from :meth:`to_json`.  Its fields cannot be reassigned.
     """
 
     __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
@@ -321,6 +327,9 @@ class Pyramid:
         if len(offsets) != len(blocks):
             raise ShapeMismatchError(
                 f"pyramid has {len(blocks)} blocks but {len(offsets)} offsets")
+        if boundary == "periodic" and any(offsets):
+            raise ShapeMismatchError(
+                f"periodic pyramid offsets must be 0, got {offsets}")
         if any(b.shape[1] != blocks[0].shape[1] for b in blocks):
             raise ShapeMismatchError(
                 "pyramid blocks differ in their number of components")
@@ -333,7 +342,8 @@ class Pyramid:
         self._fill(blocks, offsets, _instance(family, SchemeFamily, "family"),
                    _epsilon(epsilon), boundary, level_params, support)
         for i, lp in enumerate(level_params):
-            _check_operators(self.family, lp, f"level_params[{i}]")
+            _check_operators(self.family, self.epsilon, lp,
+                             f"level_params[{i}]")
 
     @classmethod
     def _of_analysis(cls, blocks, offsets, family, epsilon, boundary,
@@ -356,14 +366,15 @@ class Pyramid:
         blocks are checked.
         """
         _check_finite(blocks, "pyramid coefficients")
-        self.coarse = blocks[0]
-        self.details = tuple(blocks[1:])
-        self.offsets = offsets
-        self.family = family
-        self.epsilon = epsilon
-        self.boundary = boundary
-        self.level_params = level_params
-        self.support = support
+        fields = {"coarse": blocks[0], "details": tuple(blocks[1:]),
+                  "offsets": offsets, "family": family, "epsilon": epsilon,
+                  "boundary": boundary, "level_params": level_params,
+                  "support": support}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Pyramid is immutable")
 
     def __reduce__(self):
         # Rebuilt through __init__, so a copy's blocks are read-only too.

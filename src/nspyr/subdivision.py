@@ -264,6 +264,12 @@ class Stationary(SchemeFamily):
             raise DomainError("level must be nonnegative")
         return Mask(self.taps, level=k, family_id=self.name)
 
+    @property
+    def interpolating(self) -> bool:
+        """True when the even-indexed taps are a single 1.0 at index 0."""
+        even, _ = _polyphase(self.taps)[0]
+        return self.taps[0] == 1.0 and int(np.count_nonzero(even)) == 1
+
     def describe(self) -> dict:
         return {
             "kind": "stationary",

@@ -40,9 +40,12 @@ def test_demo_runs_and_writes_its_outputs(tmp_path, script):
     # The child imports the package under test, wherever it was imported from.
     src = str(Path(nspyr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # pytest's warning filters do not reach a child process: a demo that
+    # warns fails here too.
     result = subprocess.run([sys.executable, script], cwd=tmp_path,
                             capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=path))
+                            env=dict(os.environ, PYTHONPATH=path,
+                                     PYTHONWARNINGS="error"))
     assert result.returncode == 0, result.stderr
     out = tmp_path / "output"
     assert {p.name for p in out.iterdir()} == WRITES[script]

@@ -17,8 +17,11 @@ from oracles import decimate, refine, subtract
 from nspyr import (
     BadParamsError,
     Conic,
+    DetailDecayReport,
     DomainError,
     FinSeq,
+    LevelParams,
+    Mask,
     NS4Point,
     NSCubic,
     PeriodicSeq,
@@ -186,6 +189,18 @@ class TestAnalyzeContracts:
         with pytest.raises(DomainError, match="finite"):
             analyze(planar, cubic_bspline_family(), 2, boundary=boundary)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    def test_stationary_four_point_details_vanish_on_evens(self, boundary):
+        # a stationary family is interpolating when its taps say so
+        fam = Stationary(FinSeq([-1 / 16, 0, 9 / 16, 1, 9 / 16, 0, -1 / 16],
+                                -3), "four_point")
+        assert fam.interpolating
+        p = analyze(sample_circle(64).points, fam, 2, boundary=boundary)
+        for level in (1, 2):
+            d = p.detail_array(level)
+            assert np.all(d[p.offsets[level] % 2::2] == 0.0)
+            assert np.abs(d).max() > 0.0
+
     def test_interpolating_uses_plain_downsampling(self, rng):
         fam = NS4Point(2 * math.pi / 12)
         data = rng.normal(size=48)
@@ -272,6 +287,36 @@ class TestDecayReport:
         rep = detail_decay_report(p)
         assert all(v <= 1e-8 for v in rep.per_level_inf)
         assert len(rep.ratios) == 3
+
+    @pytest.mark.parametrize("boundary", ["periodic", "finite"])
+    @pytest.mark.parametrize("name,family", family_grid())
+    def test_levels_and_ratios_read_from_the_norms(self, rng, name, family,
+                                                   boundary):
+        # the values the report and the level records stored before they
+        # were derived: the level count and the ratio loop
+        t = 2 * math.pi * np.arange(64) / 64
+        data = np.stack([np.cos(t), np.sin(t)], axis=1)
+        data += 0.01 * rng.normal(size=data.shape)
+        p = analyze(data, family, 3, boundary=boundary)
+        assert [lp.level for lp in p.level_params] == [1, 2, 3]
+        assert [LevelParams(lp.mask, lp.filt) for lp in p.level_params] == [
+            *p.level_params]
+        rep = detail_decay_report(p)
+        assert rep == DetailDecayReport(rep.per_level_inf, rep.per_level_l1,
+                                        rep.per_level_avg_l2)
+        inf = rep.per_level_inf
+        assert rep.levels == p.levels == 3
+        assert rep.ratios == [inf[0] / inf[1], inf[1] / inf[2]]
+
+    def test_ratios_over_zero_norms(self):
+        rep = DetailDecayReport([0.0, 0.0, 2.0, 0.0, 3.0], [0.0] * 5,
+                                [0.0] * 5)
+        assert rep.levels == 5
+        np.testing.assert_array_equal(rep.ratios,
+                                      [math.nan, 0.0, math.inf, 0.0])
+        empty = DetailDecayReport([], [], [])
+        assert (empty.levels, empty.ratios, empty.verdict_scale) == (
+            0, [], 0.0)
 
     def test_decay_bound_dominates_measurements(self):
         # one dyadic period of a sine sampled on the depth-10 grid
@@ -580,6 +625,57 @@ class TestPyramidValidation:
         with pytest.raises(ShapeMismatchError, match="detail levels"):
             Pyramid(p.coarse, p.details, p.family, p.epsilon, p.boundary,
                     p.level_params[::-1])
+
+    def test_level_is_read_from_the_mask(self, rng):
+        p = analyze(rng.normal(size=64), cubic_bspline_family(), 2)
+        first, second = p.level_params
+        wrong = LevelParams(Mask(second.mask.taps, 5, second.mask.family_id),
+                            second.filt)
+        assert wrong.level == 6
+        with pytest.raises(ShapeMismatchError,
+                           match=r"level_params for levels \[1, 6\]"):
+            Pyramid(p.coarse, p.details, p.family, p.epsilon, p.boundary,
+                    [first, wrong])
+
+    def test_pyramid_is_immutable(self, rng):
+        p = analyze(rng.normal(size=(16, 2)), cubic_bspline_family(), 1)
+        coarse = p.coarse
+        with pytest.raises(AttributeError, match="Pyramid is immutable"):
+            p.coarse = np.full((8, 2), np.nan)
+        with pytest.raises(AttributeError, match="Pyramid is immutable"):
+            p.extra = 1
+        assert p.coarse is coarse
+
+    def test_level_epsilon_is_the_pyramids(self):
+        curve = sample_circle(64)
+        p = analyze(curve.points, conic_family_for(64, 2), 2)
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^level_params\[0\] epsilon is 1e-15, "
+                                 r"but the pyramid's is 1e-06$"):
+            Pyramid(p.coarse, p.details, p.family, 1e-6, p.boundary,
+                    p.level_params)
+        # an edited document: the filters were solved at 1e-15
+        doc = json.loads(p.to_json())
+        doc["epsilon"] = 1e-6
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^level_params\[0\] epsilon"):
+            Pyramid.from_json_dict(doc)
+        doc["epsilon"] = 1e-15
+        doc["level_params"][1]["epsilon"] = 1e-6
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^level_params\[1\] epsilon is 1e-06"):
+            Pyramid.from_json_dict(doc)
+
+    def test_periodic_offsets_are_zero(self, rng):
+        p = analyze(rng.normal(size=(64, 2)), cubic_bspline_family(), 2)
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^periodic pyramid offsets must be 0, "
+                                 r"got \(7, 3, 1\)$"):
+            Pyramid(p.coarse, p.details, p.family, p.epsilon, "periodic",
+                    p.level_params, offsets=(7, 3, 1))
+        q = Pyramid(p.coarse, p.details, p.family, p.epsilon, "periodic",
+                    p.level_params, offsets=(0, 0, 0))
+        assert q.offsets == (0, 0, 0)
 
     def test_one_offset_per_block(self, rng):
         p = analyze(rng.normal(size=40), cubic_bspline_family(), 2,
@@ -1045,6 +1141,20 @@ class TestLevelCache:
         # it cannot be saved, and says why with a typed error
         with pytest.raises(BadParamsError, match="Undescribed"):
             p.to_json()
+
+    def test_family_must_give_masks_of_their_level(self, rng):
+        class LevelZero(SchemeFamily):
+            family_id = "level_zero"
+
+            def mask_at_level(self, k):
+                return Mask(cubic_bspline_mask())
+
+        x = rng.normal(size=64)
+        assert analyze(x, LevelZero(), 1).level_params[0].level == 1
+        with pytest.raises(BadParamsError,
+                           match="^family 'level_zero' gave a level 0 mask "
+                                 "for level 1$"):
+            analyze(x, LevelZero(), 2)
 
     def test_cache_stays_at_cap_over_a_tension_search(self, rng):
         cap = pyramid._level_params.cache_info().maxsize

@@ -402,6 +402,22 @@ class TestStationary:
         with pytest.raises(BadParamsError):
             Stationary(FinSeq([0.3, 0.3, 0.3], -1))
 
+    @pytest.mark.parametrize("taps, offset, interpolating", [
+        ([-1 / 16, 0, 9 / 16, 1, 9 / 16, 0, -1 / 16], -3, True),
+        ([0.5, 1.0, 0.5], -1, True),
+        ([1.0, 1.0], 0, True),
+        ([1.0, 1.0], -1, True),
+        ([1.0, 1.0], 1, False),
+        ([1 / 8, 1 / 2, 3 / 4, 1 / 2, 1 / 8], -2, False),
+        ([-0.25, 0.5, 1.0, 0.5, 0.25], -2, False),
+    ], ids=["four-point", "linear", "haar", "haar-left", "haar-shifted",
+            "cubic-bspline", "two-even-taps"])
+    def test_interpolating_read_from_the_taps(self, taps, offset,
+                                              interpolating):
+        # one even tap, 1.0 at index 0: the coarse point is copied
+        fam = Stationary(FinSeq(taps, offset))
+        assert fam.interpolating is interpolating
+
     def test_levels_share_taps(self):
         fam = cubic_bspline_family()
         assert fam.mask_at_level(0).taps == fam.mask_at_level(7).taps
