@@ -471,8 +471,9 @@ class Pyramid:
         Blocks may also be nested lists, ``[[x, y], ...]`` or ``[x, ...]``
         for one component, as documents written before the binary form
         hold them.  A missing or mistyped field, a malformed binary block,
-        or a level whose mask taps are not the family's or whose
-        ``residual_l1`` its taps do not give, raises
+        or a level whose mask taps are not the family's, whose epsilon is
+        not the document's or whose ``residual_l1`` its taps do not give,
+        raises
         :class:`ShapeMismatchError` naming it; the constructor checks the
         levels, named by their position in level order.
         """

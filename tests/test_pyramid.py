@@ -286,8 +286,8 @@ class TestDecayReport:
     @pytest.mark.parametrize("name,family", family_grid())
     def test_levels_and_ratios_read_from_the_norms(self, rng, name, family,
                                                    boundary):
-        # the values the report and the level records stored before they
-        # were derived: the level count and the ratio loop
+        # a level is its position, the report's levels count its norms, and
+        # its ratios divide consecutive sup norms
         t = 2 * math.pi * np.arange(64) / 64
         data = np.stack([np.cos(t), np.sin(t)], axis=1)
         data += 0.01 * rng.normal(size=data.shape)
