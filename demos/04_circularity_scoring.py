@@ -1,7 +1,9 @@
-"""Scoring how circular a closed curve is.
+"""Scoring how far a closed curve is from a uniformly sampled conic.
 
-The conic pyramid's detail coefficients vanish exactly on circle
-samples, so their norms measure departure from circularity per scale.
+The conic pyramid's detail coefficients vanish on every affine image of
+a uniformly sampled circle (ellipses included, so the score does not
+tell an ellipse from a circle), and their norms measure the departure
+from such a curve per scale.
 Three increasingly wavy circles produce strictly increasing verdict
 scales, and the per-level decay curves separate the three cases on a
 log plot.

@@ -9,6 +9,7 @@ documents read from outside (a saved pyramid, a CLI config),
 :func:`_real_array` for arrays, to which each caller adds its shape rule,
 :func:`_real_scalar` for real numbers, and :func:`_instance` for objects
 of the package's own types (masks, families, filters, pyramids, curves).
+Sequences, masks and pyramids share one immutability rule, :class:`_Immutable`.
 """
 
 import math
@@ -167,3 +168,37 @@ def _instance(value, types, what: str):
         raise BadParamsError(
             f"{what} must be a {names}, got {type(value).__name__}")
     return value
+
+
+class _Immutable:
+    """Base of the package's immutable values.
+
+    Assigning or deleting an attribute raises ``AttributeError`` naming
+    the class; builders write slots with ``object.__setattr__``.  Copies
+    and unpickled values are rebuilt through the constructor from the
+    ``_args`` fields, so they pass its checks.  Values compare and hash by
+    the ``_key`` fields, arrays by their bytes (their values: they hold
+    neither NaN nor -0.0).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._args])
+
+    def _key_values(self) -> tuple:
+        return tuple([v.tobytes() if isinstance(v, np.ndarray) else v
+                      for v in map(self.__getattribute__, self._key)])
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key_values() == other._key_values()
+
+    def __hash__(self):
+        return hash(self._key_values())

@@ -198,13 +198,14 @@ def curve_pyramid(curve: PlanarCurve, levels: int,
 
 def circularity_report(curve: PlanarCurve, levels: int,
                        epsilon: float = DEFAULT_EPSILON) -> DetailDecayReport:
-    """Score how closely a closed curve resembles a circle.
+    """Score how far a closed curve is from a uniformly sampled conic.
 
     The :func:`detail_decay_report` of :func:`curve_pyramid`: per level,
     the l1 norm and the average of the Euclidean detail-coefficient
     norms.  Its ``verdict_scale``, the largest per-level average, sits at
-    machine noise for exact circles of any radius and grows with
-    geometric deviation.
+    machine noise for every affine image of a uniformly sampled circle,
+    which the conic family annihilates: ellipses score as circles do.  It
+    grows with geometric deviation and with nonuniform sampling.
     """
     return detail_decay_report(curve_pyramid(curve, levels, epsilon))
 
@@ -269,12 +270,6 @@ def _median(norms: np.ndarray) -> float:
     return float(part[k] if odd else (part[k - 1] + part[k]) / 2)
 
 
-def _threshold_flags(norms: np.ndarray, threshold_ratio: float):
-    """The flags and threshold of :func:`anomaly_flags` on detail norms."""
-    threshold = max(threshold_ratio * _median(norms), _FLOOR)
-    return norms > threshold, threshold
-
-
 def anomaly_flags(curve: PlanarCurve, levels: int,
                   epsilon: float = DEFAULT_EPSILON,
                   threshold_ratio: float = DEFAULT_THRESHOLD_RATIO):
@@ -283,7 +278,8 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     A coefficient is flagged when its Euclidean norm exceeds
     ``threshold_ratio`` times the median norm, and 1e-10, a floor that
     keeps machine noise on perfect circles unflagged.  Returns the
-    boolean flag array and the threshold used.
+    boolean flag array and the threshold used.  A negative
+    ``threshold_ratio`` raises :class:`BadParamsError`.
 
     Only the finest level is analyzed: its details ``x - S_J D_J x``
     depend on no coarser level, so they equal those of
@@ -295,13 +291,18 @@ def anomaly_flags(curve: PlanarCurve, levels: int,
     for bit.
     """
     threshold_ratio = _real_scalar(threshold_ratio, "threshold_ratio")
+    if threshold_ratio < 0:
+        raise BadParamsError(
+            f"threshold_ratio must be nonnegative, got {threshold_ratio}")
     family = _closed_curve_family(curve, levels)
     block, _ = _analysis_input(curve.points, levels, "periodic")
     params = _level_params(family, levels, _epsilon(epsilon))
     with np.errstate(over="ignore", invalid="ignore"):
         _, detail = _analysis_step(params.mask, params.filt, block)
         _check_finite([detail], "pyramid coefficients")
-        return _threshold_flags(_row_norms(detail), threshold_ratio)
+        norms = _row_norms(detail)
+        threshold = max(threshold_ratio * _median(norms), _FLOOR)
+        return norms > threshold, threshold
 
 
 def anomaly_localize(curve: PlanarCurve, levels: int,

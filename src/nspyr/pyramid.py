@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     PeriodNotDivisibleError,
     ShapeMismatchError,
+    _Immutable,
     _NUMBER,
     _check_json,
     _index,
@@ -273,7 +274,7 @@ def _check_operators(family: SchemeFamily, epsilon: float, lp: LevelParams,
             f"and zeta taps give {residual!r}")
 
 
-class Pyramid:
+class Pyramid(_Immutable):
     """Coarse block plus detail blocks and full operator provenance.
 
     ``coarse`` (``(N_0, D)``) and ``details[l-1]`` (``(N_l, D)``) are kept
@@ -289,11 +290,14 @@ class Pyramid:
     an epsilon outside (0, 1), raises :class:`BadParamsError`.  Last, each
     level's operators must match the family and epsilon, as
     :func:`_check_operators` checks, so every pyramid built here loads
-    back from :meth:`to_json`.  Its fields cannot be reassigned.
+    back from :meth:`to_json`.  It is immutable and compares by identity.
     """
 
     __slots__ = ("coarse", "details", "offsets", "family", "epsilon",
                  "boundary", "level_params", "support")
+    _args = ("coarse", "details", "family", "epsilon", "boundary",
+             "level_params", "offsets", "support")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, coarse, details, family: SchemeFamily, epsilon: float,
                  boundary: str, level_params, offsets=None, support=None):
@@ -372,15 +376,6 @@ class Pyramid:
                   "support": support}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pyramid is immutable")
-
-    def __reduce__(self):
-        # Rebuilt through __init__, so a copy's blocks are read-only too.
-        return Pyramid, (self.coarse, self.details, self.family, self.epsilon,
-                         self.boundary, self.level_params, self.offsets,
-                         self.support)
 
     @property
     def levels(self) -> int:
@@ -732,9 +727,14 @@ def detail_bound(pyramid: Pyramid, fprime_inf: float) -> list:
 
         (K_zeta ||alpha||_1 + K_alpha ||zeta||_1) * fprime_inf
         * prod_{m=l..J} ||zeta^(m)||_1 / ||zeta^(l)||_1 * 2^{-l}.
+
+    A negative ``fprime_inf`` raises :class:`BadParamsError`.
     """
     pyramid = _instance(pyramid, Pyramid, "pyramid")
     fprime_inf = _real_scalar(fprime_inf, "fprime_inf")
+    if fprime_inf < 0:
+        raise BadParamsError(
+            f"fprime_inf must be nonnegative, got {fprime_inf}")
     zeta_norms, tails = _zeta_tails(pyramid.level_params)
     bounds = []
     for lp, zeta_norm, tail in zip(pyramid.level_params, zeta_norms, tails):

@@ -32,7 +32,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParamsError, _index, _instance, _real_array
+from .errors import (BadParamsError, _Immutable, _index, _instance,
+                     _real_array)
 
 # Magnitudes below this are flushed to exact zero on construction to keep
 # denormals out of canonical trimming.
@@ -48,7 +49,7 @@ def _clean(values) -> np.ndarray:
     return arr
 
 
-class FinSeq:
+class FinSeq(_Immutable):
     """Finitely supported real sequence on the integers.
 
     Parameters
@@ -68,6 +69,7 @@ class FinSeq:
     """
 
     __slots__ = ("offset", "coeffs")
+    _args = _key = ("coeffs", "offset")
     __iter__ = None  # __getitem__ answers every index: iteration never ends
 
     def __init__(self, coeffs=(), offset: int = 0):
@@ -82,13 +84,6 @@ class FinSeq:
         arr.setflags(write=False)
         object.__setattr__(self, "offset", offset if arr.size else 0)
         object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinSeq is immutable")
-
-    def __reduce__(self):
-        # Rebuilt through __init__: the slots cannot be set on a bare copy.
-        return FinSeq, (self.coeffs, self.offset)
 
     def __len__(self) -> int:
         return self.coeffs.size
@@ -112,14 +107,6 @@ class FinSeq:
 
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FinSeq):
-            return NotImplemented
-        return self.offset == other.offset and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.offset, self.coeffs.tobytes()))
 
     def __repr__(self):
         if self.is_empty:
@@ -153,10 +140,11 @@ def _finseq(values: np.ndarray, offset: int) -> FinSeq:
     return seq
 
 
-class PeriodicSeq:
+class PeriodicSeq(_Immutable):
     """N-periodic real sequence; ``values`` holds the period starting at 0."""
 
     __slots__ = ("values",)
+    _args = _key = ("values",)
     __iter__ = None  # indexing wraps, so fallback iteration never stops
 
     def __init__(self, values):
@@ -165,12 +153,6 @@ class PeriodicSeq:
             raise BadParamsError("period must be at least 1")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodicSeq is immutable")
-
-    def __reduce__(self):
-        return PeriodicSeq, (self.values,)
 
     @property
     def period(self) -> int:
@@ -181,14 +163,6 @@ class PeriodicSeq:
 
     def __getitem__(self, index: int) -> float:
         return float(self.values[index % self.period])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicSeq):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash(self.values.tobytes())
 
     def __repr__(self):
         return f"PeriodicSeq({self.values.tolist()})"

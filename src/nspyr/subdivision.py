@@ -31,6 +31,7 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     PeriodTooShortError,
+    _Immutable,
     _NUMBER,
     _check_json,
     _index,
@@ -44,7 +45,7 @@ _PARITY_TOL = 1e-12
 _DENOM_GUARD = 1e-12
 
 
-class Mask:
+class Mask(_Immutable):
     """A subdivision mask: centered taps plus level and family provenance.
 
     The even- and odd-indexed taps of a stationary convergent scheme's
@@ -58,6 +59,8 @@ class Mask:
 
     __slots__ = ("taps", "level", "family_id", "_phases", "_parities",
                  "_stencils", "_stencil_reach")
+    # The fields derived from the taps take no part in equality.
+    _args = _key = ("taps", "level", "family_id")
 
     def __init__(self, taps: FinSeq, level: int = 0,
                  family_id: str = "custom"):
@@ -76,22 +79,6 @@ class Mask:
                            tuple([_stencil(*phases[p]) for p in parities]))
         object.__setattr__(self, "_stencil_reach",
                            max(phases[0][0].size, phases[1][0].size))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mask is immutable")
-
-    def __reduce__(self):
-        return Mask, (self.taps, self.level, self.family_id)
-
-    def __eq__(self, other) -> bool:
-        # The fields derived from the taps take no part.
-        if not isinstance(other, Mask):
-            return NotImplemented
-        return (self.taps, self.level, self.family_id) == (
-            other.taps, other.level, other.family_id)
-
-    def __hash__(self):
-        return hash((self.taps, self.level, self.family_id))
 
     @property
     def even_sum(self) -> float:

@@ -389,6 +389,18 @@ class TestDemos:
         assert (outdir / "anomaly_curve.svg").exists()
         assert (outdir / "anomaly_details.svg").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_threshold_ratio_exits_3(self, tmp_path, capsys, how):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"threshold_ratio": -5.0}))
+        given = (["--threshold-ratio", -5.0] if how == "flag"
+                 else ["--config", config])
+        outdir = tmp_path / "demo"
+        assert run("anomaly-demo", "--out", outdir, *given) == 3
+        assert ("threshold_ratio must be nonnegative, got -5.0"
+                in capsys.readouterr().err)
+        assert not (outdir / "anomaly_report.json").exists()
+
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run("circle-demo", "--out", out1, "--n", 128, "--levels", 3)

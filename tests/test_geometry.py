@@ -167,6 +167,45 @@ class TestCircularity:
             circularity_report(sample_circle(100), 3)
 
 
+def sampled_ellipse(n, semi_major, aspect, rotation, center, phase):
+    """Closed curve of ``n`` samples, uniform in the ellipse's parameter."""
+    t = 2.0 * np.pi * np.arange(n) / n + phase
+    rot = np.array([[math.cos(rotation), -math.sin(rotation)],
+                    [math.sin(rotation), math.cos(rotation)]])
+    axes = np.column_stack([semi_major * np.cos(t),
+                            semi_major / aspect * np.sin(t)])
+    return PlanarCurve(axes @ rot.T + center)
+
+
+class TestConicVerdict:
+    """The verdict detects uniformly sampled conics, not circles alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([64, 128, 256, 512]), data=st.data(),
+           aspect=st.floats(1.01, 2.0), rotation=st.floats(0.0, 2 * math.pi),
+           semi_major=st.floats(1e-2, 1e2),
+           center=st.tuples(st.floats(-100.0, 100.0),
+                            st.floats(-100.0, 100.0)),
+           phase=st.floats(0.0, 2 * math.pi))
+    def test_uniformly_sampled_ellipses_score_at_rounding(
+            self, n, data, aspect, rotation, semi_major, center, phase):
+        # every affine image of a uniformly sampled circle is annihilated
+        levels = data.draw(st.integers(1, int(math.log2(n // 8))))
+        curve = sampled_ellipse(n, semi_major, aspect, rotation,
+                                semi_major * np.array(center), phase)
+        rep = circularity_report(curve, levels)
+        assert rep.verdict_scale <= 1e-12 * semi_major
+        assert anomaly_localize(curve, levels) == []
+
+    @pytest.mark.parametrize("warp", [0.01, 0.1])
+    def test_nonuniformly_sampled_circle_scores_above_rounding(self, warp):
+        # a circle sampled at t + warp sin t is no uniformly sampled conic
+        t = 2.0 * np.pi * np.arange(256) / 256
+        s = t + warp * np.sin(t)
+        curve = PlanarCurve(np.column_stack([np.cos(s), np.sin(s)]))
+        assert circularity_report(curve, 4).verdict_scale >= 1e-6
+
+
 class TestAnomaly:
     def test_pure_circle_empty(self):
         assert anomaly_localize(sample_circle(256), 4) == []

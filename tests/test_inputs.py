@@ -398,6 +398,15 @@ PROBES = {
     "detail-bound-text": (
         lambda: detail_bound(_analyzed(PERIODIC, "periodic"), "x"),
         BadParamsError, "^fprime_inf must be a real number"),
+    "detail-bound-negative": (
+        lambda: detail_bound(_analyzed(PERIODIC, "periodic"), -1.0),
+        BadParamsError, "^fprime_inf must be nonnegative, got -1.0"),
+    "anomaly-negative-threshold-ratio": (
+        lambda: anomaly_flags(CIRCLE, 2, threshold_ratio=-5.0),
+        BadParamsError, "^threshold_ratio must be nonnegative, got -5.0"),
+    "localize-negative-threshold-ratio": (
+        lambda: anomaly_localize(CIRCLE, 2, threshold_ratio=-1e-300),
+        BadParamsError, "^threshold_ratio must be nonnegative"),
     "refine-n-none-family": (lambda: refine_n(None, FinSeq([1.0]), 1),
                              BadParamsError, "^family must be a SchemeFamily"),
     "circularity-of-points": (lambda: circularity_report(CIRCLE.points, 2),
@@ -457,6 +466,16 @@ def test_probe_raises_typed_error_at_once(probe):
     call, error, match = PROBES[probe]
     with deadline(), pytest.raises(error, match=match):
         call()
+
+
+def test_zero_threshold_ratio_and_derivative_bound_are_valid():
+    # 0 flags every norm above the 1e-10 floor; a zero derivative bound
+    # bounds every level's details by 0
+    wavy = perturb_wavy(CIRCLE, 0.01, 3)
+    flags, threshold = anomaly_flags(wavy, 2, threshold_ratio=0.0)
+    assert threshold == 1e-10 and flags.any()
+    assert anomaly_localize(wavy, 2, threshold_ratio=0) == [(1, 15)]
+    assert detail_bound(_analyzed(PERIODIC, "periodic"), 0.0) == [0.0, 0.0]
 
 
 # A circle scaled far enough that the squares of its coordinates, and of
