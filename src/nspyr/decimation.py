@@ -469,17 +469,21 @@ def solve_gamma(mask: Mask,
     return filt
 
 
-def _decimate_block(filt: DecimationFilter, values: np.ndarray) -> np.ndarray:
+def _decimate_block(filt: DecimationFilter, values: np.ndarray, out=None,
+                    width=None) -> np.ndarray:
     """Periodic decimation of an ``(N,)`` or ``(N, D)`` block along axis 0.
 
     The filter ``zeta`` runs cyclically over ``values[0::2]``; N must be
-    even.
+    even.  The result goes into a new array or into ``out``; ``width`` is
+    that of the level block whose columns ``values`` and ``out`` hold
+    (see :func:`_cyclic_convolve`).
     """
     if values.shape[0] % 2 != 0:
         raise OddPeriodError(
             f"decimation needs an even period, got {values.shape[0]}")
-    out = np.empty((values.shape[0] // 2,) + values.shape[1:], order="F")
-    _cyclic_convolve(filt._stencils, values[0::2], (out,))
+    if out is None:
+        out = np.empty((values.shape[0] // 2,) + values.shape[1:], order="F")
+    _cyclic_convolve(filt._stencils, values[0::2], (out,), width)
     return out
 
 

@@ -159,9 +159,14 @@ def perturb_quadrant(curve: PlanarCurve, amplitude: float,
 
 def radial_deviation(curve: PlanarCurve, radius: float,
                      center: tuple = (0.0, 0.0)) -> float:
-    """Largest distance of any sample from the reference circle."""
+    """Largest distance of any sample from the reference circle.
+
+    ``radius`` is a positive real number, as for :func:`sample_circle`.
+    """
     rel = _instance(curve, PlanarCurve, "curve").points - _center(center)
     radius = _real_scalar(radius, "radius")
+    if radius <= 0:
+        raise BadParamsError(f"radius must be positive, got {radius}")
     return float(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - radius).max())
 
 

@@ -200,7 +200,8 @@ def _stencil(taps: np.ndarray, offset: int):
     return taps[::-1], offset + taps.size - 1, -offset
 
 
-def _cyclic_convolve(stencils, values: np.ndarray, outs) -> None:
+def _cyclic_convolve(stencils, values: np.ndarray, outs,
+                     width=None) -> None:
     """Cyclic convolutions along axis 0 of an ``(N,)`` or ``(N, D)`` array.
 
     ``stencils`` holds one :func:`_stencil` per filter, every one of which
@@ -209,7 +210,10 @@ def _cyclic_convolve(stencils, values: np.ndarray, outs) -> None:
     N]``.  Any filter length works, including one longer than N.  Each
     result goes into its entry of ``outs``: arrays or views of
     ``values``' shape, of which one may alias ``values`` only in a call
-    with one filter.
+    with one filter.  ``values`` may be a group of the columns of a
+    level block ``width`` columns wide: the strategies are chosen from
+    the whole block's entry count, so a column gets the same bits in any
+    group.
 
     Every output row is the dot product of the reversed taps with K
     consecutive entries of the column wrap-extended by the filter's
@@ -239,7 +243,7 @@ def _cyclic_convolve(stencils, values: np.ndarray, outs) -> None:
     """
     n = values.shape[0]
     cols = values[:, None] if values.ndim == 1 else values
-    gemm = values.size >= _GEMM_MIN_WORK
+    gemm = n * (width or cols.shape[1]) >= _GEMM_MIN_WORK
     seam = _SEAM_MIN_ROWS <= n and values.strides[0] == values.itemsize
     # The loop's filters, and the reach of the one extension they share:
     # it covers rows -head to n + tail, so it holds each filter's own.

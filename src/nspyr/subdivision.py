@@ -117,24 +117,30 @@ def _polyphase(taps: FinSeq):
     return phases
 
 
-def _refine_block(mask: Mask, values: np.ndarray) -> np.ndarray:
+def _refine_block(mask: Mask, values: np.ndarray, out=None,
+                  width=None) -> np.ndarray:
     """Periodic refinement of an ``(N,)`` or ``(N, D)`` block along axis 0.
 
     Polyphase: output ``[p::2]`` is the coarse data cyclically convolved
     with the parity-p taps, so no inserted zero is ever multiplied.  One
     kernel call computes both phases from one extension of each column
     and writes them straight into the column-major result; a phase
-    without taps stays zero.
+    without taps is zero.  The result goes into a new array or into
+    ``out``; ``width`` is that of the level block whose columns
+    ``values`` and ``out`` hold (see :func:`_cyclic_convolve`).
     """
     n = values.shape[0]
     if n < mask._stencil_reach:
         raise PeriodTooShortError(
             f"period {n} shorter than stencil reach {mask._stencil_reach}")
-    shape = (2 * n,) + values.shape[1:]
-    out = (np.empty(shape, order="F") if len(mask._parities) == 2
-           else np.zeros(shape, order="F"))
+    if out is None:
+        shape = (2 * n,) + values.shape[1:]
+        out = (np.empty(shape, order="F") if len(mask._parities) == 2
+               else np.zeros(shape, order="F"))
+    elif len(mask._parities) == 1:
+        out[1 - mask._parities[0]::2] = 0.0
     _cyclic_convolve(mask._stencils, values,
-                     [out[p::2] for p in mask._parities])
+                     [out[p::2] for p in mask._parities], width)
     return out
 
 

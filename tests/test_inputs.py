@@ -345,6 +345,11 @@ PROBES = {
                             BadParamsError, "^amplitude must be a real"),
     "deviation-3-d-center": (lambda: radial_deviation(CIRCLE, 1.0, (0, 0, 0)),
                              BadParamsError, "^center must be two"),
+    "deviation-negative-radius": (
+        lambda: radial_deviation(sample_circle(8), -1.0), BadParamsError,
+        r"^radius must be positive, got -1\.0"),
+    "deviation-zero-radius": (lambda: radial_deviation(CIRCLE, 0),
+                              BadParamsError, "^radius must be positive"),
     # other arguments that are not arrays
     "analyze-none-family": (lambda: analyze(np.ones(8), None, 1),
                             BadParamsError, "^family must be a SchemeFamily"),

@@ -2,7 +2,9 @@ import base64
 import copy
 import json
 import math
+import os
 import pickle
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -1181,3 +1183,162 @@ class TestLevelCache:
         monkeypatch.setattr(Conic, "mask_at_level", None)
         flags, _ = anomaly_flags(curve, 3)
         assert flags.size == 128
+
+
+FOUR_POINT = Stationary(FinSeq([-1 / 16, 0, 9 / 16, 1, 9 / 16, 0, -1 / 16], -3),
+                        "four_point")
+
+
+def split_chains(monkeypatch, min_rows=64, cpus=(0, 1)):
+    """Lower the column-split threshold to ``min_rows``; pin the CPU set.
+
+    Returns the helper threads the pyramid starts from then on.
+    """
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pyramid, "_SPLIT_MIN_ROWS", min_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def outputs(data, family, levels):
+    """The bytes of a periodic pyramid's JSON and of both syntheses."""
+    p = analyze(data, family, levels)
+    return (p.to_json(), synthesize_array(p).tobytes(),
+            [c.values.tobytes() for c in synthesize(p)])
+
+
+class TestColumnGroups:
+    """Large periodic blocks run their level chains in two column groups."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.integers(2, 5), rows=st.sampled_from([128, 4096, 2 ** 15]),
+           family=st.sampled_from([f for _, f in family_grid()]
+                                  + [FOUR_POINT]),
+           levels=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_two_groups_give_the_bytes_of_one(self, width, rows, family,
+                                              levels, seed):
+        # 128 rows take the loop strategy, 4096 the GEMM one at the finest
+        # decimation and 2^15 the seam split at the finest refinement
+        data = np.random.default_rng(seed).normal(size=(rows, width))
+        with pytest.MonkeyPatch.context() as mp:
+            started = split_chains(mp, min_rows=math.inf)
+            one = outputs(data, family, levels)
+            assert started == []
+            mp.setattr(pyramid, "_SPLIT_MIN_ROWS", 64)
+            two = outputs(data, family, levels)
+            assert len(started) == 3
+        assert two == one
+
+    @pytest.mark.parametrize("rows, gemm, seam", [
+        (128, False, False), (4096, True, False), (2 ** 15, True, True)])
+    def test_groups_take_the_whole_blocks_strategy(
+            self, rng, monkeypatch, gemm_calls, seam_calls, rows, gemm, seam):
+        # at 4096 x 2 the decimation reads 2048 x 2 = 4096 entries, the
+        # GEMM crossover, though each group reads only 2048 of them; at
+        # 2^15 rows each group refines its 2^14-row column by seam split
+        # too, and at 128 rows everything runs through the loop
+        split_chains(monkeypatch)
+        fam = Conic(math.cos(2 * math.pi / 16))
+        analyze(rng.normal(size=(rows, 2)), fam, 1)
+        zeta = len(pyramid._level_params(fam, 1, 1e-15).filt.zeta)
+        assert gemm_calls == ([zeta, zeta] if gemm else [])
+        assert seam_calls == ([rows // 2] * 4 if seam else [])
+
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_groups_split_the_columns(self, rng, monkeypatch, width):
+        # the caller computes the first ceil(D/2) columns, one helper the
+        # rest, in analysis and in synthesis: each refines once per level
+        split_chains(monkeypatch)
+        seen, refine_block = [], pyramid._refine_block
+
+        def spy(mask, values, out, whole):
+            assert whole == width and out.base.shape[1] == width
+            seen.append((out.shape[1], threading.current_thread()
+                         is threading.main_thread()))
+            return refine_block(mask, values, out, whole)
+
+        monkeypatch.setattr(pyramid, "_refine_block", spy)
+        synthesize_array(analyze(rng.normal(size=(128, width)),
+                                 cubic_bspline_family(), 2))
+        half = (width + 1) // 2
+        assert sorted(seen) == sorted([(half, True),
+                                       (width - half, False)] * 4)
+
+    def test_real_threshold(self, rng, monkeypatch):
+        # 2^17 finest rows split, in the analysis and both syntheses;
+        # fewer rows, or one column, do not
+        started = split_chains(monkeypatch, min_rows=2 ** 17)
+        fam = NSCubic(math.cos(2 * math.pi / 16))
+        for shape, threads in [((2 ** 17, 2), 3), ((2 ** 17 - 16, 2), 0),
+                               ((2 ** 17, 1), 0)]:
+            data = rng.normal(size=shape)
+            del started[:]
+            split = outputs(data, fam, 4)
+            assert len(started) == threads
+            monkeypatch.setattr(pyramid, "_SPLIT_MIN_ROWS", math.inf)
+            assert outputs(data, fam, 4) == split
+            monkeypatch.setattr(pyramid, "_SPLIT_MIN_ROWS", 2 ** 17)
+
+    def test_one_cpu_starts_no_helper(self, rng, monkeypatch):
+        data = rng.normal(size=(256, 3))
+        one = outputs(data, NS4Point(2 * math.pi / 16), 3)
+        started = split_chains(monkeypatch, cpus=[0])
+        assert outputs(data, NS4Point(2 * math.pi / 16), 3) == one
+        assert started == []
+
+    def test_no_thread_outlives_a_call(self, rng, monkeypatch):
+        started = split_chains(monkeypatch)
+        before = threading.active_count()
+        p = analyze(rng.normal(size=(128, 2)), Conic(0.9), 3)
+        assert threading.active_count() == before
+        synthesize(p)
+        assert threading.active_count() == before
+        synthesize_array(p)
+        assert threading.active_count() == before
+        assert len(started) == 3
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_overflow_in_the_helpers_group_is_a_domain_error(self, rng,
+                                                            monkeypatch):
+        # column 1 is the helper's; the caller's np.errstate holds there,
+        # so the overflow is the finiteness check's DomainError, not a
+        # RuntimeWarning raised as an error
+        started = split_chains(monkeypatch)
+        data = rng.normal(size=(128, 2))
+        data[:, 1] = np.tile([1.7e308, -1.7e308], 64)
+        with pytest.raises(DomainError, match="pyramid coefficients"):
+            analyze(data, Conic(0.9), 2)
+        p = analyze(rng.normal(size=(128, 2)), cubic_bspline_family(), 2)
+        blocks = [np.array(b) for b in (p.coarse,) + p.details]
+        for block in blocks:
+            block[:, 1] = 1.7e308
+        huge = Pyramid(blocks[0], blocks[1:], p.family, p.epsilon,
+                       p.boundary, p.level_params)
+        for entry in (synthesize, synthesize_array):
+            with pytest.raises(DomainError, match="values must be finite"):
+                entry(huge)
+        assert len(started) == 4
+
+    def test_helpers_exception_is_raised_in_the_caller(self, rng,
+                                                       monkeypatch):
+        split_chains(monkeypatch)
+        before = threading.active_count()
+        step = pyramid._analysis_step
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("in the helper")
+            return step(*args)
+
+        monkeypatch.setattr(pyramid, "_analysis_step", failing)
+        with pytest.raises(ZeroDivisionError, match="in the helper"):
+            analyze(rng.normal(size=(128, 2)), Conic(0.9), 2)
+        assert threading.active_count() == before

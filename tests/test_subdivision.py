@@ -326,6 +326,11 @@ class TestRefine:
                                 upsample2(PeriodicSeq(values[:, d]))).values
                 np.testing.assert_array_equal(got[:, d], want)
             assert np.all(got[(offset + 1) % 2::2] == 0.0)
+            # into a column of a given block, the others left as they are
+            out = np.full((2 * rows, 2), np.nan, order="F")
+            _refine_block(mask, values[:, 1:], out[:, 1:], 2)
+            assert np.array_equal(out[:, 1], got[:, 1])
+            assert np.isnan(out[:, 0]).all()
 
     def test_period_too_short(self):
         mask = Conic(math.cos(2 * math.pi / 16)).mask_at_level(0)
