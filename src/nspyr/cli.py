@@ -1,17 +1,17 @@
 """Command line front end.
 
 Subcommands and their flags, where the family pair is ``--family``,
-``--theta`` and the depth trio ``--levels/-J``, ``--epsilon``,
-``--config``: ``decompose --in --out --plot`` + pair + trio (the boundary
-comes from the input: curves and ``# period=`` sequences are periodic,
-``index,value`` rows finite); ``reconstruct --in --out``; ``gamma --out``
-+ pair + trio; ``circle-demo --out --n --radius`` + trio; ``anomaly-demo
---out --n --radius --amplitude --frequency --threshold-ratio`` + trio.
-Flag values override config-file values, which override defaults; a
-config key that the subcommand has no flag for is logged at info level.
-Exit codes: 0 success, 2 I/O or usage error, 3 numerical precondition
-failure (the message names the precondition).  Set ``NSPYR_LOG`` to a
-level name (debug/info/warning) for logging.
+``--theta`` and the depth pair ``--levels/-J``, ``--epsilon``:
+``decompose --in --out --plot`` + family + depth (the boundary comes
+from the input: curves and ``# period=`` sequences are periodic,
+``index,value`` rows finite); ``reconstruct --in --out``; ``gamma
+--out`` + family + depth; ``circle-demo --out --n --radius`` + depth;
+``anomaly-demo --out --n --radius --amplitude --frequency
+--threshold-ratio`` + depth.  Each setting has one source: its flag,
+or the default the parser gives it.  Exit codes: 0 success, 2 I/O or
+usage error, 3 numerical precondition failure (the message names the
+precondition).  Set ``NSPYR_LOG`` to a level name (debug/info/warning)
+for logging.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import svgplot
 from .decimation import (DEFAULT_EPSILON, _epsilon, filter_metadata,
                          solve_gamma, write_filter_csv)
-from .errors import _NUMBER, BadParamsError, NspyrError, _check_json
+from .errors import BadParamsError, NspyrError
 from .geometry import (
     DEFAULT_THRESHOLD_RATIO,
     PlanarCurve,
@@ -52,53 +52,11 @@ from .subdivision import Conic, NS4Point, NSCubic, Stationary
 
 log = logging.getLogger("nspyr")
 
-# Each setting's default and the JSON type a config file must give it.
-_DEFAULTS = {
-    "family": ("conic", str),
-    "theta": (None, _NUMBER + (type(None),)),
-    "levels": (4, int),
-    "epsilon": (DEFAULT_EPSILON, _NUMBER),
-    "plot": (False, bool),
-    "n": (256, int),
-    "radius": (1.0, _NUMBER),
-    "amplitude": (0.01, _NUMBER),
-    "frequency": (12, int),
-    "threshold_ratio": (DEFAULT_THRESHOLD_RATIO, _NUMBER),
-}
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply precedence flags > config file > defaults.
-
-    One key table serves every subcommand, so one file can configure
-    several.  An unknown config key or a value of the wrong JSON type
-    raises :class:`BadParamsError`; a known key that the subcommand has
-    no flag for is logged at info level, as it changes nothing.
-    """
-    file_conf = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_conf = json.load(fh)
-        _check_json(file_conf, f"config {args.config}",
-                    {key: kind for key, (_, kind) in _DEFAULTS.items()},
-                    optional=_DEFAULTS, error=BadParamsError)
-        unknown = sorted(file_conf.keys() - _DEFAULTS.keys())
-        if unknown:
-            raise BadParamsError(
-                f"config {args.config} has the unknown key {unknown[0]!r}")
-        # the parser gives the namespace an entry for each of its flags
-        for key in sorted(file_conf.keys() - vars(args).keys()):
-            log.info("config %s: %s does not read %r; ignored",
-                     args.config, args.command, key)
-    for key, (default, _) in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_conf.get(key, default))
-    return args
-
 
 def _validate(args) -> None:
-    _epsilon(args.epsilon)
-    _levels(args.levels)
+    if "levels" in args:  # reconstruct reads its depth from the pyramid
+        _epsilon(args.epsilon)
+        _levels(args.levels)
 
 
 def _build_family(kind: str, theta, data_n=None, levels=None):
@@ -301,16 +259,15 @@ def cmd_anomaly_demo(args) -> int:
 
 
 def _add_family(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default=None,
+    p.add_argument("--family", default="conic",
                    help="ns4pt | nscubic | conic | stationary:<maskfile>")
     p.add_argument("--theta", type=float, default=None,
                    help="tension angle; conic/nscubic use cos(theta)")
 
 
 def _add_depth(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--levels", "-J", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--levels", "-J", type=int, default=4)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
 
 @functools.cache
@@ -335,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "header, an integer first field marks a finite "
                         "sequence (index,value) and any other a curve (x,y)")
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--plot", action="store_true", default=None)
+    p.add_argument("--plot", action="store_true")
 
     p = sub.add_parser("reconstruct", help="synthesize a pyramid JSON")
     p.add_argument("--in", dest="infile", required=True)
@@ -349,18 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circle-demo", help="circle and wavy-circle reports")
     _add_depth(p)
     p.add_argument("--out", dest="outdir", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--radius", type=float, default=1.0)
 
     p = sub.add_parser("anomaly-demo", help="quadrant-anomaly localization")
     _add_depth(p)
     p.add_argument("--out", dest="outdir", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--frequency", type=int, default=None)
+    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--amplitude", type=float, default=0.01)
+    p.add_argument("--frequency", type=int, default=12)
     p.add_argument("--threshold-ratio", dest="threshold_ratio",
-                   type=float, default=None)
+                   type=float, default=DEFAULT_THRESHOLD_RATIO)
     return ap
 
 
@@ -369,7 +326,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        args = _merge_config(args)
         _validate(args)
         # Looked up at call time, so a handler rebound on the module (a
         # tracer's wrapper, a test's spy) is the one that runs.

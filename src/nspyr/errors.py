@@ -5,7 +5,7 @@ Every numerical precondition failure maps to a distinct subclass of
 callers (and the command line front end) can report it verbatim.  Caller
 input passes one of five gates, which raise these types naming the
 argument: :func:`_index` for integers, :func:`_check_json` for JSON
-documents read from outside (a saved pyramid, a CLI config),
+documents read from outside (a saved pyramid and its family),
 :func:`_real_array` for arrays, to which each caller adds its shape rule,
 :func:`_real_scalar` for real numbers, and :func:`_instance` for objects
 of the package's own types (masks, families, filters, pyramids, curves).
@@ -63,7 +63,7 @@ class ShapeMismatchError(NspyrError):
 
 
 # JSON types of the documents read from outside: the pyramid JSON and
-# the CLI config.
+# the family description it holds.
 
 _NUMBER = (int, float)
 
@@ -72,33 +72,32 @@ def _json_ok(value, kind) -> bool:
     """Whether a JSON value is of ``kind``.
 
     ``kind`` is a type, a tuple of types, or ``[kind]`` for an array of
-    that kind.  JSON true and false are booleans, not numbers.
+    that kind.  JSON true and false match no kind: they are not numbers.
     """
     if isinstance(kind, list):
         return isinstance(value, list) and all(
             _json_ok(v, kind[0]) for v in value)
-    return isinstance(value, kind) and (kind is bool
-                                        or not isinstance(value, bool))
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_json(doc, where: str, kinds: dict, optional=(),
-                error=ShapeMismatchError) -> None:
+def _check_json(doc, where: str, kinds: dict, optional=()) -> None:
     """Check the fields of a JSON document read from outside.
 
     Unless ``doc`` is an object holding each field of ``kinds`` (those in
     ``optional`` may be left out) with a value of the field's
-    :func:`_json_ok` kind, ``error`` is raised naming ``where`` and the
-    field.
+    :func:`_json_ok` kind, :class:`ShapeMismatchError` is raised naming
+    ``where`` and the field.
     """
     if not isinstance(doc, dict):
-        raise error(f"{where} must be a JSON object, "
-                    f"got {type(doc).__name__}")
+        raise ShapeMismatchError(f"{where} must be a JSON object, "
+                                 f"got {type(doc).__name__}")
     for key, kind in kinds.items():
         if key not in doc and key not in optional:
-            raise error(f"{where} lacks the field {key!r}")
+            raise ShapeMismatchError(f"{where} lacks the field {key!r}")
         if key in doc and not _json_ok(doc[key], kind):
-            raise error(f"{where} field {key!r} has the wrong JSON type "
-                        f"({type(doc[key]).__name__})")
+            raise ShapeMismatchError(
+                f"{where} field {key!r} has the wrong JSON type "
+                f"({type(doc[key]).__name__})")
 
 
 def _index(value, name: str, error=BadParamsError) -> int:

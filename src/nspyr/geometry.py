@@ -22,7 +22,7 @@ from .errors import (BadParamsError, _index, _instance, _real_array,
                      _real_scalar)
 from .pyramid import (DetailDecayReport, Pyramid, _analysis_input,
                       _analysis_step, _check_finite, _level_params,
-                      _row_norms, analyze, detail_decay_report)
+                      _levels, _row_norms, analyze, detail_decay_report)
 from .sequences import _CSV_ROWS, _parse_rows
 from .subdivision import Conic
 
@@ -44,13 +44,17 @@ class PlanarCurve:
     """Ordered planar samples; closed curves wrap around periodically.
 
     The points must be real and finite: a complex, NaN or infinite
-    coordinate raises :class:`DomainError`.
+    coordinate raises :class:`DomainError`.  ``closed`` must be a Python
+    or numpy bool, kept as a Python bool.
     """
 
     points: np.ndarray
     closed: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.closed, (bool, np.bool_)):
+            raise BadParamsError(f"closed must be a bool, got {self.closed!r}")
+        object.__setattr__(self, "closed", bool(self.closed))
         pts = _real_array(self.points, "curve points")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise BadParamsError("points must be an (N, 2) array")
@@ -179,8 +183,9 @@ def conic_family_for(curve_n: int, levels: int) -> Conic:
 
     The tension starts at cos(2*pi/N0) for N0 coarse points; iterating it
     level by level matches the per-level sample counts as they double.
+    ``levels`` below 1 raises :class:`BadParamsError`, as in :func:`analyze`.
     """
-    n0 = _index(curve_n, "curve_n") // (2 ** _index(levels, "levels"))
+    n0 = _index(curve_n, "curve_n") // 2 ** _levels(levels)
     if n0 < 1:
         raise BadParamsError(
             f"{curve_n} samples cannot support {levels} levels")

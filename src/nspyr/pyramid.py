@@ -398,6 +398,7 @@ class Pyramid(_Immutable):
         return self.coarse.shape[1]
 
     def _detail_block(self, level: int) -> np.ndarray:
+        level = _index(level, "level")
         if not 1 <= level <= self.levels:
             raise BadParamsError(f"level {level} outside 1..{self.levels}")
         return self.details[level - 1]

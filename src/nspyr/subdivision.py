@@ -207,6 +207,14 @@ def conic_params(v: float) -> tuple[float, float]:
 # families
 
 
+def _level(k) -> int:
+    """The refinement level ``k``, checked to be an integer of at least 0."""
+    k = _index(k, "level")
+    if k < 0:
+        raise DomainError("level must be nonnegative")
+    return k
+
+
 class SchemeFamily:
     """Supplier of per-level masks for a (possibly nonstationary) scheme.
 
@@ -232,7 +240,7 @@ class SchemeFamily:
 
 @dataclass(frozen=True)
 class Stationary(SchemeFamily):
-    """Same mask at every level; ``name`` is the family id.
+    """Same mask at every level; ``name``, a str, is the family id.
 
     The even- and odd-indexed taps must each sum to one within
     ``_PARITY_TOL`` = 1e-12, or :class:`BadParamsError` is raised.
@@ -242,6 +250,7 @@ class Stationary(SchemeFamily):
     name: str = "stationary"
 
     def __post_init__(self):
+        _instance(self.name, str, "name")
         even, odd = Mask(self.taps, family_id=self.name).parity_deviation
         dev = max(abs(even), abs(odd))
         if dev > _PARITY_TOL:
@@ -253,9 +262,7 @@ class Stationary(SchemeFamily):
         return self.name
 
     def mask_at_level(self, k: int) -> Mask:
-        if k < 0:
-            raise DomainError("level must be nonnegative")
-        return Mask(self.taps, level=k, family_id=self.name)
+        return Mask(self.taps, level=_level(k), family_id=self.name)
 
     @property
     def interpolating(self) -> bool:
@@ -314,8 +321,7 @@ class NS4Point(_OneParameter):
     theta: float = 0.0
 
     def mask_at_level(self, k: int) -> Mask:
-        if k < 0:
-            raise DomainError("level must be nonnegative")
+        k = _level(k)
         c_half = math.cos(self.theta * 2.0 ** (-k - 2))
         c_full = math.cos(self.theta * 2.0 ** (-k - 1))
         den = 16.0 * c_half * c_half * c_full
@@ -348,10 +354,8 @@ class _IteratedTension(_OneParameter):
             raise DomainError(f"v_init must exceed -1, got {self.v_init}")
 
     def tension_at_level(self, k: int) -> float:
-        if k < 0:
-            raise DomainError("level must be nonnegative")
         v = self.v_init
-        for _ in range(k + 1):
+        for _ in range(_level(k) + 1):
             v = v_next(v)
         return v
 

@@ -1,6 +1,5 @@
 import argparse
 import json
-import logging
 import math
 import os
 import subprocess
@@ -15,11 +14,13 @@ from conftest import list_form_document
 import nspyr
 from nspyr import Pyramid, read_curve_csv, sample_circle, write_curve_csv
 from nspyr.cli import build_parser, main
+from nspyr.decimation import DEFAULT_EPSILON
+from nspyr.geometry import DEFAULT_THRESHOLD_RATIO
 
 # Each subcommand's option strings in the order its parser adds them.
 # Adding or removing a flag changes this table on purpose.
 FAMILY = [["--family"], ["--theta"]]
-DEPTH = [["--levels", "-J"], ["--epsilon"], ["--config"]]
+DEPTH = [["--levels", "-J"], ["--epsilon"]]
 SUBCOMMAND_OPTIONS = {
     "decompose": FAMILY + DEPTH + [["--in"], ["--out"], ["--plot"]],
     "reconstruct": [["--in"], ["--out"]],
@@ -57,14 +58,36 @@ def run_fresh(*argv, **env):
     return run_python("-m", "nspyr.cli", *argv, **env)
 
 
-def test_option_strings_are_pinned():
+def subcommand_parsers():
+    """Each subcommand's name and its parser in :func:`build_parser`."""
     (sub,) = (action for action in build_parser()._actions
               if isinstance(action, argparse._SubParsersAction))
-    found = {name: [action.option_strings for action in parser._actions
-                    if not isinstance(action, argparse._HelpAction)]
-             for name, parser in sub.choices.items()}
+    return sub.choices
+
+
+def option_strings():
+    """Each subcommand's option strings, without ``-h``, in parser order."""
+    return {name: [action.option_strings for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)]
+            for name, parser in subcommand_parsers().items()}
+
+
+def test_option_strings_are_pinned():
+    found = option_strings()
     assert found == SUBCOMMAND_OPTIONS
-    assert sum(map(len, found.values())) == 31
+    assert sum(map(len, found.values())) == 27
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the table's rows read "| `name` | `--a`, `--b/-B` |"
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line.split("|")[1:3] for line in readme.read_text().splitlines()
+            if line.startswith("| `")]
+    table = {name.strip(" `"): sorted(
+        cell.strip(" `").split("/") for cell in flags.split(","))
+        for name, flags in rows}
+    assert table == {name: sorted(options)
+                     for name, options in option_strings().items()}
 
 
 def test_handlers_are_looked_up_at_call_time(tmp_path, circle_csv,
@@ -389,14 +412,10 @@ class TestDemos:
         assert (outdir / "anomaly_curve.svg").exists()
         assert (outdir / "anomaly_details.svg").exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_negative_threshold_ratio_exits_3(self, tmp_path, capsys, how):
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"threshold_ratio": -5.0}))
-        given = (["--threshold-ratio", -5.0] if how == "flag"
-                 else ["--config", config])
+    def test_negative_threshold_ratio_exits_3(self, tmp_path, capsys):
         outdir = tmp_path / "demo"
-        assert run("anomaly-demo", "--out", outdir, *given) == 3
+        assert run("anomaly-demo", "--out", outdir,
+                   "--threshold-ratio", -5.0) == 3
         assert ("threshold_ratio must be nonnegative, got -5.0"
                 in capsys.readouterr().err)
         assert not (outdir / "anomaly_report.json").exists()
@@ -410,84 +429,61 @@ class TestDemos:
 
 
 class TestConfigPrecedence:
-    def test_flags_beat_config(self, tmp_path, circle_csv):
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"levels": 2, "epsilon": 1e-9}))
-        pyr_path = tmp_path / "p.json"
-        assert run("decompose", "--in", circle_csv, "--out", pyr_path,
-                   "--config", config, "--levels", 4) == 0
-        doc = json.loads(pyr_path.read_text())
-        assert len(doc["details"]) == 4      # flag won
-        assert doc["epsilon"] == 1e-9        # config used for the rest
-
-    @pytest.mark.parametrize("config, key", [
-        ({"levels": "3"}, "'levels'"),
-        ({"levels": 2.5}, "'levels'"),
-        ({"levels": True}, "'levels'"),
-        ({"epsilon": "1e-15"}, "'epsilon'"),
-        ({"theta": "0.3"}, "'theta'"),
-        ({"family": 7}, "'family'"),
-        ({"plot": "yes"}, "'plot'"),
-        ([1, 2], "JSON object"),
-        ({"level": 2}, "unknown key 'level'"),
-        ({"boundary": "finite"}, "unknown key 'boundary'"),
-    ])
-    def test_mistyped_config_exits_3(self, tmp_path, circle_csv, capsys,
-                                     config, key):
-        path = tmp_path / "conf.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "p.json"
-        assert run("decompose", "--in", circle_csv, "--out", out,
-                   "--config", path) == 3
-        assert key in capsys.readouterr().err
-        assert not out.exists()
+    """Each setting comes from its flag or, without one, the parser."""
 
     def test_parser_keeps_no_state_between_calls(self, tmp_path, circle_csv):
         # main() builds its parser once; a later call in the same process
-        # sees only its own flags and config
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"levels": 3}))
+        # sees only its own flags, and the defaults for the rest
         first, here, fresh = (tmp_path / name for name in
                               ("first", "here", "fresh"))
         for outdir in (first, here, fresh):
             outdir.mkdir()
         assert run("decompose", "--in", circle_csv, "--out", first / "p.json",
-                   "--levels", 2, "--plot") == 0
+                   "--levels", 2, "--epsilon", 1e-9, "--plot") == 0
         assert (first / "p_details.svg").exists()
-        second = ("decompose", "--in", circle_csv, "--config", config)
+        second = ("decompose", "--in", circle_csv, "--levels", 3)
         assert run(*second, "--out", here / "p.json") == 0
         result = run_fresh(*second, "--out", fresh / "p.json")
         assert result.returncode == 0, result.stderr
-        assert Pyramid.from_json((here / "p.json").read_text()).levels == 3
+        pyr = Pyramid.from_json((here / "p.json").read_text())
+        assert (pyr.levels, pyr.epsilon) == (3, DEFAULT_EPSILON)
         assert sorted(p.name for p in here.iterdir()) == ["p.json",
                                                           "p_norms.csv"]
         for name in ("p.json", "p_norms.csv"):
             assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
-    def test_keys_the_subcommand_does_not_read_are_logged(self, tmp_path,
-                                                          caplog):
-        # one file may serve several subcommands: the keys circle-demo has
-        # no flag for are named at info level, and change nothing
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"family": "ns4pt", "theta": 0.3,
-                                      "plot": True, "levels": 3, "n": 64}))
-        with caplog.at_level(logging.INFO, logger="nspyr"):
-            assert run("circle-demo", "--out", tmp_path / "a",
-                       "--config", config) == 0
-        assert [r.getMessage() for r in caplog.records
-                if r.levelno == logging.INFO and "ignored" in r.getMessage()
-                ] == [f"config {config}: circle-demo does not read {key!r}; "
-                      f"ignored" for key in ("family", "plot", "theta")]
-        assert run("circle-demo", "--out", tmp_path / "b", "--levels", 3,
-                   "--n", 64) == 0
-        for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
-            assert ((tmp_path / "a" / name).read_bytes()
-                    == (tmp_path / "b" / name).read_bytes())
-
     def test_invalid_epsilon_rejected(self, tmp_path, circle_csv):
         code = run("decompose", "--in", circle_csv,
                    "--out", tmp_path / "p.json", "--epsilon", 2.0)
         assert code == 3
+
+    def test_defaults_live_in_the_parser(self):
+        defaults = {"family": "conic", "theta": None, "levels": 4,
+                    "epsilon": DEFAULT_EPSILON, "plot": False, "n": 256,
+                    "radius": 1.0, "amplitude": 0.01, "frequency": 12,
+                    "threshold_ratio": DEFAULT_THRESHOLD_RATIO}
+        for name, parser in subcommand_parsers().items():
+            got = {action.dest: action.default for action in parser._actions
+                   if action.dest in defaults}
+            assert got == {key: defaults[key] for key in got}, name
+            assert all(type(value) is type(defaults[key])
+                       for key, value in got.items()), name
+
+    @pytest.mark.parametrize("command", ["decompose", "gamma", "circle-demo",
+                                         "anomaly-demo"])
+    def test_config_flag_is_unrecognized(self, tmp_path, circle_csv, capsys,
+                                         command):
+        # an argument the parser refuses ends the run in argparse's exit
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"levels": 2}))
+        given = ["--in", circle_csv] if command == "decompose" else []
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, *given, "--out", tmp_path / "out",
+                "--config", config)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: --config {config}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -32,12 +32,14 @@ from nspyr import (
     PlanarCurve,
     Pyramid,
     ShapeMismatchError,
+    Stationary,
     analyze,
     anomaly_flags,
     anomaly_localize,
     check_decomposition_stability,
     check_reconstruction_stability,
     circularity_report,
+    conic_family_for,
     conic_params,
     cubic_bspline_family,
     curve_pyramid,
@@ -463,6 +465,40 @@ PROBES = {
             analyze(np.sin(np.arange(32.0)), Conic(math.cos(math.pi / 4)),
                     2))),
         ShapeMismatchError, r"^level_params\[0\] mask taps differ"),
+    # levels that are not integers
+    "detail-float-level": (
+        lambda: _analyzed(PERIODIC, "periodic").detail(1.5), BadParamsError,
+        r"^level must be an integer, got 1\.5"),
+    "detail-array-float-level": (
+        lambda: _analyzed(PERIODIC, "periodic").detail_array(1.5),
+        BadParamsError, "^level must be an integer"),
+    "detail-norms-text-level": (
+        lambda: _analyzed(PERIODIC, "periodic").detail_norms("1"),
+        BadParamsError, "^level must be an integer, got '1'"),
+    "nscubic-float-level": (lambda: NSCubic(0.5).mask_at_level(1.5),
+                            BadParamsError, "^level must be an integer"),
+    "conic-float-level": (lambda: Conic(0.5).mask_at_level(1.5),
+                          BadParamsError, "^level must be an integer"),
+    "tension-text-level": (lambda: NSCubic(0.5).tension_at_level("1"),
+                           BadParamsError, "^level must be an integer"),
+    "ns4pt-text-level": (lambda: NS4Point(0.3).mask_at_level("1"),
+                         BadParamsError, "^level must be an integer"),
+    "stationary-text-level": (
+        lambda: cubic_bspline_family().mask_at_level("1"), BadParamsError,
+        "^level must be an integer"),
+    "conic-family-negative-levels": (lambda: conic_family_for(256, -1),
+                                     BadParamsError,
+                                     "^need at least one level"),
+    # arguments that would be written to a file that does not load back
+    "stationary-int-name": (
+        lambda: Stationary(cubic_bspline_family().taps, name=5),
+        BadParamsError, "^name must be a str, got int"),
+    "stationary-none-name": (
+        lambda: Stationary(cubic_bspline_family().taps, name=None),
+        BadParamsError, "^name must be a str, got NoneType"),
+    "curve-text-closed": (
+        lambda: PlanarCurve(sample_circle(8).points, closed="no"),
+        BadParamsError, "^closed must be a bool, got 'no'"),
 }
 
 
@@ -471,6 +507,12 @@ def test_probe_raises_typed_error_at_once(probe):
     call, error, match = PROBES[probe]
     with deadline(), pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("closed", [np.True_, np.False_])
+def test_numpy_bool_closed_is_kept_as_a_python_bool(closed):
+    curve = PlanarCurve(sample_circle(8).points, closed=closed)
+    assert type(curve.closed) is bool and curve.closed == closed
 
 
 def test_zero_threshold_ratio_and_derivative_bound_are_valid():
